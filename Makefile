@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build lint lint-budget lint-extra test bench bench-smoke bench-compare fmt-check scenarios sweep-cached telemetry-smoke fastforward-smoke parallel-smoke scale-smoke simd-smoke
+.PHONY: all build lint lint-budget lint-extra test bench bench-smoke bench-compare fmt-check scenarios sweep-cached telemetry-smoke countdown-smoke parallel-smoke scale-smoke simd-smoke
 
 all: build lint test
 
@@ -24,7 +24,7 @@ lint: fmt-check
 	$(GO) run ./cmd/desalint ./...
 
 # Lint with a wall-clock budget: the dataflow-backed analyzers
-# (inertsafety, cachekey, sharedstate) must stay cheap enough to run on
+# (cachekey, sharedstate) must stay cheap enough to run on
 # every push, so CI uses this target and fails if the full lint pass
 # exceeds 120 seconds — only a real blow-up (say, an accidental
 # inter-procedural fixpoint) trips it, not runner noise.
@@ -82,15 +82,17 @@ telemetry-smoke:
 	$(GO) run ./cmd/simtrace filter -kind agg .telemetry-a.jsonl > /dev/null
 	rm -f .telemetry-a.jsonl .telemetry-b.jsonl
 
-# Fast-forward equivalence on the sparse showcase scenario: the analytic
-# idle-time skip must print byte-identical results to slot-by-slot
-# operation (DESIGN.md §12). The scenario is the one whose countdowns are
-# nearly all bulk jumps, so any settlement bug shows up here first.
-fastforward-smoke:
-	$(GO) run ./cmd/netsim -scenario internal/sim/testdata/fastforward-sparse.json > .ff-off.txt
-	$(GO) run ./cmd/netsim -scenario internal/sim/testdata/fastforward-sparse.json -fastforward > .ff-on.txt
-	cmp .ff-off.txt .ff-on.txt
-	rm -f .ff-off.txt .ff-on.txt
+# Exact-countdown check: the canonical result bytes of two committed
+# scenarios must equal the expected files recorded with the slot-by-slot
+# backoff kernel (DESIGN.md §12). fastforward-sparse.json is the sparse
+# mobile pair whose countdowns span long idle stretches;
+# paper-drts-dcts.json is the saturated paper setup.
+countdown-smoke:
+	$(GO) run ./cmd/netsim -scenario internal/sim/testdata/fastforward-sparse.json -json > .countdown-sparse.json
+	cmp .countdown-sparse.json internal/sim/testdata/expected/fastforward-sparse.out
+	$(GO) run ./cmd/netsim -scenario internal/sim/testdata/paper-drts-dcts.json -json > .countdown-paper.json
+	cmp .countdown-paper.json internal/sim/testdata/expected/paper-drts-dcts.out
+	rm -f .countdown-sparse.json .countdown-paper.json
 
 # Worker-count invariance on the partitioned parallel kernel: the same
 # auto-partitioned scenario executed by one worker and by four must

@@ -1,6 +1,6 @@
 // Command desalint is the repository's determinism and hot-path
 // multichecker: it runs the internal/analysis suite (wallclock,
-// globalrand, maporder, hotpath, timerhandle, inertsafety, cachekey,
+// globalrand, maporder, hotpath, timerhandle, cachekey,
 // sharedstate) over module packages and exits non-zero when any
 // invariant is violated.
 //

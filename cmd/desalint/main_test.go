@@ -26,8 +26,8 @@ func TestFindModuleRoot(t *testing.T) {
 }
 
 func TestSuiteWired(t *testing.T) {
-	if len(desalint.Analyzers) != 8 {
-		t.Fatalf("multichecker wires %d analyzers, want 8", len(desalint.Analyzers))
+	if len(desalint.Analyzers) != 7 {
+		t.Fatalf("multichecker wires %d analyzers, want 7", len(desalint.Analyzers))
 	}
 	for _, a := range desalint.Analyzers {
 		if a.Name == "" || a.Doc == "" || a.Run == nil {

@@ -64,7 +64,6 @@ func run(args []string) error {
 		cacheStats   = fs.Bool("cache-stats", false, "print cache hit/miss/eviction counters on exit (requires -cache)")
 		telPath      = fs.String("telemetry", "telemetry.jsonl", "output file for the trajectory study's JSONL export")
 		telInterval  = fs.Duration("telemetry-interval", 10*time.Millisecond, "sim-time sampling interval for the trajectory study")
-		fastForward  = fs.Bool("fastforward", false, "enable analytic idle-time skipping (bit-identical results, fewer kernel events)")
 		pruneMargin  = fs.Float64("prune", 0, "pre-sweep pruning margin in (0, 1]: skip grid cells whose Kai-Liew estimate falls below margin x the best at the same N (0 disables)")
 		workers      = fs.Int("workers", 0, "total goroutine budget shared between batch shards and partitioned runs (0 = GOMAXPROCS; never affects results)")
 	)
@@ -91,9 +90,6 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-	}
-	if *fastForward {
-		baseCfg.FastForward = true
 	}
 	baseCfg.Workers = *workers
 	if *cacheDir != "" {

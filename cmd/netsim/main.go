@@ -59,7 +59,6 @@ func run(args []string) error {
 		traceN       = fs.Int("trace", 0, "print the last N protocol trace events (single-topology mode)")
 		telPath      = fs.String("telemetry", "", "write a telemetry JSONL export to FILE (\"-\" for stdout); analyze with simtrace")
 		telInterval  = fs.Duration("telemetry-interval", 10*time.Millisecond, "sim-time sampling interval for -telemetry")
-		fastForward  = fs.Bool("fastforward", false, "enable analytic idle-time skipping (bit-identical results, fewer kernel events)")
 		partition    = fs.String("partition", "", "partitioned parallel kernel: auto or off (default: scenario setting, auto)")
 		workers      = fs.Int("workers", 0, "goroutine budget for batch shards and partitioned runs (0 = GOMAXPROCS; never affects results)")
 	)
@@ -93,11 +92,6 @@ func run(args []string) error {
 			DisableEIFS:    *noEIFS,
 			AdaptiveRTS:    des.Time(adaptive.Nanoseconds()),
 		}.Scenario()
-	}
-	// -fastforward opts in on top of whatever the scenario says; it never
-	// forces the slow path off for a scenario that enabled it itself.
-	if *fastForward {
-		sc.FastForward = true
 	}
 	// -partition overrides the scenario's kernel selection when given.
 	if *partition != "" {

@@ -5,9 +5,9 @@
 // not covered by those bytes — json:"-", unexported, or normalized away
 // inside ScenarioKey — would let two behaviorally different scenarios
 // collide on one cache entry and serve stale results. FastForward is
-// the one deliberate exclusion (it is result-invariant by construction,
-// enforced by the kernel-determinism goldens); it is named in the
-// ResultInvariant allowlist, and the analyzer reports any other
+// the one deliberate exclusion (a validated no-op the kernel never
+// reads); it is named in the ResultInvariant allowlist, and the
+// analyzer reports any other
 // excluded-but-read field, as well as allowlist entries that no longer
 // correspond to an excluded field.
 package cachekey
@@ -36,7 +36,7 @@ var Analyzer = &framework.Analyzer{
 // change a Result. Deleting an entry whose field is still excluded and
 // still read by the build path fails the lint — that is the point.
 var ResultInvariant = map[string]string{
-	"fastforward": "pure performance switch; results are bit-identical with it on or off (kernel-determinism goldens, DESIGN.md §12)",
+	"fastforward": "parsed and validated, never read by the kernel: every backoff countdown is one exact timer (DESIGN.md §12)",
 	"partition":   "only the \"auto\" spelling is normalized to its synonym \"\" (identical plan at every layer, DESIGN.md §14); the result-affecting value \"off\" still reaches the canonical bytes",
 }
 

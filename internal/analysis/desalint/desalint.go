@@ -4,7 +4,7 @@
 // repository lint-clean.
 //
 // Scoping: analyzers marked SimOnly (wallclock, globalrand, maporder,
-// and the desaflow-based inertsafety, cachekey and sharedstate) apply
+// and the desaflow-based cachekey and sharedstate) apply
 // only to the simulation packages — the packages whose code runs inside
 // a simulation and therefore must be bit-reproducible — plus the cmd/
 // tree, whose CLIs drive simulations and must not smuggle wall-clock
@@ -30,7 +30,6 @@ import (
 	"repro/internal/analysis/framework"
 	"repro/internal/analysis/globalrand"
 	"repro/internal/analysis/hotpath"
-	"repro/internal/analysis/inertsafety"
 	"repro/internal/analysis/maporder"
 	"repro/internal/analysis/sharedstate"
 	"repro/internal/analysis/timerhandle"
@@ -44,7 +43,6 @@ var Analyzers = []*framework.Analyzer{
 	maporder.Analyzer,
 	hotpath.Analyzer,
 	timerhandle.Analyzer,
-	inertsafety.Analyzer,
 	cachekey.Analyzer,
 	sharedstate.Analyzer,
 }
@@ -81,7 +79,6 @@ func IsSimPackage(path string) bool {
 var knownVerbs = map[string]bool{
 	"commutative": true,
 	"hotpath":     true,
-	"inertsafe":   true,
 	"ignore":      true,
 }
 
@@ -156,7 +153,7 @@ func checkAnnotationVerbs(pkg *framework.Package) []framework.Diagnostic {
 			diags = append(diags, framework.Diagnostic{
 				Pos:      pkg.Fset.Position(a.Pos),
 				Analyzer: "desalint",
-				Message:  fmt.Sprintf("unknown annotation //desalint:%s (known verbs: commutative, hotpath, inertsafe, ignore)", a.Verb),
+				Message:  fmt.Sprintf("unknown annotation //desalint:%s (known verbs: commutative, hotpath, ignore)", a.Verb),
 			})
 			continue
 		}

@@ -24,12 +24,12 @@ func moduleRoot(t *testing.T) string {
 	}
 }
 
-// TestSuiteInventory pins the analyzer roster: eight analyzers, unique
+// TestSuiteInventory pins the analyzer roster: seven analyzers, unique
 // names, with the reproducibility trio and the dataflow-backed trio
 // scoped to sim packages.
 func TestSuiteInventory(t *testing.T) {
-	if len(Analyzers) != 8 {
-		t.Fatalf("expected 8 analyzers, got %d", len(Analyzers))
+	if len(Analyzers) != 7 {
+		t.Fatalf("expected 7 analyzers, got %d", len(Analyzers))
 	}
 	simOnly := map[string]bool{
 		"wallclock":   true,
@@ -37,7 +37,6 @@ func TestSuiteInventory(t *testing.T) {
 		"maporder":    true,
 		"hotpath":     false,
 		"timerhandle": false,
-		"inertsafety": true,
 		"cachekey":    true,
 		"sharedstate": true,
 	}
@@ -139,7 +138,6 @@ func TestBadModuleIsCaught(t *testing.T) {
 		"hotpath":     1, // fmt.Sprintf in marked function
 		"timerhandle": 1, // *des.Timer package variable
 		"desalint":    2, // //desalint:comutative typo, unused ignore suppression
-		"inertsafety": 1, // inert countdown writes backoff read by active resume
 		"cachekey":    1, // Debug json:"-" read by Build
 		"sharedstate": 1, // goroutine writes captured total
 	}

@@ -12,16 +12,3 @@ type Timer struct {
 
 // Active reports whether the handle is live.
 func (t Timer) Active() bool { return t.gen != 0 }
-
-// Scheduler is a stub scheduler; the inertsafety analyzer keys on the
-// type name and method names, so only the signatures matter.
-type Scheduler struct{}
-
-// Now returns the current virtual time.
-func (s *Scheduler) Now() Time { return 0 }
-
-// Schedule schedules an active callback after delay d.
-func (s *Scheduler) Schedule(d Time, fn func()) Timer { return Timer{} }
-
-// ScheduleInert schedules an inert callback after delay d.
-func (s *Scheduler) ScheduleInert(d Time, fn func()) Timer { return Timer{} }

@@ -1,33 +1,6 @@
-// Package mac seeds one violation of each dataflow-backed rule: an
-// inert callback writing state the active path reads, a goroutine
-// mutating a captured variable, and a stale //desalint:ignore line.
+// Package mac seeds a goroutine mutating a captured variable and a
+// stale //desalint:ignore line.
 package mac
-
-import "repro/internal/des"
-
-// Station couples an inert countdown to active-path state.
-type Station struct {
-	sched   *des.Scheduler
-	backoff int
-}
-
-// resume is the active-path reader of backoff.
-func (st *Station) resume() {
-	if st.backoff > 0 {
-		st.backoff = 0
-	}
-}
-
-// countdown decrements backoff from an inert timer. inertsafety.
-func (st *Station) countdown() {
-	st.backoff--
-}
-
-// Start wires the conflicting callbacks.
-func (st *Station) Start() {
-	st.sched.Schedule(1, st.resume)
-	st.sched.ScheduleInert(5, st.countdown)
-}
 
 // Spawn launches a goroutine that writes captured state. sharedstate.
 func Spawn() int {

@@ -1,6 +1,6 @@
 // desaflow: intra-procedural control-flow graphs over go/ast. The
-// analyzers that reason about *when* an effect happens (inertsafety's
-// jump-safety proof, sharedstate's guard detection, reaching-writes)
+// analyzers that reason about *when* an effect happens (sharedstate's
+// guard detection, reaching-writes)
 // need more than a flat AST walk: they need basic blocks and edges. This
 // file builds them without golang.org/x/tools/go/cfg, matching the rest
 // of the framework's stdlib-only constraint.

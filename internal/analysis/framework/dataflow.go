@@ -1,9 +1,9 @@
 // desaflow: field-sensitive read/write effect extraction over
 // typechecked ASTs. Every analyzer question this layer answers reduces
-// to "which locations may this code read or write": inertsafety
-// intersects an inert callback's write set with the active path's read
-// set, cachekey asks which Scenario fields a build closure reads, and
-// reaching-writes propagates write sets over the CFG.
+// to "which locations may this code read or write": cachekey asks
+// which Scenario fields a build closure reads, sharedstate which
+// captured variables a goroutine writes, and reaching-writes propagates
+// write sets over the CFG.
 //
 // Locations are deliberately coarse where precision would require alias
 // analysis: a field write is keyed by named type and field name
@@ -171,8 +171,7 @@ func Summaries(pkg *Package) map[*types.Func]*Effects {
 // SummarizedEffects returns fn's direct effects extended with one level
 // of same-package call summaries: the shared reads and writes of every
 // function fn calls directly. One level is the documented contract
-// (DESIGN.md §13) — deep transitive closure is not attempted, and the
-// inertsafe annotation covers what the summary cannot see.
+// (DESIGN.md §13) — deep transitive closure is not attempted.
 func SummarizedEffects(pkg *Package, fn *types.Func) *Effects {
 	sums := Summaries(pkg)
 	direct := sums[fn]

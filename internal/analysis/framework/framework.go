@@ -15,10 +15,6 @@
 //	    On (or immediately above) a for-range over a map: the loop body
 //	    is order-independent for the stated reason (checked by the
 //	    maporder analyzer; a reason is mandatory).
-//	//desalint:inertsafe <reason>
-//	    In a callback's doc comment (or on the offending line): the
-//	    inert-scheduled callback is safe to run under fast-forward for
-//	    the stated reason (consumed by the inertsafety analyzer).
 //	//desalint:ignore <analyzer> <reason>
 //	    On (or immediately above) a line: suppress that analyzer's
 //	    diagnostics on the line for the stated reason. Suppressions

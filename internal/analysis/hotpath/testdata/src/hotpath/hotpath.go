@@ -112,9 +112,8 @@ func (w *workspace) goodTabulateInto(buf []float64) []float64 {
 	return buf
 }
 
-// countdown models the MAC backoff fast-forward machinery (DESIGN.md
-// §12): a residual countdown settled in bulk when the channel was
-// provably idle for the elapsed stretch.
+// countdown models the MAC's one-timer backoff countdown (DESIGN.md
+// §12): an interrupted countdown settles its residual in bulk.
 type countdown struct {
 	backoff int
 	start   int

@@ -1,6 +1,7 @@
 // Package des is a deterministic discrete-event simulation kernel: a
 // monotonic virtual clock, a typed binary-heap event queue with stable
-// FIFO ordering among simultaneous events, cancellable timers, and a
+// FIFO ordering among simultaneous events, cancellable timers, slotted
+// countdowns that cost one event however many slots they run, and a
 // seeded random stream. It is single-threaded by design — protocol models
 // run as callbacks on the scheduler goroutine, which makes runs exactly
 // reproducible for a given seed.
@@ -58,17 +59,49 @@ type Event interface {
 	Fire()
 }
 
+// funcEvent adapts a plain callback to Event. A func value is
+// pointer-shaped, so the conversion stores it in the interface word
+// without allocating.
+type funcEvent func()
+
+func (f funcEvent) Fire() { f() }
+
+// The queue orders events by (at, sched, root): due time, then the
+// instant the event was scheduled, then — only for events scheduled
+// exactly as far ahead as their scheduling event was — the "root" of
+// that chain of equal steps. For ordinary events sched is Now() at
+// insertion, which never decreases along insertion order, so their
+// order is plain FIFO. A countdown final (see Countdown) is one event
+// standing for a chain of per-slot ticks; it carries the sched and root
+// its last tick would have had, so it lands exactly where the tick
+// chain's last event would have. DESIGN.md §12 derives the rule.
+
+// root flag bits, stored below the root's execution index in rootKey.
+const (
+	// rootEarly marks a root that executes before the chain events due
+	// at its own instant: its sched lies more than one step back.
+	rootEarly = 1 << iota
+	// rootCountdown marks a countdown final tracked for NextAt.
+	rootCountdown
+	rootShift = 2
+)
+
 // timer is one pending queue entry. Entries are owned by the scheduler
 // and recycled through a free list once fired or canceled; external code
 // only ever sees them through generation-checked Timer handles.
 type timer struct {
 	at    Time
+	sched Time // scheduling instant (a countdown final: its last tick's)
 	seq   uint64
-	fn    func() // exactly one of fn/ev is set
-	ev    Event
-	gen   uint32 // bumped on recycle; stale handles mismatch
-	index int32  // position in the heap array
-	inert bool   // classified inert at scheduling time (see AtInert)
+	// rootAt and rootKey identify the first event of the chain of
+	// equal-step scheduling that led here: its instant, and its place
+	// in execution order (2i for the i-th executed event, odd for a
+	// root outside any callback) shifted past the root flag bits.
+	rootAt  Time
+	rootKey uint64
+	ev      Event
+	gen     uint32 // bumped on recycle; stale handles mismatch
+	index   int32  // position in the heap array
 }
 
 // Timer is a cancellable handle for a scheduled event. The zero value is
@@ -97,13 +130,29 @@ func (t Timer) Active() bool {
 
 // Scheduler owns the virtual clock and the pending-event queue.
 type Scheduler struct {
-	now     Time
-	heap    []*timer
-	free    []*timer
-	seq     uint64
-	rng     *rand.Rand
-	count   uint64 // events executed
-	activeN int    // pending events NOT classified inert
+	now   Time
+	heap  []*timer
+	free  []*timer
+	seq   uint64
+	rng   *rand.Rand
+	count uint64 // events executed
+
+	// cur is the ordering key of the event being executed (valid while
+	// running): insertions derive their chain root from it, and
+	// SlotsLeft compares a countdown's virtual ticks against it.
+	cur     timer
+	running bool
+
+	// phases counts the running countdowns per slot grid while
+	// trackPhases is set (partition schedulers; see NextAt).
+	phases      []slotPhase
+	trackPhases bool
+}
+
+// slotPhase is one slot grid holding running countdowns.
+type slotPhase struct {
+	slot, phase Time
+	n           int
 }
 
 // New returns a Scheduler whose random stream is seeded with seed.
@@ -132,17 +181,6 @@ func (s *Scheduler) Pending() int {
 	return len(s.heap)
 }
 
-// ActivePending returns the number of pending events that were NOT
-// classified inert at scheduling time. When it reaches zero the queue
-// holds only dead-air bookkeeping — countdowns and idle waits whose due
-// times are already fixed — so a fast-forward layer may advance the
-// clock analytically without changing what any pending event observes.
-//
-//desalint:hotpath
-func (s *Scheduler) ActivePending() int {
-	return s.activeN
-}
-
 // alloc takes a recycled timer from the free list or makes a new one.
 //
 //desalint:hotpath
@@ -157,39 +195,69 @@ func (s *Scheduler) alloc() *timer {
 }
 
 // recycle invalidates every outstanding handle to tm and returns it to
-// the free list. Callbacks are cleared so the queue never retains
+// the free list. The event is cleared so the queue never retains
 // captured state past a timer's lifetime.
 //
 //desalint:hotpath
 func (s *Scheduler) recycle(tm *timer) {
-	tm.gen++
-	tm.fn = nil
-	tm.ev = nil
-	if !tm.inert {
-		s.activeN--
+	if tm.rootKey&rootCountdown != 0 {
+		s.untrackPhase(tm.at-tm.sched, tm.at)
 	}
-	tm.inert = false
+	tm.gen++
+	tm.ev = nil
 	tm.index = -1
 	s.free = append(s.free, tm)
 }
 
-// insert enqueues a prepared timer and returns its handle.
+// insert enqueues ev due at `at`, scheduled at sched with the given
+// chain root, and returns its handle.
 //
 //desalint:hotpath
-func (s *Scheduler) insert(tm *timer, at Time) Timer {
-	if at < s.now {
-		at = s.now
-	}
+func (s *Scheduler) insert(ev Event, at, sched, rootAt Time, rootKey uint64) Timer {
+	tm := s.alloc()
 	s.seq++
-	tm.at = at
-	tm.seq = s.seq
+	tm.at, tm.sched, tm.seq, tm.ev = at, sched, s.seq, ev
+	tm.rootAt, tm.rootKey = rootAt, rootKey
 	tm.index = int32(len(s.heap))
-	if !tm.inert {
-		s.activeN++
-	}
 	s.heap = append(s.heap, tm)
 	s.siftUp(len(s.heap) - 1)
 	return Timer{tm: tm, gen: tm.gen, at: at}
+}
+
+// schedule enqueues an ordinary event: scheduled now, due at `at`
+// (clamped to now). An event scheduled exactly as far ahead as the
+// running event was continues that event's chain and inherits its root;
+// any other starts a new chain rooted at the running event.
+//
+//desalint:hotpath
+func (s *Scheduler) schedule(ev Event, at Time) Timer {
+	if at < s.now {
+		at = s.now
+	}
+	step := at - s.now
+	if c := &s.cur; s.running && c.at-c.sched == step {
+		return s.insert(ev, at, s.now, c.rootAt, c.rootKey&^rootCountdown)
+	}
+	rootAt, rootKey := s.newRoot(step)
+	return s.insert(ev, at, s.now, rootAt, rootKey)
+}
+
+// newRoot returns the running event as the root of a new chain of the
+// given step. Events scheduled from outside any callback (at build time,
+// or by a partition flush between windows) root at Now() ahead of every
+// event due then: nothing due at Now() has executed when they are
+// scheduled.
+//
+//desalint:hotpath
+func (s *Scheduler) newRoot(step Time) (Time, uint64) {
+	if !s.running {
+		return s.now, (2*s.count+1)<<rootShift | rootEarly
+	}
+	key := 2 * s.count << rootShift
+	if s.cur.sched < s.now-step {
+		key |= rootEarly
+	}
+	return s.now, key
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past (t
@@ -198,9 +266,7 @@ func (s *Scheduler) insert(tm *timer, at Time) Timer {
 //
 //desalint:hotpath
 func (s *Scheduler) At(t Time, fn func()) Timer {
-	tm := s.alloc()
-	tm.fn = fn
-	return s.insert(tm, t)
+	return s.schedule(funcEvent(fn), t)
 }
 
 // Schedule schedules fn to run after delay d from now. Negative delays
@@ -220,9 +286,7 @@ func (s *Scheduler) Schedule(d Time, fn func()) Timer {
 //
 //desalint:hotpath
 func (s *Scheduler) AtEvent(t Time, ev Event) Timer {
-	tm := s.alloc()
-	tm.ev = ev
-	return s.insert(tm, t)
+	return s.schedule(ev, t)
 }
 
 // ScheduleEvent schedules ev to fire after delay d from now. Negative
@@ -236,38 +300,50 @@ func (s *Scheduler) ScheduleEvent(d Time, ev Event) Timer {
 	return s.AtEvent(s.now+d, ev)
 }
 
-// Events default to ACTIVE: anything not explicitly classified is
-// assumed capable of perturbing other nodes (frame arrivals, protocol
-// responses, telemetry sample ticks — the sample grid is pinned by
-// keeping ticks active). The Inert variants below are the opt-in for
-// events that only consume idle time: their due instant is fixed at
-// scheduling time, firing them has no effect on any OTHER pending
-// event, and they may therefore be overtaken by an analytic clock jump.
-// Classification is a scheduling-time property — a timer never changes
-// class while pending.
-
-// AtInert schedules fn at absolute time t as an inert event: pure idle
-// bookkeeping (a backoff slot boundary, a NAV or DIFS expiry, a paced
-// arrival) that cannot perturb any other pending event when it fires.
-// Ordering, clamping, and FIFO guarantees are identical to At.
+// Countdown schedules fn as the one timer of a slotted countdown that
+// starts now and runs slots slots of length slot (slots >= 1). It fires
+// at Now()+slots*slot, and in every tie with other events it fires
+// exactly where the last tick of the per-slot chain "wait one slot,
+// repeat until no slot is left" would have: it carries that tick's
+// scheduling instant, and its chain is rooted at the running event. The
+// equivalence needs the running event not to have been scheduled exactly
+// one slot ahead itself. An interrupter reads SlotsLeft, then cancels.
 //
 //desalint:hotpath
-func (s *Scheduler) AtInert(t Time, fn func()) Timer {
-	tm := s.alloc()
-	tm.fn = fn
-	tm.inert = true
-	return s.insert(tm, t)
+func (s *Scheduler) Countdown(slots int, slot Time, fn func()) Timer {
+	at := s.now + Time(slots)*slot
+	rootAt, rootKey := s.newRoot(slot)
+	if s.trackPhases {
+		rootKey |= rootCountdown
+		s.trackPhase(slot, at)
+	}
+	return s.insert(funcEvent(fn), at, at-slot, rootAt, rootKey)
 }
 
-// ScheduleInert schedules fn after delay d from now as an inert event.
-// Negative delays clamp to zero.
+// SlotsLeft returns how many slots the pending countdown t still has to
+// run as seen by the running event: a slot boundary falling exactly on
+// Now() has elapsed only if its per-slot tick would have fired before
+// the running event. It returns 0 for a handle that is not pending.
 //
 //desalint:hotpath
-func (s *Scheduler) ScheduleInert(d Time, fn func()) Timer {
-	if d < 0 {
-		d = 0
+func (s *Scheduler) SlotsLeft(t Timer) int {
+	tm := t.tm
+	if tm == nil || tm.gen != t.gen {
+		return 0
 	}
-	return s.AtInert(s.now+d, fn)
+	slot := tm.at - tm.sched
+	start := tm.rootAt
+	total := (tm.at - start) / slot
+	done := (s.now - start) / slot
+	if done > 0 && (s.now-start)%slot == 0 {
+		// The tick due now: the virtual twin of the final, one level
+		// down its chain.
+		tick := timer{at: s.now, sched: s.now - slot, rootAt: start, rootKey: tm.rootKey, seq: tm.seq}
+		if !s.running || !s.less(&tick, &s.cur) {
+			done--
+		}
+	}
+	return int(total - done)
 }
 
 // Cancel prevents a pending timer from firing. It reports whether the
@@ -297,16 +373,16 @@ func (s *Scheduler) Step() bool {
 	tm := s.popMin()
 	s.now = tm.at
 	s.count++
-	fn, ev := tm.fn, tm.ev
+	s.cur.at, s.cur.sched, s.cur.seq = tm.at, tm.sched, tm.seq
+	s.cur.rootAt, s.cur.rootKey = tm.rootAt, tm.rootKey
+	ev := tm.ev
 	// Recycle before running: the callback observes its own handle as
 	// no longer active (it has fired), and may immediately reuse the
 	// entry for a follow-up event.
 	s.recycle(tm)
-	if fn != nil {
-		fn()
-	} else {
-		ev.Fire()
-	}
+	s.running = true
+	ev.Fire()
+	s.running = false
 	return true
 }
 
@@ -328,14 +404,26 @@ func (s *Scheduler) Run(until Time) uint64 {
 
 // NextAt returns the due time of the earliest pending event and whether
 // one exists. The partition group engine uses it to compute conservative
-// execution horizons.
+// execution horizons. On a scheduler with TrackCountdowns set, a running
+// countdown counts as pending at its next slot boundary at or after
+// Now(), where the per-slot tick chain it stands for would hold its next
+// tick; the windows, and with them the partitioned results, are then
+// the ones that chain would produce.
 //
 //desalint:hotpath
 func (s *Scheduler) NextAt() (Time, bool) {
-	if len(s.heap) == 0 {
-		return 0, false
+	var next Time
+	ok := len(s.heap) > 0
+	if ok {
+		next = s.heap[0].at
 	}
-	return s.heap[0].at, true
+	for _, p := range s.phases {
+		t := s.now + ((p.phase-s.now)%p.slot+p.slot)%p.slot
+		if !ok || t < next {
+			next, ok = t, true
+		}
+	}
+	return next, ok
 }
 
 // RunBefore executes events strictly earlier than horizon and returns
@@ -371,19 +459,70 @@ func (s *Scheduler) RunAll() uint64 {
 	return s.count - start
 }
 
-// The queue is a hand-rolled binary min-heap over (at, seq) — strict
-// arrival order with FIFO tie-breaking. container/heap would box every
-// *timer through an interface on each Push/Pop; inlining the sifts keeps
-// the hot path monomorphic and allocation-free.
+// The queue is a hand-rolled binary min-heap over the ordering key.
+// container/heap would box every *timer through an interface on each
+// Push/Pop; inlining the sifts keeps the hot path monomorphic and
+// allocation-free.
 
-// less orders the heap by due time, then scheduling order.
+// less orders the heap by due time, then scheduling instant, then chain
+// root. Two events tied on (at, sched) were scheduled the same step
+// ahead; their chains of equal steps meet at the later root's instant,
+// where that root runs before the other chain's event iff it is early.
+// Roots at one instant run in execution order, and one root's chains in
+// scheduling order.
 //
 //desalint:hotpath
 func (s *Scheduler) less(a, b *timer) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
+	if a.sched != b.sched {
+		return a.sched < b.sched
+	}
+	if a.rootAt != b.rootAt {
+		if a.rootAt > b.rootAt {
+			return a.rootKey&rootEarly != 0
+		}
+		return b.rootKey&rootEarly == 0
+	}
+	if ak, bk := a.rootKey>>rootShift, b.rootKey>>rootShift; ak != bk {
+		return ak < bk
+	}
 	return a.seq < b.seq
+}
+
+// TrackCountdowns makes NextAt account for running countdowns' slot
+// grids. The partition group sets it on every partition it runs, before
+// any countdown can start.
+func (s *Scheduler) TrackCountdowns() {
+	s.trackPhases = true
+}
+
+// trackPhase records a running countdown on its slot grid.
+func (s *Scheduler) trackPhase(slot, at Time) {
+	phase := at % slot
+	for i := range s.phases {
+		if p := &s.phases[i]; p.slot == slot && p.phase == phase {
+			p.n++
+			return
+		}
+	}
+	s.phases = append(s.phases, slotPhase{slot: slot, phase: phase, n: 1})
+}
+
+// untrackPhase drops a countdown that fired or was canceled.
+func (s *Scheduler) untrackPhase(slot, at Time) {
+	phase := at % slot
+	for i := range s.phases {
+		if p := &s.phases[i]; p.slot == slot && p.phase == phase {
+			if p.n--; p.n == 0 {
+				last := len(s.phases) - 1
+				s.phases[i] = s.phases[last]
+				s.phases = s.phases[:last]
+			}
+			return
+		}
+	}
 }
 
 //desalint:hotpath

@@ -79,6 +79,9 @@ func (g *Group) Run(until Time, workers int) uint64 {
 		workers = 1
 	}
 	g.horizons = make([]Time, p)
+	for _, part := range g.Parts {
+		part.TrackCountdowns()
+	}
 	if workers == 1 {
 		g.runRounds(until, 1, 0)
 	} else {
@@ -93,6 +96,10 @@ func (g *Group) Run(until Time, workers int) uint64 {
 		}
 		g.runRounds(until, workers, 0)
 		g.done.Store(true)
+		// Reset before publishing, as every round does: a worker that
+		// acknowledges before the count is first read must not push it
+		// past workers-1 and leave this wait spinning forever.
+		g.arrived.Store(0)
 		g.phase.Add(1) // release workers into the exit check
 		// Wait for every worker to acknowledge the exit phase so no
 		// goroutine outlives the run (the caller may immediately reuse
@@ -101,7 +108,10 @@ func (g *Group) Run(until Time, workers int) uint64 {
 	}
 	var total uint64
 	for _, part := range g.Parts {
-		part.AdvanceTo(until)
+		// The last window ran to until+1; every event at or before until
+		// has run and none after, so the clock may settle on until,
+		// mirroring Scheduler.Run.
+		part.now = until
 		total += part.Executed()
 	}
 	return total
@@ -121,12 +131,19 @@ func (g *Group) runRounds(until Time, workers, self int) {
 			for i, part := range g.Parts {
 				part.RunBefore(g.horizons[i])
 			}
-			continue
+		} else {
+			g.arrived.Store(0)
+			g.phase.Add(1) // publish horizons; release workers into the round
+			g.runOwned(self, workers)
+			g.awaitArrivals(workers - 1)
 		}
-		g.arrived.Store(0)
-		g.phase.Add(1) // publish horizons; release workers into the round
-		g.runOwned(self, workers)
-		g.awaitArrivals(workers - 1)
+		// Each partition has run everything before its horizon. Standing
+		// its clock there makes the next flush count as scheduled after
+		// all of that and before anything due at the horizon — the place
+		// a flush takes in the per-slot event order.
+		for i, part := range g.Parts {
+			part.AdvanceTo(g.horizons[i])
+		}
 	}
 }
 

@@ -102,10 +102,6 @@ type SimConfig struct {
 	// set. Batch runs buffer per shard and merge deterministically in
 	// shard order. Like Tracer, a telemetry-enabled run bypasses Cache.
 	Telemetry telemetry.Sink
-	// FastForward enables analytic idle-time skipping in the kernel.
-	// Results are bit-identical with it on or off (golden-enforced), so
-	// it composes freely with Cache — the key ignores it.
-	FastForward bool
 	// Partition controls the grid-partitioned parallel kernel: "" or
 	// "auto" lets large static scenarios split into per-region event
 	// queues, "off" forces the sequential kernel (see sim.Scenario).
@@ -158,8 +154,7 @@ func (c SimConfig) Scenario() sim.Scenario {
 			Interval: sim.Duration(c.TelemetryInterval),
 			Metrics:  c.TelemetryMetrics,
 		},
-		FastForward: c.FastForward,
-		Partition:   c.Partition,
+		Partition: c.Partition,
 	}
 	if c.OfferedLoadBps > 0 {
 		sc.Traffic.Kind = "cbr"
@@ -200,7 +195,6 @@ func ConfigFromScenario(sc sim.Scenario) (SimConfig, error) {
 		SINR:              sc.PHY.SINR,
 		TelemetryInterval: des.Time(sc.Telemetry.Interval),
 		TelemetryMetrics:  sc.Telemetry.Metrics,
-		FastForward:       sc.FastForward,
 		Partition:         sc.Partition,
 	}
 	switch sc.Traffic.Kind {

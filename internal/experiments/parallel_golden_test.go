@@ -2,7 +2,7 @@ package experiments
 
 // Worker-count invariance tests for the partitioned parallel kernel
 // (DESIGN.md §14). Options.Workers is a pure execution knob: every
-// kernel-determinism golden, the sparse fast-forward scenario and the
+// kernel-determinism golden, the sparse mobile scenario and the
 // telemetry export must come out byte-identical at any worker count.
 // The golden configurations are all paper-scale (or use excluded
 // features like mobility), so they plan as sequential no matter what —
@@ -50,10 +50,9 @@ func TestKernelDeterminismGoldenParallelWorkers(t *testing.T) {
 	}
 }
 
-// TestFastForwardSparseParallelWorkers sweeps the repo's sparse
-// fast-forward scenario file — the configuration whose bit-identity
-// proof (DESIGN.md §12) anchors to the global ActivePending gate —
-// across worker counts.
+// TestFastForwardSparseParallelWorkers sweeps the repo's sparse mobile
+// scenario file (fastforward-sparse.json, named for the retired mode
+// it once showcased) across worker counts.
 func TestFastForwardSparseParallelWorkers(t *testing.T) {
 	sc, err := sim.LoadScenario(filepath.Join("..", "sim", "testdata", "fastforward-sparse.json"))
 	if err != nil {

@@ -122,16 +122,6 @@ type Config struct {
 	// Metrics carries optional telemetry instruments; the zero value
 	// (all nil) disables them at no cost.
 	Metrics Metrics
-
-	// FastForward enables analytic idle-time skipping: when every pending
-	// kernel event is inert (no frame airborne, no timeout or telemetry
-	// tick outstanding), a backoff countdown is scheduled as one bulk
-	// timer instead of per-slot events, and interruptions settle the
-	// residual analytically. Results are bit-identical to slot-by-slot
-	// operation; New clears the flag when the channel configuration
-	// violates a jump-safety precondition (NAV oracle hints, PropDelay >=
-	// Slot, or SyncTime < Slot).
-	FastForward bool
 }
 
 // DefaultConfig returns the Table 1 configuration for the given scheme
@@ -279,24 +269,17 @@ type Node struct {
 	needEIFS  bool
 
 	difsTimer des.Timer
-	slotTimer des.Timer
+	countdown des.Timer // the running backoff countdown (des.Countdown)
 	navTimer  des.Timer
 	ctsTo     des.Timer
 	ackTo     des.Timer
-
-	// Bulk-countdown state (fast-forward mode). slotStart anchors the
-	// running countdown's slot grid; bulkPending marks slotTimer as a
-	// bulk jump timer whose residual must be settled if interrupted.
-	slotStart   des.Time
-	bulkPending bool
 
 	// Contention callbacks fire millions of times per simulated second;
 	// binding the method values once here keeps the scheduling hot path
 	// free of per-call closure allocations.
 	resumeDeferenceFn func()
 	difsElapsedFn     func()
-	slotElapsedFn     func()
-	jumpElapsedFn     func()
+	countdownDoneFn   func()
 	onCTSTimeoutFn    func()
 	onACKTimeoutFn    func()
 
@@ -346,19 +329,13 @@ func NewInto(n *Node, sched *des.Scheduler, radio *phy.Radio, table *neighbor.Ta
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if cfg.FastForward {
-		// Jump-safety preconditions (DESIGN.md §12). Oracle NAV hints can
-		// interrupt a countdown mid-flight with a scheduling order no
-		// statically anchored bulk timer can reproduce; PropDelay < Slot
-		// makes carrier-busy the only boundary-inclusive interrupter; and
-		// SyncTime >= Slot guarantees every frame outlasts a slot, so all
-		// frame-end interrupters are boundary-exclusive. Outside that
-		// envelope, fall back to slot-by-slot operation silently — the
-		// flag is a pure optimization and results must not depend on it.
-		p := radio.ChannelParams()
-		if p.NAVOracle || p.PropDelay >= cfg.Slot || p.SyncTime < cfg.Slot {
-			cfg.FastForward = false
-		}
+	// The timing envelope of the one-timer backoff countdown (DESIGN.md
+	// §12). DIFS > Slot roots each countdown's tick chain at its DIFS/EIFS
+	// expiry, as the exact ordering assumes; PropDelay < Slot <= SyncTime
+	// is the range the equivalence tests cover. Table 1 lies inside it.
+	if p := radio.ChannelParams(); !(p.PropDelay < cfg.Slot && cfg.Slot <= p.SyncTime && cfg.DIFS > cfg.Slot) {
+		return fmt.Errorf("mac: timing outside the countdown envelope PropDelay < Slot <= SyncTime, DIFS > Slot (PropDelay %v, Slot %v, SyncTime %v, DIFS %v)",
+			p.PropDelay, cfg.Slot, p.SyncTime, cfg.DIFS)
 	}
 	*n = Node{
 		sched: sched,
@@ -374,8 +351,7 @@ func NewInto(n *Node, sched *des.Scheduler, radio *phy.Radio, table *neighbor.Ta
 	}
 	n.resumeDeferenceFn = n.resumeDeference
 	n.difsElapsedFn = n.difsElapsed
-	n.slotElapsedFn = n.slotElapsed
-	n.jumpElapsedFn = n.jumpElapsed
+	n.countdownDoneFn = n.countdownDone
 	n.onCTSTimeoutFn = n.onCTSTimeout
 	n.onACKTimeoutFn = n.onACKTimeout
 	n.fireResponseFn = n.fireResponse
@@ -449,71 +425,18 @@ func (n *Node) eifs() des.Time {
 	return n.cfg.SIFS + n.radio.ChannelParams().Airtime(n.cfg.ACKBytes) + n.cfg.DIFS
 }
 
-// scheduleIdle schedules an idle-wait callback after delay d. In
-// fast-forward mode these timers are classified inert — their due
-// instants are fixed and firing them perturbs no other pending event —
-// so they never hold the kernel's active count above zero and block a
-// peer's bulk jump.
-//
-//desalint:hotpath
-func (n *Node) scheduleIdle(d des.Time, fn func()) des.Timer {
-	if n.cfg.FastForward {
-		return n.sched.ScheduleInert(d, fn)
-	}
-	return n.sched.Schedule(d, fn)
-}
-
-// atIdle is scheduleIdle for an absolute due time.
-//
-//desalint:hotpath
-func (n *Node) atIdle(t des.Time, fn func()) des.Timer {
-	if n.cfg.FastForward {
-		return n.sched.AtInert(t, fn)
-	}
-	return n.sched.At(t, fn)
-}
-
-// settleCountdown converts a live bulk countdown back into residual
-// backoff slots at the moment an interrupter arrives, reproducing the
-// per-slot decrement count exactly. boundaryCounts selects whether a
-// slot boundary falling precisely on the current instant has already
-// elapsed: carrier-busy interrupters are the only ones scheduled within
-// a slot of their due time (PropDelay < Slot, enforced in New), so the
-// boundary's decrement fired first and counts (inclusive); every other
-// interrupter was scheduled at least a full frame earlier (SyncTime >=
-// Slot) and therefore fires before a coincident boundary (exclusive).
-//
-//desalint:hotpath
-func (n *Node) settleCountdown(boundaryCounts bool) {
-	if !n.bulkPending {
-		return
-	}
-	n.bulkPending = false
-	if !n.slotTimer.Active() {
-		return
-	}
-	delta := n.sched.Now() - n.slotStart
-	var elapsed des.Time
-	if boundaryCounts {
-		elapsed = delta / n.cfg.Slot
-	} else if delta > 0 {
-		elapsed = (delta - 1) / n.cfg.Slot
-	}
-	if elapsed > des.Time(n.backoff) {
-		elapsed = des.Time(n.backoff) // unreachable; guards the invariant
-	}
-	n.backoff -= int(elapsed)
-	n.sched.Cancel(n.slotTimer)
-}
-
-// cancelContention stops any running DIFS/slot countdown, settling a
-// bulk countdown (boundary-exclusive) first so no residual is lost.
+// cancelContention stops any running DIFS wait, NAV wait or backoff
+// countdown. A countdown keeps the slots it had left: the kernel counts
+// the slot boundaries that fell before the interrupting event exactly as
+// per-slot ticks would have.
 //
 //desalint:hotpath
 func (n *Node) cancelContention() {
-	n.settleCountdown(false)
+	if n.countdown.Active() {
+		n.backoff = n.sched.SlotsLeft(n.countdown)
+		n.sched.Cancel(n.countdown)
+	}
 	n.sched.Cancel(n.difsTimer)
-	n.sched.Cancel(n.slotTimer)
 	n.sched.Cancel(n.navTimer)
 }
 
@@ -536,36 +459,24 @@ func (n *Node) resumeDeference() {
 		wait = n.holdUntil
 	}
 	if wait > now {
-		n.navTimer = n.atIdle(wait, n.resumeDeferenceFn)
+		n.navTimer = n.sched.At(wait, n.resumeDeferenceFn)
 		return
 	}
 	d := n.cfg.DIFS
 	if n.needEIFS && !n.cfg.DisableEIFS {
 		d = n.eifs()
 	}
-	n.difsTimer = n.scheduleIdle(d, n.difsElapsedFn)
+	n.difsTimer = n.sched.Schedule(d, n.difsElapsedFn)
 }
 
 // difsElapsed runs when the medium stayed idle through DIFS/EIFS; the
 // backoff countdown begins (or the transmission, if the counter is 0).
+// The countdown is one timer for all its slots; only a carrier-busy edge
+// or another contention reset interrupts it.
 //
-//desalint:inertsafe fires only when the medium stayed idle through the wait, so no active event ran in the skipped span; any interrupter cancels this timer before observing needEIFS
 //desalint:hotpath
 func (n *Node) difsElapsed() {
 	n.needEIFS = false
-	n.tickSlot()
-}
-
-// tickSlot transmits when the backoff counter reaches zero, otherwise
-// burns one idle slot — or, in fast-forward mode over dead air, all but
-// the final slot in one bulk jump. The final slot always runs as a real
-// per-slot timer: the transmission it may trigger is then anchored to
-// the same scheduling instant (due time minus one slot) as in per-slot
-// mode, so same-instant ties at the transmit boundary resolve by the
-// identical (at, seq) order.
-//
-//desalint:hotpath
-func (n *Node) tickSlot() {
 	if n.st != stContend {
 		return
 	}
@@ -573,34 +484,15 @@ func (n *Node) tickSlot() {
 		n.transmitAttempt()
 		return
 	}
-	if n.cfg.FastForward && n.backoff >= 2 && n.sched.ActivePending() == 0 {
-		n.slotStart = n.sched.Now()
-		n.bulkPending = true
-		n.slotTimer = n.sched.ScheduleInert(des.Time(n.backoff-1)*n.cfg.Slot, n.jumpElapsedFn)
-		return
-	}
-	n.slotTimer = n.scheduleIdle(n.cfg.Slot, n.slotElapsedFn)
+	n.countdown = n.sched.Countdown(n.backoff, n.cfg.Slot, n.countdownDoneFn)
 }
 
-// slotElapsed burns one backoff slot and re-checks the counter.
+// countdownDone runs when every backoff slot elapsed on an idle medium.
 //
-//desalint:inertsafe interrupters settle the countdown via settleCountdown before reading backoff, reproducing the per-slot decrements exactly (DESIGN.md §12)
 //desalint:hotpath
-func (n *Node) slotElapsed() {
-	n.backoff--
-	n.tickSlot()
-}
-
-// jumpElapsed completes an uninterrupted bulk countdown: every slot but
-// the last has elapsed, and tickSlot schedules the final one as a real
-// per-slot timer (see tickSlot for why the last slot never jumps).
-//
-//desalint:inertsafe runs only when the bulk countdown was never interrupted (interrupters cancel the timer and settle backoff first), so the write is the settled per-slot value by construction
-//desalint:hotpath
-func (n *Node) jumpElapsed() {
-	n.bulkPending = false
-	n.backoff = 1
-	n.tickSlot()
+func (n *Node) countdownDone() {
+	n.backoff = 0
+	n.transmitAttempt()
 }
 
 // mode returns the antenna mode for a frame of type ft toward dst.
@@ -900,15 +792,11 @@ func (n *Node) OnFrameError() {
 	n.emit(trace.RxError, 0, -1, "")
 }
 
-// OnCarrierBusy freezes the backoff countdown. A live bulk countdown
-// settles boundary-inclusive: the busy edge was scheduled PropDelay ago
-// (less than a slot), so a slot boundary coinciding with it had already
-// fired in per-slot order.
+// OnCarrierBusy freezes the backoff countdown.
 //
 //desalint:hotpath
 func (n *Node) OnCarrierBusy() {
 	if n.st == stContend {
-		n.settleCountdown(true)
 		n.cancelContention()
 	}
 }

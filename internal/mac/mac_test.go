@@ -581,3 +581,37 @@ func TestRetransmissionKeepsSequence(t *testing.T) {
 			b.DataDelivered, a.Successes+c.Successes)
 	}
 }
+
+// TestNewRejectsTimingOutsideCountdownEnvelope pins the one-timer
+// countdown's preconditions: construction fails loudly, never silently
+// changes behaviour, when PropDelay < Slot <= SyncTime with DIFS > Slot
+// does not hold.
+func TestNewRejectsTimingOutsideCountdownEnvelope(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(p *phy.Params, c *mac.Config)
+		ok   bool
+	}{
+		{"table1", func(*phy.Params, *mac.Config) {}, true},
+		{"prop-equals-slot", func(p *phy.Params, c *mac.Config) { p.PropDelay = c.Slot }, false},
+		{"sync-below-slot", func(p *phy.Params, c *mac.Config) { p.SyncTime = c.Slot - 1 }, false},
+		{"sync-equals-slot", func(p *phy.Params, c *mac.Config) { p.SyncTime = c.Slot }, true},
+		{"difs-equals-slot", func(p *phy.Params, c *mac.Config) { c.DIFS = c.Slot }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			params := phy.DefaultParams()
+			cfg := mac.DefaultConfig(core.ORTSOCTS, 0)
+			tc.edit(&params, &cfg)
+			sched := des.New(1)
+			ch, err := phy.NewChannel(sched, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			radio := ch.AddRadio(geom.Point{}, nil)
+			_, err = mac.New(sched, radio, neighbor.NewTable(0, geom.Point{}), nil, cfg)
+			if (err == nil) != tc.ok {
+				t.Fatalf("mac.New error = %v, want ok=%v", err, tc.ok)
+			}
+		})
+	}
+}

@@ -94,13 +94,7 @@ func (m *Model) Start() {
 	for _, w := range m.walkers {
 		m.retarget(w)
 	}
-	// Ticks are inert kernel events: due instants are fixed multiples of
-	// Tick, and a tick only moves positions that future transmissions
-	// read — it never touches an already-pending event. A pending tick
-	// therefore does not block the fast-forward gate; a bulk countdown
-	// spanning a tick instant still observes the move, because inert
-	// events keep firing in (at, seq) order.
-	m.sched.ScheduleInert(m.cfg.Tick, m.tick)
+	m.sched.Schedule(m.cfg.Tick, m.tick)
 }
 
 // Stop freezes all nodes at their current positions.
@@ -145,5 +139,5 @@ func (m *Model) tick() {
 		}
 		w.radio.SetPos(pos.Add(to.Scale(step / dist)))
 	}
-	m.sched.ScheduleInert(m.cfg.Tick, m.tick)
+	m.sched.Schedule(m.cfg.Tick, m.tick)
 }

@@ -305,12 +305,9 @@ func PeriodicRefresh(sched *des.Scheduler, ch *phy.Channel, tables []*Table, int
 				t.LearnAt(nb, ch.Radio(nb).Pos(), sched.Now())
 			}
 		}
-		sched.ScheduleInert(interval, refresh)
+		sched.Schedule(interval, refresh)
 	}
-	// Refreshes are inert kernel events (fixed grid of due instants,
-	// mutate only table state that future lookups read), so a pending
-	// refresh never blocks the fast-forward gate.
-	sched.ScheduleInert(interval, refresh)
+	sched.Schedule(interval, refresh)
 	return func() { stopped = true }, nil
 }
 

@@ -292,16 +292,6 @@ func Build(sc Scenario, opts Options) (*Sim, error) {
 		macCfg.Metrics = tel.macMetrics
 	}
 	macCfg.BasicAccess = sc.Ablations.BasicAccess
-	macCfg.FastForward = sc.FastForward
-	if plan != nil {
-		// The analytic fast-forward jump (DESIGN.md §12) gates on
-		// ActivePending()==0 over the single global queue; a partition's
-		// queue only sees its own lane, so the gate would fire while
-		// another partition still holds active events. Force the
-		// sequential countdown — the partitioned kernel's determinism
-		// contract doesn't include the fast-forward bit-identity proof.
-		macCfg.FastForward = false
-	}
 	if sc.Ablations.AdaptiveRTS > 0 {
 		macCfg.AdaptiveRTSStaleness = des.Time(sc.Ablations.AdaptiveRTS)
 		macCfg.PiggybackLocation = true

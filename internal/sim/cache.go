@@ -24,7 +24,12 @@ import (
 // v2: the grid-partitioned parallel kernel (DESIGN.md §14) changes the
 // event order of large auto-partitioned scenarios relative to v1's
 // always-sequential kernel.
-const EngineFingerprint = "repro-sim/v2"
+//
+// v3: the exact one-timer backoff countdown (DESIGN.md §12). Results
+// equal v2's with fast-forward off, but v2 caches hold fast-forward
+// results that diverged under mobility, stored under keys shared with
+// runs that had it off; none of them may be served.
+const EngineFingerprint = "repro-sim/v3"
 
 // optionsFingerprint describes the cacheable Options state. Runs are
 // only cached when no runtime overrides are attached, so today this is
@@ -35,9 +40,8 @@ const optionsFingerprint = "default"
 // ScenarioKey computes the content address of a scenario's result:
 // SHA-256 over the canonical scenario bytes, the engine fingerprint and
 // the options fingerprint. FastForward is normalized away before
-// hashing: it is a pure performance switch whose results are
-// bit-identical by construction (golden-enforced), so a warm cache
-// filled without it serves fast-forward runs and vice versa. Partition
+// hashing: it is a validated no-op the kernel never reads, so a
+// scenario with it set is the same experiment as one without. Partition
 // "auto" is normalized to its synonym "" (the default); "off" is NOT
 // normalized, because forcing the sequential kernel changes results on
 // scenarios large enough to auto-partition. Options.Workers never

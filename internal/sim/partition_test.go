@@ -149,7 +149,7 @@ func TestPartitionOffForcesSequential(t *testing.T) {
 	if s.Partitions() != 1 {
 		t.Fatalf("partition \"off\" built %d partitions", s.Partitions())
 	}
-	// And a partitioned build forces fast-forward off even when asked.
+	// The no-op fast-forward switch does not change the plan either.
 	ff := partitionedScenario()
 	ff.FastForward = true
 	sp, err := Build(ff, Options{})

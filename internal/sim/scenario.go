@@ -183,12 +183,10 @@ type Scenario struct {
 	// SampleDelays reservoir-samples per-packet delays of the inner
 	// nodes so the Result carries delay percentiles, not just means.
 	SampleDelays bool `json:"sampleDelays,omitempty"`
-	// FastForward enables analytic idle-time skipping in the kernel:
-	// backoff countdowns over dead air run as one bulk jump instead of
-	// per-slot events. It is a pure performance switch — results are
-	// bit-identical with it on or off (the kernel-determinism goldens
-	// enforce this) — and is therefore excluded from the result cache
-	// key.
+	// FastForward is accepted for compatibility with existing scenario
+	// files and clients, validated, and otherwise ignored: every backoff
+	// countdown already runs as one exact timer (DESIGN.md §12). The
+	// result cache key normalizes it away.
 	FastForward bool `json:"fastforward,omitempty"`
 	// Partition controls the grid-partitioned parallel kernel
 	// (DESIGN.md §14). "" or "auto" lets large static scenarios split
@@ -250,11 +248,11 @@ func (sc Scenario) Validate() error {
 		return fmt.Errorf("sim: ablations.adaptiveRTS: must be non-negative, got %v", sc.Ablations.AdaptiveRTS)
 	}
 	if sc.FastForward && sc.PHY.NAVOracle {
-		// mac.New would silently clear the flag (oracle NAV hints can
-		// interrupt a countdown mid-slot, outside the jump-safety
-		// envelope of DESIGN.md §12), so the scenario would not run the
-		// way it reads. Reject the combination up front instead.
-		return fmt.Errorf("sim: fastforward: incompatible with phy.navOracle (oracle NAV hints interrupt backoff countdowns mid-slot, so the analytic jump is disabled; drop one of the two flags)")
+		// The retired fast-forward mode could not run with oracle NAV
+		// hints, and files combining the two were always rejected. The
+		// switch is a no-op now, but the rule stays so a scenario file is
+		// accepted or rejected the same way by every version.
+		return fmt.Errorf("sim: fastforward: incompatible with phy.navOracle (fastforward is a no-op; drop it)")
 	}
 	switch sc.Partition {
 	case "", "auto", "off":

@@ -91,10 +91,9 @@ func TestScenarioBadSpecsRejected(t *testing.T) {
 }
 
 // TestValidateRejectsFastForwardWithNAVOracle pins the surfaced error:
-// the combination used to be silently downgraded inside mac.New, so the
-// scenario ran slot-by-slot while reading as fast-forwarded. The error
-// must name both JSON field paths so a hand-written file points at the
-// lines to fix.
+// files combining the two were always rejected, and the no-op switch
+// keeps that rule. The error must name both JSON field paths so a
+// hand-written file points at the lines to fix.
 func TestValidateRejectsFastForwardWithNAVOracle(t *testing.T) {
 	sc := Scenario{
 		Scheme: "DRTS-DCTS", BeamwidthDeg: 30, Seed: 1,

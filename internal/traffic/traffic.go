@@ -137,14 +137,9 @@ func NewCBROwned(sched *des.Scheduler, rng *rand.Rand, neighbors []phy.NodeID, c
 // empty queue (typically the MAC node's Kick).
 func (c *CBR) SetKick(fn func()) { c.kick = fn }
 
-// Start schedules the first arrival one interval from now. Arrivals are
-// inert kernel events: their due instants are fixed at scheduling time
-// and firing one mutates nothing outside this source's own queue, so a
-// pending arrival never blocks the fast-forward gate (the countdown it
-// would otherwise pin runs right past it, and the arrival still fires
-// at its exact instant).
+// Start schedules the first arrival one interval from now.
 func (c *CBR) Start() {
-	c.sched.ScheduleInert(c.interval, c.arrive)
+	c.sched.Schedule(c.interval, c.arrive)
 }
 
 // Stop halts future arrivals (already-queued packets still drain).
@@ -166,7 +161,7 @@ func (c *CBR) arrive() {
 			c.kick()
 		}
 	}
-	c.sched.ScheduleInert(c.interval, c.arrive)
+	c.sched.Schedule(c.interval, c.arrive)
 }
 
 // Dequeue pops the oldest queued packet.
