@@ -1,6 +1,6 @@
 # Local developer workflow. CI reuses these targets so the two never
 # drift: .github/workflows/ci.yml calls `make lint`, `make test` and
-# `make bench-smoke` rather than restating the commands.
+# `make bench-compare` rather than restating the commands.
 
 GO ?= go
 
@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build lint lint-budget lint-extra test bench bench-smoke bench-compare fmt-check scenarios sweep-cached telemetry-smoke countdown-smoke parallel-smoke scale-smoke simd-smoke
+.PHONY: all build lint lint-budget lint-extra test bench bench-compare fmt-check scenarios sweep-cached telemetry-smoke countdown-smoke parallel-smoke scale-smoke simd-smoke
 
 all: build lint test
 
@@ -49,18 +49,40 @@ test:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
-# One iteration each: catches compile errors and panics in the
-# benchmark harness without turning CI into a perf run.
-bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkScheduler$$|BenchmarkChannelBroadcast$$|BenchmarkScenarioCache|BenchmarkTelemetry' -benchtime 1x -benchmem .
+# The hot-path benchmark set (bench_test.go): the event kernel and
+# channel micro-benches, one simulated second dense and sparse, the
+# analytical Fig. 5 sweep, the result cache cold/warm, telemetry off/on,
+# the partitioned kernel, the 10⁴-node scale trio and the served
+# scenario cold/warm.
+HOTPATH = ^(BenchmarkScheduler|BenchmarkChannelBroadcast|BenchmarkSimulationSecond|BenchmarkSimulationSecondSparse|BenchmarkFig5|BenchmarkScenarioCache|BenchmarkTelemetryOff|BenchmarkTelemetryOn|BenchmarkParallelKernel|BenchmarkBuildLargeN|BenchmarkMobilityChurn|BenchmarkScaleSimulationSecond|BenchmarkServedScenario)$$
 
-# Regression gate against the committed baseline. A short time-based
-# benchtime keeps the gate fast while giving the nanosecond benches
-# enough iterations to be stable; the generous threshold means only
-# real regressions trip it, not shared-runner noise. Tighten locally
-# for perf work.
+# Paired regression gate: `make bench-compare BASE=<git revision>`.
+# Builds the root package's test binary at BASE (in a temporary git
+# worktree) and at the working tree, then runs HOTPATH on both, two
+# rounds each in alternating order (base, head, head, base), on this
+# machine. benchcmp.awk fails the gate when a benchmark both sides
+# define has a best ns/op or best allocs/op over 2x BASE's, or
+# allocates where BASE allocated nothing. Both builds run on one host
+# in one session, so neither the machine nor the Go version moves the
+# verdict; the 2x ceiling leaves room for shared-runner noise. A panic
+# or compile error in either build fails the gate too.
 bench-compare:
-	$(GO) run ./cmd/bench -benchtime 0.3s -o /dev/null -compare BENCH_after.json -max-regress 100
+	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<git revision>"; exit 2; }
+	@set -e; \
+	dir=.bench-compare; \
+	rm -rf $$dir; git worktree prune; \
+	trap 'git worktree remove --force $$dir/base 2>/dev/null; rm -rf $$dir' EXIT; \
+	git worktree add --quiet --detach $$dir/base "$(BASE)"; \
+	(cd $$dir/base && $(GO) test -c -o ../base.test .); \
+	$(GO) test -c -o $$dir/head.test .; \
+	for run in base.1 head.1 head.2 base.2; do \
+		side=$${run%.*}; src=.; [ $$side = head ] || src=$$dir/base; \
+		echo "bench-compare: round $${run#*.}, $$side"; \
+		(cd $$src && "$(CURDIR)/$$dir/$$side.test" -test.run '^$$' -test.bench '$(HOTPATH)' \
+			-test.benchtime 0.3s -test.benchmem -test.timeout 10m) > $$dir/$$run.txt 2>&1 \
+			|| { cat $$dir/$$run.txt; exit 1; }; \
+	done; \
+	awk -f benchcmp.awk side=base $$dir/base.1.txt $$dir/base.2.txt side=head $$dir/head.1.txt $$dir/head.2.txt
 
 # The incremental-sweep loop: the same reduced fig6 sweep twice through
 # one content-addressed cache. The second pass must be served entirely

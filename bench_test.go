@@ -423,9 +423,9 @@ func BenchmarkSimulationSecond(b *testing.B) {
 
 // BenchmarkTelemetryOff re-measures the standard simulated second with
 // the telemetry subsystem compiled in but disabled — the nil-receiver
-// fast path. Gated against BenchmarkSimulationSecond's BENCH_after.json
-// entry: disabled telemetry must cost nothing (same ns/op envelope, no
-// extra allocations).
+// fast path. Disabled telemetry must cost nothing: read it against
+// BenchmarkSimulationSecond (same ns/op envelope, no extra
+// allocations).
 func BenchmarkTelemetryOff(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchSim(core.DRTSDCTS, 5, 90)
@@ -452,50 +452,26 @@ func BenchmarkTelemetryOn(b *testing.B) {
 	}
 }
 
-// sparsePairBench is the fast-forward showcase scenario: a two-node
-// explicit pair under waypoint mobility with second-stale bearings, so
-// CTS timeouts ratchet the contention window to CWMax and nearly every
-// countdown crosses dead air as one bulk jump (DESIGN.md §12).
-func sparsePairBench(ff bool) sim.Scenario {
+// sparsePairBench is the sparse idle scenario: a two-node explicit pair
+// under waypoint mobility with second-stale bearings, so CTS timeouts
+// ratchet the contention window to CWMax and most of the run is
+// countdowns across dead air, each one kernel timer (DESIGN.md §12).
+func sparsePairBench() sim.Scenario {
 	return sim.Scenario{
 		Scheme: "DRTS-DCTS", BeamwidthDeg: 30, Seed: 1,
 		Duration: sim.Duration(des.Second),
 		Topology: sim.TopologySpec{Kind: "explicit", N: 2,
 			Positions: []geom.Point{{X: 0, Y: 0}, {X: 0.5, Y: 0}}},
-		Traffic:     sim.TrafficSpec{Kind: "cbr", OfferedLoadBps: 500_000},
-		Mobility:    sim.MobilitySpec{Kind: "waypoint", MaxSpeed: 2, RefreshInterval: sim.Duration(des.Second)},
-		FastForward: ff,
+		Traffic:  sim.TrafficSpec{Kind: "cbr", OfferedLoadBps: 500_000},
+		Mobility: sim.MobilitySpec{Kind: "waypoint", MaxSpeed: 2, RefreshInterval: sim.Duration(des.Second)},
 	}
 }
 
 // BenchmarkSimulationSecondSparse measures one simulated second of the
-// sparse pair with fast-forward enabled — the headline perf number for
-// the analytic idle-time skip. Compare BenchmarkFastForwardOff for the
-// slot-by-slot cost of the identical scenario.
+// sparse pair: the cost of long idle countdowns, where the dense
+// BenchmarkSimulationSecond measures contention.
 func BenchmarkSimulationSecondSparse(b *testing.B) {
-	sc := sparsePairBench(true)
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunScenario(sc, sim.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFastForwardOn / BenchmarkFastForwardOff are the paired
-// speedup gauge over the sparse scenario; results are bit-identical
-// between them (enforced by TestFastForwardDifferentialSparsePair), so
-// any ratio between their ns/op is pure kernel-event savings.
-func BenchmarkFastForwardOn(b *testing.B) {
-	sc := sparsePairBench(true)
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunScenario(sc, sim.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFastForwardOff(b *testing.B) {
-	sc := sparsePairBench(false)
+	sc := sparsePairBench()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.RunScenario(sc, sim.Options{}); err != nil {
 			b.Fatal(err)
@@ -546,7 +522,7 @@ func BenchmarkParallelKernel(b *testing.B) {
 // uniform field of Rings²·N = 10240 saturated nodes over a disk of
 // radius 32R — two orders of magnitude past paper scale, sized so one
 // iteration stays sub-second. The same shape (at the same node count)
-// is committed as internal/sim/testdata/scale/uniform10k.json for
+// is committed as internal/sim/testdata/scale/uniform-10k.json for
 // `make scale-smoke`.
 func scaleBench() sim.Scenario {
 	return sim.Scenario{
@@ -559,8 +535,8 @@ func scaleBench() sim.Scenario {
 // BenchmarkBuildLargeN measures scenario assembly alone — topology draw,
 // radios, neighbor tables, traffic sources, MAC instances — at 10⁴
 // nodes. The headline column is allocs/op: Build is required to do O(N)
-// work with O(1) allocations per node, and the -compare gate holds the
-// line.
+// work with O(1) allocations per node, and `make bench-compare` holds
+// the line.
 func BenchmarkBuildLargeN(b *testing.B) {
 	sc := scaleBench()
 	b.ReportAllocs()

@@ -36,6 +36,21 @@ import (
 	"repro/internal/server"
 )
 
+// Connection timeouts: a client that never finishes its request
+// headers, or leaves a keep-alive connection idle, loses the connection
+// instead of holding it until shutdown. There is no write timeout,
+// because telemetry streams and long runs legitimately write for
+// minutes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the service handler in the daemon's http.Server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
@@ -85,7 +100,7 @@ func run(args []string, stdout io.Writer, sigs <-chan os.Signal) error {
 	// (make simd-smoke greps it to learn the port picked for :0).
 	fmt.Fprintf(stdout, "simd: listening on %s\n", ln.Addr())
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 

@@ -134,3 +134,16 @@ func TestDaemonBadFlags(t *testing.T) {
 		t.Error("unknown flag: want error")
 	}
 }
+
+// TestHTTPServerTimeouts pins the connection bounds of the server run
+// builds: a stalled header read or an idle keep-alive connection is
+// dropped, and no write deadline cuts off a long telemetry stream.
+func TestHTTPServerTimeouts(t *testing.T) {
+	s := newHTTPServer(http.NotFoundHandler())
+	if s.ReadHeaderTimeout <= 0 || s.IdleTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout %v, IdleTimeout %v: both must be positive", s.ReadHeaderTimeout, s.IdleTimeout)
+	}
+	if s.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout %v would cut off telemetry streams and long runs", s.WriteTimeout)
+	}
+}

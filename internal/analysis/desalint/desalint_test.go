@@ -67,7 +67,7 @@ func TestIsSimPackage(t *testing.T) {
 		"repro/internal/plot":        false,
 		"repro/internal/analysis":    false,
 		"repro/cmd":                  true,
-		"repro/cmd/bench":            true,
+		"repro/cmd/netsim":           true,
 		"repro":                      false,
 	} {
 		if got := IsSimPackage(path); got != want {

@@ -7,8 +7,15 @@ package sim
 // corpus spans every scheme, the PHY and MAC ablations, CBR and
 // waypoint mobility, delay sampling, telemetry down to one-slot
 // sampling, a one-slot neighbor refresh, and the partitioned kernel at
-// one and two workers. Regenerate (only for an intended behaviour
-// change) with:
+// one and two workers.
+//
+// Each entry also pins the run's work as two exact counts: DES events
+// executed (summed over every partition scheduler) and frames put on
+// the air. They depend on neither the machine nor the worker count, so
+// a kernel change that keeps the bytes but does more work (say, a
+// return to per-slot ticks) fails here on any host. A change that
+// moves a count on purpose regenerates the file and says why.
+// Regenerate (only for an intended behaviour or cost change) with:
 //
 //	UPDATE_CORPUS=1 go test ./internal/sim -run TestCountdownCorpus
 
@@ -24,6 +31,7 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/geom"
+	"repro/internal/phy"
 	"repro/internal/telemetry"
 )
 
@@ -42,6 +50,8 @@ type corpusDigest struct {
 	Name      string `json:"name"`
 	Result    string `json:"result"`
 	Telemetry string `json:"telemetry,omitempty"`
+	Events    uint64 `json:"events"`
+	Frames    int64  `json:"frames"`
 }
 
 func corpusCases(t *testing.T) []corpusCase {
@@ -108,8 +118,12 @@ func corpusCases(t *testing.T) []corpusCase {
 	// Traffic and mobility.
 	for i, load := range []float64{20e3, 200e3, 800e3} {
 		sc := rings("DRTS-DCTS", 5, 30, int64(101+i))
-		sc.Duration = ms(400)
 		sc.Traffic = TrafficSpec{Kind: "cbr", OfferedLoadBps: load}
+		if load == 20e3 {
+			// A CBR source's first arrival comes one interval (584 ms at
+			// 20 kb/s) after Start; 400 ms would transmit nothing.
+			sc.Duration = ms(2000)
+		}
 		add(fmt.Sprintf("cbr_%.0f", load), sc)
 	}
 	for i, s := range []string{"ORTS-OCTS", "DRTS-DCTS", "DRTS-OCTS"} {
@@ -218,8 +232,8 @@ func corpusCases(t *testing.T) []corpusCase {
 	return cs
 }
 
-// runCorpusCase runs one case and digests its result and telemetry
-// export.
+// runCorpusCase runs one case and digests its result, its telemetry
+// export and its work counts.
 func runCorpusCase(c corpusCase) (corpusDigest, error) {
 	var buf bytes.Buffer
 	w := telemetry.NewWriter(&buf)
@@ -241,6 +255,12 @@ func runCorpusCase(c corpusCase) (corpusDigest, error) {
 	d := corpusDigest{Name: c.name, Result: sha256Hex(b)}
 	if c.sc.Telemetry.Enabled() {
 		d.Telemetry = sha256Hex(buf.Bytes())
+	}
+	for _, p := range s.parts {
+		d.Events += p.Executed()
+	}
+	for _, ft := range []phy.FrameType{phy.RTS, phy.CTS, phy.Data, phy.ACK, phy.Hello} {
+		d.Frames += s.Channel.TxCount(ft)
 	}
 	return d, nil
 }
@@ -298,11 +318,20 @@ func TestCountdownCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if got.Frames == 0 {
+				t.Error("case transmits no frame, so its digests pin an empty run")
+			}
 			if got.Result != w.Result {
 				t.Errorf("result digest %s, want %s", got.Result, w.Result)
 			}
 			if got.Telemetry != w.Telemetry {
 				t.Errorf("telemetry digest %s, want %s", got.Telemetry, w.Telemetry)
+			}
+			if got.Events != w.Events {
+				t.Errorf("events %d, want %d", got.Events, w.Events)
+			}
+			if got.Frames != w.Frames {
+				t.Errorf("frames %d, want %d", got.Frames, w.Frames)
 			}
 		})
 	}

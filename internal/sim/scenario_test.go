@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -62,6 +63,63 @@ func TestScenarioGoldenRoundTrip(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzScenarioRoundTrip: any input that parses and validates must
+// marshal to canonical bytes that re-parse, re-validate and re-marshal
+// to the same bytes under the same ScenarioKey. Plain `go test` runs the
+// committed scenario files as seeds; explore further with
+//
+//	go test ./internal/sim -run '^$' -fuzz FuzzScenarioRoundTrip
+func FuzzScenarioRoundTrip(f *testing.F) {
+	for _, pattern := range []string{"*.json", filepath.Join("bad", "*.json")} {
+		paths, err := filepath.Glob(filepath.Join("testdata", pattern))
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, path := range paths {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(b)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := ParseScenario(data)
+		if err != nil || sc.Validate() != nil {
+			return
+		}
+		out, err := MarshalScenario(sc)
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
+		sc2, err := ParseScenario(out)
+		if err != nil {
+			t.Fatalf("re-parse: %v\n%s", err, out)
+		}
+		if err := sc2.Validate(); err != nil {
+			t.Fatalf("re-validate: %v\n%s", err, out)
+		}
+		out2, err := MarshalScenario(sc2)
+		if err != nil {
+			t.Fatalf("re-marshal: %v", err)
+		}
+		if !bytes.Equal(out, out2) {
+			t.Fatalf("canonical form is not a fixed point\n--- first ---\n%s--- second ---\n%s", out, out2)
+		}
+		k1, err := ScenarioKey(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k2, err := ScenarioKey(sc2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k1 != k2 {
+			t.Fatalf("ScenarioKey changed across the round trip: %v vs %v", k1, k2)
+		}
+	})
 }
 
 // TestScenarioBadSpecsRejected checks that every curated spec in
