@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build lint lint-budget lint-extra test bench bench-compare fmt-check scenarios sweep-cached telemetry-smoke countdown-smoke parallel-smoke scale-smoke simd-smoke
+.PHONY: all build lint lint-budget lint-extra test bench bench-compare fmt-check scenarios sweep-cached telemetry-smoke countdown-smoke scale-smoke simd-smoke
 
 all: build lint test
 
@@ -52,9 +52,8 @@ bench:
 # The hot-path benchmark set (bench_test.go): the event kernel and
 # channel micro-benches, one simulated second dense and sparse, the
 # analytical Fig. 5 sweep, the result cache cold/warm, telemetry off/on,
-# the partitioned kernel, the 10⁴-node scale trio and the served
-# scenario cold/warm.
-HOTPATH = ^(BenchmarkScheduler|BenchmarkChannelBroadcast|BenchmarkSimulationSecond|BenchmarkSimulationSecondSparse|BenchmarkFig5|BenchmarkScenarioCache|BenchmarkTelemetryOff|BenchmarkTelemetryOn|BenchmarkParallelKernel|BenchmarkBuildLargeN|BenchmarkMobilityChurn|BenchmarkScaleSimulationSecond|BenchmarkServedScenario)$$
+# the 10⁴-node scale trio and the served scenario cold/warm.
+HOTPATH = ^(BenchmarkScheduler|BenchmarkChannelBroadcast|BenchmarkSimulationSecond|BenchmarkSimulationSecondSparse|BenchmarkFig5|BenchmarkScenarioCache|BenchmarkTelemetryOff|BenchmarkTelemetryOn|BenchmarkBuildLargeN|BenchmarkMobilityChurn|BenchmarkScaleSimulationSecond|BenchmarkServedScenario)$$
 
 # Paired regression gate: `make bench-compare BASE=<git revision>`.
 # Builds the root package's test binary at BASE (in a temporary git
@@ -115,18 +114,6 @@ countdown-smoke:
 	$(GO) run ./cmd/netsim -scenario internal/sim/testdata/paper-drts-dcts.json -json > .countdown-paper.json
 	cmp .countdown-paper.json internal/sim/testdata/expected/paper-drts-dcts.out
 	rm -f .countdown-sparse.json .countdown-paper.json
-
-# Worker-count invariance on the partitioned parallel kernel: the same
-# auto-partitioned scenario executed by one worker and by four must
-# print byte-identical results (DESIGN.md §14). The scenario is large
-# and spread enough to split into multiple grid partitions, so this
-# exercises the cross-partition flush path, not just the sequential
-# fallback.
-parallel-smoke:
-	$(GO) run ./cmd/netsim -scenario internal/sim/testdata/parallel-uniform.json -workers 1 > .par-w1.txt
-	$(GO) run ./cmd/netsim -scenario internal/sim/testdata/parallel-uniform.json -workers 4 > .par-w4.txt
-	cmp .par-w1.txt .par-w4.txt
-	rm -f .par-w1.txt .par-w4.txt
 
 # Large-N end-to-end smoke: the committed ~10k-node uniform scenario
 # (kept in testdata/scale/ so the `scenarios` glob skips it) must build,

@@ -65,7 +65,7 @@ func run(args []string) error {
 		telPath      = fs.String("telemetry", "telemetry.jsonl", "output file for the trajectory study's JSONL export")
 		telInterval  = fs.Duration("telemetry-interval", 10*time.Millisecond, "sim-time sampling interval for the trajectory study")
 		pruneMargin  = fs.Float64("prune", 0, "pre-sweep pruning margin in (0, 1]: skip grid cells whose Kai-Liew estimate falls below margin x the best at the same N (0 disables)")
-		workers      = fs.Int("workers", 0, "total goroutine budget shared between batch shards and partitioned runs (0 = GOMAXPROCS; never affects results)")
+		workers      = fs.Int("workers", 0, "concurrent topologies per simulation cell (0 = GOMAXPROCS; never affects results)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -59,8 +59,7 @@ func run(args []string) error {
 		traceN       = fs.Int("trace", 0, "print the last N protocol trace events (single-topology mode)")
 		telPath      = fs.String("telemetry", "", "write a telemetry JSONL export to FILE (\"-\" for stdout); analyze with simtrace")
 		telInterval  = fs.Duration("telemetry-interval", 10*time.Millisecond, "sim-time sampling interval for -telemetry")
-		partition    = fs.String("partition", "", "partitioned parallel kernel: auto or off (default: scenario setting, auto)")
-		workers      = fs.Int("workers", 0, "goroutine budget for batch shards and partitioned runs (0 = GOMAXPROCS; never affects results)")
+		workers      = fs.Int("workers", 0, "concurrent topologies for -topologies (0 = GOMAXPROCS; never affects results)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -92,10 +91,6 @@ func run(args []string) error {
 			DisableEIFS:    *noEIFS,
 			AdaptiveRTS:    des.Time(adaptive.Nanoseconds()),
 		}.Scenario()
-	}
-	// -partition overrides the scenario's kernel selection when given.
-	if *partition != "" {
-		sc.Partition = *partition
 	}
 	// -telemetry turns on sampling (unless the scenario file already did)
 	// and streams the export to the named file. The sink plugs into both
@@ -154,7 +149,7 @@ func run(args []string) error {
 		return nil
 	}
 
-	opts := sim.Options{Workers: *workers}
+	var opts sim.Options
 	var rec *trace.Recorder
 	if *traceN > 0 {
 		rec = trace.NewRecorder(*traceN)

@@ -69,19 +69,24 @@ func run(args []string, stdout io.Writer, sigs <-chan os.Signal) error {
 		addr        = fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 		cacheDir    = fs.String("cache", ".simd-cache", "content-addressed result cache directory (\"\" disables caching)")
 		queueCap    = fs.Int("queue", 0, "bound on admitted-but-not-started runs before 429 (0 = 64)")
-		concurrency = fs.Int("concurrency", 0, "simultaneous simulation executions (0 = one per budgeted core)")
-		workers     = fs.Int("workers", 0, "total goroutine budget shared by concurrent runs and intra-run workers (0 = GOMAXPROCS; never affects results)")
+		concurrency = fs.Int("concurrency", 0, "simultaneous simulation executions (0 = one per core; never affects results)")
 		drain       = fs.Duration("drain", 30*time.Second, "graceful-shutdown bound for draining in-flight requests")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
+	// Bind before creating anything else, so a bad address leaves no
+	// cache directory and no worker pool behind.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
 	var store *cache.Store
 	if *cacheDir != "" {
-		var err error
 		store, err = cache.NewStore(*cacheDir, 0)
 		if err != nil {
+			ln.Close()
 			return err
 		}
 	}
@@ -89,13 +94,7 @@ func run(args []string, stdout io.Writer, sigs <-chan os.Signal) error {
 		Cache:       store,
 		QueueCap:    *queueCap,
 		Concurrency: *concurrency,
-		Budget:      *workers,
 	})
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
 	// The resolved address line is the readiness contract scripts key on
 	// (make simd-smoke greps it to learn the port picked for :0).
 	fmt.Fprintf(stdout, "simd: listening on %s\n", ln.Addr())

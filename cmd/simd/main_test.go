@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -125,10 +126,15 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 }
 
-// TestDaemonBadFlags pins the error paths that must exit non-zero.
+// TestDaemonBadFlags pins the error paths that must exit non-zero. A
+// bad listen address must fail before the cache directory is created.
 func TestDaemonBadFlags(t *testing.T) {
-	if err := run([]string{"-addr", "256.0.0.1:bogus"}, io.Discard, nil); err == nil {
+	cacheDir := filepath.Join(t.TempDir(), "c")
+	if err := run([]string{"-addr", "256.0.0.1:bogus", "-cache", cacheDir}, io.Discard, nil); err == nil {
 		t.Error("bad listen address: want error")
+	}
+	if _, err := os.Stat(cacheDir); !os.IsNotExist(err) {
+		t.Errorf("bad listen address left the cache directory behind (stat: %v)", err)
 	}
 	if err := run([]string{"-nosuchflag"}, io.Discard, nil); err == nil {
 		t.Error("unknown flag: want error")

@@ -37,7 +37,7 @@ var Analyzer = &framework.Analyzer{
 // still read by the build path fails the lint — that is the point.
 var ResultInvariant = map[string]string{
 	"fastforward": "parsed and validated, never read by the kernel: every backoff countdown is one exact timer (DESIGN.md §12)",
-	"partition":   "only the \"auto\" spelling is normalized to its synonym \"\" (identical plan at every layer, DESIGN.md §14); the result-affecting value \"off\" still reaches the canonical bytes",
+	"partition":   "parsed and validated, never read by the kernel: every run executes on one scheduler (DESIGN.md §14)",
 }
 
 // serializationFuncs are the canonical-bytes plumbing itself: their

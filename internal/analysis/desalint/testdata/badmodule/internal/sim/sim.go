@@ -12,8 +12,8 @@ type Scenario struct {
 	Debug bool `json:"-"` // cachekey
 	// FastForward matches the global result-invariant allowlist.
 	FastForward bool `json:"fastforward,omitempty"`
-	// Partition matches the allowlist too: only its synonym spelling is
-	// normalized away, so the exclusion is result-invariant.
+	// Partition matches the allowlist too: like fastforward it is a
+	// validated no-op, so the exclusion is result-invariant.
 	Partition string `json:"partition,omitempty"`
 }
 
@@ -24,9 +24,7 @@ func MarshalScenario(sc Scenario) []byte { return []byte(sc.Name) }
 // result-invariant fields.
 func ScenarioKey(sc Scenario) Key {
 	sc.FastForward = false
-	if sc.Partition == "auto" {
-		sc.Partition = ""
-	}
+	sc.Partition = ""
 	_ = MarshalScenario(sc)
 	return Key{}
 }

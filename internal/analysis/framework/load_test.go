@@ -89,19 +89,23 @@ func TestAnnotationParsing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := l.Load("repro/internal/phy")
+	// The cache's eviction min-scan carries a commutative annotation.
+	cachePkg, err := l.Load("repro/internal/cache")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// TotalTxAirtime carries the commutative annotation added in this PR.
 	var found bool
-	for _, a := range pkg.AllAnnotations() {
+	for _, a := range cachePkg.AllAnnotations() {
 		if a.Verb == "commutative" && a.Arg != "" {
 			found = true
 		}
 	}
 	if !found {
-		t.Error("expected a commutative annotation with a reason in internal/phy")
+		t.Error("expected a commutative annotation with a reason in internal/cache")
+	}
+	pkg, err := l.Load("repro/internal/phy")
+	if err != nil {
+		t.Fatal(err)
 	}
 	var hot int
 	for _, f := range pkg.Files {

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -289,4 +290,65 @@ func TestConcurrentSameKeyWaiters(t *testing.T) {
 	if got, ok := s.Get(k); !ok || !valid[string(got)] {
 		t.Errorf("final Get = %q, %v; want a valid payload", got, ok)
 	}
+}
+
+// FuzzCacheEntry writes arbitrary bytes as an entry file and reads them
+// back through a fresh store. Get must never panic, and it may report a
+// hit only for a well-formed frame — the bytes writeEntry would produce
+// for some payload — and then with exactly that payload. Plain `go test`
+// runs the seeds: a valid entry and its truncated, bad-magic and
+// bad-checksum variants. Explore further with
+//
+//	go test ./internal/cache -run '^$' -fuzz FuzzCacheEntry
+func FuzzCacheEntry(f *testing.F) {
+	s, err := NewStore(f.TempDir(), 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	k := testKey("seed")
+	if err := s.Put(k, []byte(`{"Jain":0.97}`)); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(s.path(k))
+	if err != nil {
+		f.Fatal(err)
+	}
+	flip := func(i int) []byte {
+		c := append([]byte(nil), valid...)
+		c[i] ^= 0x01
+		return c
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)-1])
+	f.Add(valid[:len(entryMagic)+5])
+	f.Add(flip(0))                    // bad magic
+	f.Add(flip(len(entryMagic)))      // bad checksum
+	f.Add(valid[:len(entryMagic)+32]) // empty payload, stale checksum
+	f.Add([]byte{})
+	header := len(entryMagic) + sha256.Size
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		dir := t.TempDir()
+		s, err := NewStore(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := testKey("fuzz")
+		if err := os.WriteFile(s.path(k), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := s.Get(k)
+		var wellFormed bool
+		if len(raw) >= header {
+			payload := raw[header:]
+			sum := sha256.Sum256(payload)
+			frame := append(append(append([]byte(nil), entryMagic...), sum[:]...), payload...)
+			wellFormed = bytes.Equal(raw, frame)
+		}
+		if ok != wellFormed {
+			t.Fatalf("Get ok=%v for a file that is well-formed=%v", ok, wellFormed)
+		}
+		if ok && !bytes.Equal(got, raw[header:]) {
+			t.Fatalf("Get returned %q, want the framed payload %q", got, raw[header:])
+		}
+	})
 }

@@ -275,32 +275,6 @@ func TestCountdownHandle(t *testing.T) {
 	}
 }
 
-func TestCountdownNextAtCountsSlotBoundaries(t *testing.T) {
-	s := New(1)
-	s.TrackCountdowns()
-	var tm Timer
-	s.At(5, func() { tm = s.Countdown(4, tSlot, func() {}) })
-	s.At(30, func() {})
-	s.RunBefore(6)
-	s.AdvanceTo(6)
-	if at, ok := s.NextAt(); !ok || at != 25 {
-		t.Fatalf("NextAt = %v,%v, want the first slot boundary 25", at, ok)
-	}
-	s.AdvanceTo(26)
-	if at, _ := s.NextAt(); at != 30 {
-		t.Fatalf("NextAt = %v, want the ordinary event at 30 before boundary 45", at)
-	}
-	s.RunBefore(31)
-	s.AdvanceTo(31)
-	if at, _ := s.NextAt(); at != 45 {
-		t.Fatalf("NextAt = %v, want boundary 45", at)
-	}
-	s.Cancel(tm)
-	if _, ok := s.NextAt(); ok {
-		t.Fatal("a canceled countdown still counts as pending")
-	}
-}
-
 // TestCountdownDifferential runs agents that contend, get interrupted by
 // busy edges and long-scheduled hints, and restart with the slots they
 // had left, next to a one-slot periodic chain and one-slot ordinary

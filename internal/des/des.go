@@ -76,14 +76,12 @@ func (f funcEvent) Fire() { f() }
 // its last tick would have had, so it lands exactly where the tick
 // chain's last event would have. DESIGN.md §12 derives the rule.
 
-// root flag bits, stored below the root's execution index in rootKey.
+// rootEarly marks a root that executes before the chain events due at
+// its own instant: its sched lies more than one step back. It is the
+// low bit of rootKey, below the root's execution index.
 const (
-	// rootEarly marks a root that executes before the chain events due
-	// at its own instant: its sched lies more than one step back.
-	rootEarly = 1 << iota
-	// rootCountdown marks a countdown final tracked for NextAt.
-	rootCountdown
-	rootShift = 2
+	rootEarly = 1
+	rootShift = 1
 )
 
 // timer is one pending queue entry. Entries are owned by the scheduler
@@ -96,7 +94,7 @@ type timer struct {
 	// rootAt and rootKey identify the first event of the chain of
 	// equal-step scheduling that led here: its instant, and its place
 	// in execution order (2i for the i-th executed event, odd for a
-	// root outside any callback) shifted past the root flag bits.
+	// root outside any callback) shifted past the rootEarly bit.
 	rootAt  Time
 	rootKey uint64
 	ev      Event
@@ -142,17 +140,6 @@ type Scheduler struct {
 	// SlotsLeft compares a countdown's virtual ticks against it.
 	cur     timer
 	running bool
-
-	// phases counts the running countdowns per slot grid while
-	// trackPhases is set (partition schedulers; see NextAt).
-	phases      []slotPhase
-	trackPhases bool
-}
-
-// slotPhase is one slot grid holding running countdowns.
-type slotPhase struct {
-	slot, phase Time
-	n           int
 }
 
 // New returns a Scheduler whose random stream is seeded with seed.
@@ -200,9 +187,6 @@ func (s *Scheduler) alloc() *timer {
 //
 //desalint:hotpath
 func (s *Scheduler) recycle(tm *timer) {
-	if tm.rootKey&rootCountdown != 0 {
-		s.untrackPhase(tm.at-tm.sched, tm.at)
-	}
 	tm.gen++
 	tm.ev = nil
 	tm.index = -1
@@ -236,17 +220,16 @@ func (s *Scheduler) schedule(ev Event, at Time) Timer {
 	}
 	step := at - s.now
 	if c := &s.cur; s.running && c.at-c.sched == step {
-		return s.insert(ev, at, s.now, c.rootAt, c.rootKey&^rootCountdown)
+		return s.insert(ev, at, s.now, c.rootAt, c.rootKey)
 	}
 	rootAt, rootKey := s.newRoot(step)
 	return s.insert(ev, at, s.now, rootAt, rootKey)
 }
 
 // newRoot returns the running event as the root of a new chain of the
-// given step. Events scheduled from outside any callback (at build time,
-// or by a partition flush between windows) root at Now() ahead of every
-// event due then: nothing due at Now() has executed when they are
-// scheduled.
+// given step. Events scheduled from outside any callback (at build time)
+// root at Now() ahead of every event due then: nothing due at Now() has
+// executed when they are scheduled.
 //
 //desalint:hotpath
 func (s *Scheduler) newRoot(step Time) (Time, uint64) {
@@ -313,10 +296,6 @@ func (s *Scheduler) ScheduleEvent(d Time, ev Event) Timer {
 func (s *Scheduler) Countdown(slots int, slot Time, fn func()) Timer {
 	at := s.now + Time(slots)*slot
 	rootAt, rootKey := s.newRoot(slot)
-	if s.trackPhases {
-		rootKey |= rootCountdown
-		s.trackPhase(slot, at)
-	}
 	return s.insert(funcEvent(fn), at, at-slot, rootAt, rootKey)
 }
 
@@ -402,54 +381,6 @@ func (s *Scheduler) Run(until Time) uint64 {
 	return s.count - start
 }
 
-// NextAt returns the due time of the earliest pending event and whether
-// one exists. The partition group engine uses it to compute conservative
-// execution horizons. On a scheduler with TrackCountdowns set, a running
-// countdown counts as pending at its next slot boundary at or after
-// Now(), where the per-slot tick chain it stands for would hold its next
-// tick; the windows, and with them the partitioned results, are then
-// the ones that chain would produce.
-//
-//desalint:hotpath
-func (s *Scheduler) NextAt() (Time, bool) {
-	var next Time
-	ok := len(s.heap) > 0
-	if ok {
-		next = s.heap[0].at
-	}
-	for _, p := range s.phases {
-		t := s.now + ((p.phase-s.now)%p.slot+p.slot)%p.slot
-		if !ok || t < next {
-			next, ok = t, true
-		}
-	}
-	return next, ok
-}
-
-// RunBefore executes events strictly earlier than horizon and returns
-// how many ran. Unlike Run it neither executes events AT the horizon nor
-// advances the clock to it: the horizon is a conservative bound, not a
-// target, and the next window may still insert events exactly at it.
-//
-//desalint:hotpath
-func (s *Scheduler) RunBefore(horizon Time) uint64 {
-	start := s.count
-	for len(s.heap) > 0 && s.heap[0].at < horizon {
-		s.Step()
-	}
-	return s.count - start
-}
-
-// AdvanceTo moves the clock forward to t without executing anything
-// (clamping, never rewinding). The group engine calls it once per
-// partition after the final window so every partition ends a run at the
-// same instant, mirroring Run's trailing clock advance.
-func (s *Scheduler) AdvanceTo(t Time) {
-	if t > s.now {
-		s.now = t
-	}
-}
-
 // RunAll executes every pending event regardless of time and returns how
 // many ran. Useful for draining short test scenarios.
 func (s *Scheduler) RunAll() uint64 {
@@ -489,40 +420,6 @@ func (s *Scheduler) less(a, b *timer) bool {
 		return ak < bk
 	}
 	return a.seq < b.seq
-}
-
-// TrackCountdowns makes NextAt account for running countdowns' slot
-// grids. The partition group sets it on every partition it runs, before
-// any countdown can start.
-func (s *Scheduler) TrackCountdowns() {
-	s.trackPhases = true
-}
-
-// trackPhase records a running countdown on its slot grid.
-func (s *Scheduler) trackPhase(slot, at Time) {
-	phase := at % slot
-	for i := range s.phases {
-		if p := &s.phases[i]; p.slot == slot && p.phase == phase {
-			p.n++
-			return
-		}
-	}
-	s.phases = append(s.phases, slotPhase{slot: slot, phase: phase, n: 1})
-}
-
-// untrackPhase drops a countdown that fired or was canceled.
-func (s *Scheduler) untrackPhase(slot, at Time) {
-	phase := at % slot
-	for i := range s.phases {
-		if p := &s.phases[i]; p.slot == slot && p.phase == phase {
-			if p.n--; p.n == 0 {
-				last := len(s.phases) - 1
-				s.phases[i] = s.phases[last]
-				s.phases = s.phases[:last]
-			}
-			return
-		}
-	}
 }
 
 //desalint:hotpath

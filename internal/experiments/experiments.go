@@ -102,14 +102,8 @@ type SimConfig struct {
 	// set. Batch runs buffer per shard and merge deterministically in
 	// shard order. Like Tracer, a telemetry-enabled run bypasses Cache.
 	Telemetry telemetry.Sink
-	// Partition controls the grid-partitioned parallel kernel: "" or
-	// "auto" lets large static scenarios split into per-region event
-	// queues, "off" forces the sequential kernel (see sim.Scenario).
-	Partition string
-	// Workers is the goroutine budget for execution (0 means
-	// GOMAXPROCS): in RunSim it bounds the partition workers of one run;
-	// in RunBatch it is the TOTAL budget shared between the shard pool
-	// and each shard's partition workers. Results never depend on it.
+	// Workers sizes RunBatch's shard pool (0 means GOMAXPROCS); RunSim
+	// ignores it. Results never depend on it.
 	Workers int
 }
 
@@ -154,7 +148,6 @@ func (c SimConfig) Scenario() sim.Scenario {
 			Interval: sim.Duration(c.TelemetryInterval),
 			Metrics:  c.TelemetryMetrics,
 		},
-		Partition: c.Partition,
 	}
 	if c.OfferedLoadBps > 0 {
 		sc.Traffic.Kind = "cbr"
@@ -195,7 +188,6 @@ func ConfigFromScenario(sc sim.Scenario) (SimConfig, error) {
 		SINR:              sc.PHY.SINR,
 		TelemetryInterval: des.Time(sc.Telemetry.Interval),
 		TelemetryMetrics:  sc.Telemetry.Metrics,
-		Partition:         sc.Partition,
 	}
 	switch sc.Traffic.Kind {
 	case "", "saturated":
@@ -226,7 +218,6 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 	}
 	return sim.RunScenario(cfg.Scenario(), sim.Options{
 		Topology: cfg.Topology, Tracer: cfg.Tracer, Cache: cfg.Cache, Telemetry: cfg.Telemetry,
-		Workers: cfg.Workers,
 	})
 }
 

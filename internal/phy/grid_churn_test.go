@@ -3,9 +3,7 @@ package phy
 // Differential coverage for the incremental spatial index (DESIGN.md
 // §15): randomized mobility churn interleaved with transmissions must
 // produce delivery traces byte-identical to the forced all-or-nothing
-// rebuild, across seeds and under -race (via `make test`). The
-// partitioned kernel freezes placement instead — SetPos must panic
-// rather than race against concurrent gathers.
+// rebuild, across seeds and under -race (via `make test`).
 
 import (
 	"math/rand"
@@ -133,30 +131,6 @@ func TestMobilityChurnDifferential(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestPartitionedSetPosFrozen: ConfigurePartitions freezes radio
-// placement (the grid is read concurrently by every lane), so SetPos on
-// a partitioned channel must panic instead of corrupting the index.
-func TestPartitionedSetPosFrozen(t *testing.T) {
-	sched := des.New(1)
-	ch, err := NewChannel(sched, DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var handlers [4]discardHandler
-	for i := range handlers {
-		ch.AddRadio(geom.Point{X: float64(i)}, &handlers[i])
-	}
-	if err := ch.ConfigurePartitions([]*des.Scheduler{sched}, []int32{0, 0, 0, 0}); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetPos on a partitioned channel did not panic")
-		}
-	}()
-	ch.Radio(0).SetPos(geom.Point{X: 9})
 }
 
 // TestRebuildShrinksBuckets: a rebuild must release bucket capacity left

@@ -1,9 +1,9 @@
 package phy
 
-// Tests for the channel's spatial index: the grid must agree with a
-// brute-force all-pairs scan in every geometry, stay correct through
-// mobility (lazy invalidation on SetPos), and keep steady-state delivery
-// allocation-free.
+// Tests for the channel's spatial index and the in-range lists built
+// from it: both must agree with a brute-force all-pairs scan in every
+// geometry, stay correct through mobility (lazy invalidation on SetPos),
+// and keep steady-state delivery allocation-free.
 
 import (
 	"math/rand"
@@ -146,6 +146,57 @@ func TestGriddedPropagationMatchesAllPairs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestInRangeListFollowsSetPos: every radio transmits once, which builds
+// its in-range list. A peer then moves out of range of its old
+// neighbors and into range of a new one, and back. After each move,
+// every radio's transmission and neighbor query must match a
+// brute-force distance scan.
+func TestInRangeListFollowsSetPos(t *testing.T) {
+	sched := des.New(1)
+	ch, err := NewChannel(sched, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	positions := []geom.Point{{X: 0, Y: 0}, {X: 0.5, Y: 0}, {X: 0, Y: 0.7}, {X: -0.9, Y: 0.2}, {X: 1.6, Y: 0}}
+	handlers := make([]countingHandler, len(positions))
+	for i, pos := range positions {
+		ch.AddRadio(pos, &handlers[i])
+	}
+	check := func(stage string) {
+		t.Helper()
+		for src := range handlers {
+			for i := range handlers {
+				handlers[i].frames = 0
+			}
+			tx := ch.Radio(NodeID(src))
+			if _, err := tx.Transmit(Frame{Type: Data, Src: tx.ID(), Dst: Broadcast, Bytes: 100}, Omni); err != nil {
+				t.Fatal(err)
+			}
+			sched.RunAll()
+			var reached []NodeID
+			for i, h := range handlers {
+				if h.frames > 0 {
+					reached = append(reached, NodeID(i))
+				}
+			}
+			want := brutNeighbors(ch, tx.ID())
+			if !sameIDs(reached, want) {
+				t.Fatalf("%s: node %d reached %v, brute force %v", stage, src, reached, want)
+			}
+			if got := ch.Neighbors(tx.ID()); !sameIDs(got, want) {
+				t.Fatalf("%s: node %d neighbors %v, brute force %v", stage, src, got, want)
+			}
+		}
+	}
+	check("initial")
+	peer := ch.Radio(1)
+	home := peer.Pos()
+	peer.SetPos(geom.Point{X: 1.2, Y: 0}) // leaves nodes 0, 2, 3; joins node 4
+	check("peer moved out")
+	peer.SetPos(home)
+	check("peer moved back")
 }
 
 // TestBroadcastAllocFree: once the channel pools are warm, an omni

@@ -56,6 +56,10 @@ const (
 	Hello
 )
 
+// numFrameTypes sizes the per-type airtime accounting; valid frame
+// types are 0 through Hello.
+const numFrameTypes = int(Hello) + 1
+
 var frameTypeNames = map[FrameType]string{
 	RTS:   "RTS",
 	CTS:   "CTS",
@@ -249,8 +253,13 @@ type Radio struct {
 	pos     geom.Point
 	cell    cellKey // grid cell handle; valid while the index is built
 	ch      *Channel
-	lane    *lane // owning partition; lanes[0] unless partitioned
 	handler Handler
+
+	// inRange lists the IDs of the other radios within range, ascending,
+	// as of placement generation rangeGen (0: never built). See
+	// Channel.inRange.
+	inRange  []int32
+	rangeGen uint64
 
 	transmitting bool
 	active       []*signal // signals currently on the air at this radio
@@ -272,18 +281,15 @@ func (r *Radio) Pos() geom.Point { return r.pos }
 // unaffected by later movement (quasi-static per frame). The spatial
 // index absorbs the move incrementally: only the source and destination
 // cell buckets are touched, so mobility churn costs O(moved) radios, not
-// a full reindex (DESIGN.md §15). Moving a radio on a partitioned
-// channel panics — ConfigurePartitions freezes placement because the
-// grid is read concurrently by every lane.
+// a full reindex (DESIGN.md §15). Every in-range list goes stale and is
+// rebuilt on its next use.
 func (r *Radio) SetPos(p geom.Point) {
 	c := r.ch
-	if c.frozen {
-		panic("phy: SetPos on a partitioned channel (placement is frozen by ConfigurePartitions)")
-	}
 	r.pos = p
+	c.placement++
 	if c.gridDirty || c.fullRebuild {
 		// No valid cell handles to migrate between; fall back to the
-		// all-or-nothing rebuild on the next gather.
+		// all-or-nothing rebuild on the next neighbor search.
 		c.gridDirty = true
 		return
 	}
@@ -304,6 +310,10 @@ func (r *Radio) CarrierBusy() bool { return len(r.active) > 0 }
 // already transmitting.
 var ErrTxBusy = fmt.Errorf("phy: radio already transmitting")
 
+// ErrFrameType is returned when Transmit is given a frame type outside
+// 0 through Hello.
+var ErrFrameType = fmt.Errorf("phy: unknown frame type")
+
 // Transmit puts frame f on the air with antenna mode m and returns the
 // frame's airtime. OnTxDone fires on the handler when the transmission
 // ends. Reception at each in-range, in-beam radio starts after the
@@ -314,18 +324,21 @@ func (r *Radio) Transmit(f Frame, m Mode) (des.Time, error) {
 	if r.transmitting {
 		return 0, ErrTxBusy
 	}
+	if uint(f.Type) >= uint(numFrameTypes) {
+		return 0, ErrFrameType
+	}
 	r.transmitting = true
 	// Our own transmission stomps anything we were receiving.
 	for _, sig := range r.active {
 		sig.missed = true
 	}
-	airtime := r.ch.params.Airtime(f.Bytes)
-	l := r.lane
-	l.txTime[f.Type] += airtime
-	l.txCount[f.Type]++
-	r.ch.metrics.TxFrames.Inc()
-	r.ch.propagate(r, f, m, airtime)
-	l.sched.ScheduleEvent(airtime, &r.txDone)
+	c := r.ch
+	airtime := c.params.Airtime(f.Bytes)
+	c.txTime[f.Type] += airtime
+	c.txCount[f.Type]++
+	c.metrics.TxFrames.Inc()
+	c.propagate(r, f, m, airtime)
+	c.sched.ScheduleEvent(airtime, &r.txDone)
 	return airtime, nil
 }
 
@@ -424,31 +437,43 @@ func (r *Radio) signalEnd(sig *signal) {
 
 // Channel connects radios on a shared single-frequency medium.
 //
-// Delivery uses a uniform spatial grid with cell size equal to the
-// transmission range: every radio a transmission can reach lies in the
-// sender's cell or one of its eight neighbors, so propagation visits a
-// handful of candidates instead of scanning the whole network. The grid
-// is built lazily after AddRadio; once built, SetPos migrates the moved
-// radio between its source and destination cell buckets in place, so a
-// burst of mobility updates costs O(moved) bucket edits, not a reindex
-// of every radio (DESIGN.md §15).
+// Delivery reads each sender's in-range list: the radios within range,
+// in ID order. A list is built on first use and rebuilt only after
+// placement changes, so in a static network every transmission after
+// the first skips the neighbor search entirely (DESIGN.md §7.2). The
+// search itself uses a uniform spatial grid with cell size equal to the
+// transmission range: every radio in range lies in the radio's cell or
+// one of its eight neighbors. The grid is built lazily after AddRadio;
+// once built, SetPos migrates the moved radio between its source and
+// destination cell buckets in place, so a burst of mobility updates
+// costs O(moved) bucket edits, not a reindex of every radio
+// (DESIGN.md §15).
 type Channel struct {
-	sched  *des.Scheduler
-	params Params
-	radios []*Radio
-
-	// lanes hold the per-partition execution contexts (scheduler, object
-	// pools, airtime accounting, cross-partition outbox). The sequential
-	// kernel runs entirely on lanes[0]; see partition.go.
-	lanes   []*lane
+	sched   *des.Scheduler
+	params  Params
+	radios  []*Radio
 	metrics Metrics
 
+	txTime  [numFrameTypes]des.Time
+	txCount [numFrameTypes]int64
+
+	// placement counts placement changes (AddRadio, AddRadios, SetPos).
+	// A radio's in-range list is current while its rangeGen equals it.
+	placement uint64
+
+	scratch []int32 // counting buffer for buildFirstLists
+
+	// Free lists for per-delivery objects.
+	freeSigs   []*signal
+	freeEvents []*sigEvent
+	freeHints  []*navHintEvent
+
 	// Spatial index: cell -> slot in buckets; buckets hold radio IDs in
-	// ascending order (deterministic delivery order). Moves migrate a
+	// ascending order, so migrate can binary-search them. Moves migrate a
 	// radio between its source and destination buckets (swap-remove plus
 	// append); a touched bucket whose internal order broke is flagged in
-	// bucketDirty and re-sorted lazily by the next gather that reads it.
-	// Bucket storage is reused across rebuilds and migrations; emptied
+	// bucketDirty and re-sorted lazily by the next neighbor search that
+	// reads it. Bucket storage is reused across rebuilds and migrations; emptied
 	// buckets park their slots on freeSlots.
 	cells       map[cellKey]int
 	buckets     [][]int32
@@ -457,10 +482,6 @@ type Channel struct {
 	usedBuckets int
 	gridDirty   bool
 	fullRebuild bool
-	// frozen marks a partitioned channel: the grid is read concurrently
-	// by every lane, so radio placement must not change
-	// (ConfigurePartitions sets it; SetPos panics).
-	frozen bool
 }
 
 // cellKey addresses one grid cell (position divided by range, floored).
@@ -580,47 +601,92 @@ func (c *Channel) migrate(r *Radio, k cellKey) {
 	r.cell = k
 }
 
-// gather collects the IDs of every radio in the 3×3 cell block around
-// pos into lane l's scratch buffer, sorted ascending so delivery order
-// matches a full ID-order scan bit for bit. The grid itself is shared
-// across lanes but frozen before partitioned execution starts (no
-// mobility under partitioning), so concurrent gathers only read it.
+// collect appends to dst the IDs of the other radios within range of r,
+// unordered. They all lie in the 3×3 cell block around r.
 //
 //desalint:hotpath
-func (c *Channel) gather(l *lane, pos geom.Point) []int32 {
+func (c *Channel) collect(dst []int32, r *Radio) []int32 {
 	if c.gridDirty {
 		c.rebuildGrid()
 	}
-	center := c.cellOf(pos)
-	out := l.scratch[:0]
+	r2 := c.params.Range * c.params.Range
+	center := c.cellOf(r.pos)
 	for dx := int32(-1); dx <= 1; dx++ {
 		for dy := int32(-1); dy <= 1; dy++ {
-			if slot, ok := c.cells[cellKey{x: center.x + dx, y: center.y + dy}]; ok {
-				if c.bucketDirty[slot] {
-					// Restore the per-bucket sorted order broken by a
-					// migration's swap-remove or append. Only ever true on
-					// the sequential kernel: a partitioned channel rebuilds
-					// (clearing every flag) and then freezes placement, so
-					// concurrent gathers never write.
-					slices.Sort(c.buckets[slot])
-					c.bucketDirty[slot] = false
+			slot, ok := c.cells[cellKey{x: center.x + dx, y: center.y + dy}]
+			if !ok {
+				continue
+			}
+			if c.bucketDirty[slot] {
+				// Restore the per-bucket sorted order broken by a
+				// migration's swap-remove or append.
+				slices.Sort(c.buckets[slot])
+				c.bucketDirty[slot] = false
+			}
+			for _, id := range c.buckets[slot] {
+				if o := c.radios[id]; o != r && o.pos.Dist2(r.pos) <= r2 {
+					dst = append(dst, id)
 				}
-				out = append(out, c.buckets[slot]...)
 			}
 		}
 	}
-	slices.Sort(out)
-	l.scratch = out
-	return out
+	return dst
+}
+
+// inRange returns r's in-range list, rebuilding it when placement has
+// changed since it was built. The list is sorted ascending, so delivery
+// order matches a full ID-order scan bit for bit. A rebuild reuses the
+// radio's own capacity; one that outgrows it reallocates that radio's
+// list alone, and the cap on a first list keeps it from writing into a
+// neighbor's.
+//
+//desalint:hotpath
+func (c *Channel) inRange(r *Radio) []int32 {
+	switch r.rangeGen {
+	case c.placement:
+		return r.inRange
+	case 0:
+		c.buildFirstLists()
+		return r.inRange
+	}
+	list := c.collect(r.inRange[:0], r)
+	slices.Sort(list)
+	r.inRange, r.rangeGen = list, c.placement
+	return list
+}
+
+// buildFirstLists builds the in-range list of every radio that has never
+// had one. A counting pass sizes one shared backing exactly, and each
+// list is carved from it as a capped subslice, so the first lists of a
+// whole network cost one allocation (DESIGN.md §15).
+func (c *Channel) buildFirstLists() {
+	total := 0
+	for _, r := range c.radios {
+		if r.rangeGen == 0 {
+			c.scratch = c.collect(c.scratch[:0], r)
+			total += len(c.scratch)
+		}
+	}
+	back := make([]int32, 0, total)
+	for _, r := range c.radios {
+		if r.rangeGen != 0 {
+			continue
+		}
+		start := len(back)
+		back = c.collect(back, r)
+		list := back[start:len(back):len(back)]
+		slices.Sort(list)
+		r.inRange, r.rangeGen = list, c.placement
+	}
 }
 
 // allocSignal takes a recycled signal or makes a new one.
 //
 //desalint:hotpath
-func (l *lane) allocSignal(f Frame, power float64) *signal {
-	if n := len(l.freeSigs); n > 0 {
-		sig := l.freeSigs[n-1]
-		l.freeSigs = l.freeSigs[:n-1]
+func (c *Channel) allocSignal(f Frame, power float64) *signal {
+	if n := len(c.freeSigs); n > 0 {
+		sig := c.freeSigs[n-1]
+		c.freeSigs = c.freeSigs[:n-1]
 		*sig = signal{frame: f, power: power}
 		return sig
 	}
@@ -628,49 +694,48 @@ func (l *lane) allocSignal(f Frame, power float64) *signal {
 }
 
 // sigEvent delivers one signal edge (start or end) to one radio. Events
-// are pooled on the receiver's lane; an event recycles itself after
-// firing, and the end edge also recycles its signal (nothing references
-// a signal after signalEnd).
+// are pooled on the channel; an event recycles itself after firing, and
+// the end edge also recycles its signal (nothing references a signal
+// after signalEnd).
 type sigEvent struct {
-	lane *lane
-	dst  *Radio
-	sig  *signal
-	end  bool
+	dst *Radio
+	sig *signal
+	end bool
 }
 
 // Fire dispatches the signal edge and returns the event (and, on the end
-// edge, the signal) to the lane pools.
+// edge, the signal) to the channel pools.
 //
 //desalint:hotpath
 func (e *sigEvent) Fire() {
+	c := e.dst.ch
 	if e.end {
 		e.dst.signalEnd(e.sig)
-		e.lane.freeSigs = append(e.lane.freeSigs, e.sig)
+		c.freeSigs = append(c.freeSigs, e.sig)
 	} else {
 		e.dst.signalStart(e.sig)
 	}
 	e.sig = nil
 	e.dst = nil
-	e.lane.freeEvents = append(e.lane.freeEvents, e)
+	c.freeEvents = append(c.freeEvents, e)
 }
 
 // allocEvent takes a recycled delivery event or makes a new one.
 //
 //desalint:hotpath
-func (l *lane) allocEvent(dst *Radio, sig *signal, end bool) *sigEvent {
-	if n := len(l.freeEvents); n > 0 {
-		e := l.freeEvents[n-1]
-		l.freeEvents = l.freeEvents[:n-1]
+func (c *Channel) allocEvent(dst *Radio, sig *signal, end bool) *sigEvent {
+	if n := len(c.freeEvents); n > 0 {
+		e := c.freeEvents[n-1]
+		c.freeEvents = c.freeEvents[:n-1]
 		e.dst, e.sig, e.end = dst, sig, end
 		return e
 	}
-	return &sigEvent{lane: l, dst: dst, sig: sig, end: end}
+	return &sigEvent{dst: dst, sig: sig, end: end}
 }
 
 // navHintEvent delivers an out-of-beam frame header under the NAV-oracle
 // ablation.
 type navHintEvent struct {
-	lane  *lane
 	dst   *Radio
 	frame Frame
 }
@@ -679,25 +744,26 @@ type navHintEvent struct {
 //
 //desalint:hotpath
 func (e *navHintEvent) Fire() {
+	c := e.dst.ch
 	if h, ok := e.dst.handler.(NAVHinter); ok {
 		h.OnNAVHint(e.frame)
 	}
 	e.dst = nil
 	e.frame = Frame{}
-	e.lane.freeHints = append(e.lane.freeHints, e)
+	c.freeHints = append(c.freeHints, e)
 }
 
 // allocHint takes a recycled NAV-hint event or makes a new one.
 //
 //desalint:hotpath
-func (l *lane) allocHint(dst *Radio, f Frame) *navHintEvent {
-	if n := len(l.freeHints); n > 0 {
-		e := l.freeHints[n-1]
-		l.freeHints = l.freeHints[:n-1]
+func (c *Channel) allocHint(dst *Radio, f Frame) *navHintEvent {
+	if n := len(c.freeHints); n > 0 {
+		e := c.freeHints[n-1]
+		c.freeHints = c.freeHints[:n-1]
 		e.dst, e.frame = dst, f
 		return e
 	}
-	return &navHintEvent{lane: l, dst: dst, frame: f}
+	return &navHintEvent{dst: dst, frame: f}
 }
 
 // NewChannel creates a channel driven by the given scheduler.
@@ -705,20 +771,16 @@ func NewChannel(sched *des.Scheduler, params Params) (*Channel, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	return &Channel{
-		sched:  sched,
-		params: params,
-		lanes:  []*lane{newLane(sched)},
-	}, nil
+	return &Channel{sched: sched, params: params}, nil
 }
 
 // Params returns the channel configuration.
 func (c *Channel) Params() Params { return c.params }
 
 // SetFullRebuild forces the all-or-nothing reindex strategy: every
-// SetPos marks the whole index dirty and the next gather rebuilds it
-// from scratch, instead of migrating the moved radio between its source
-// and destination cells. Incremental migration is the default; the
+// SetPos marks the whole index dirty and the next neighbor search
+// rebuilds it from scratch, instead of migrating the moved radio between
+// its source and destination cells. Incremental migration is the default; the
 // forced mode exists for the differential mobility tests and the
 // mobility-churn benchmark baseline.
 func (c *Channel) SetFullRebuild(v bool) { c.fullRebuild = v }
@@ -731,10 +793,11 @@ func (c *Channel) SetMetrics(m Metrics) { c.metrics = m }
 // attachment order. The handler must be non-nil before the first event
 // fires; it may be set later via SetHandler to break construction cycles.
 func (c *Channel) AddRadio(pos geom.Point, handler Handler) *Radio {
-	r := &Radio{id: NodeID(len(c.radios)), pos: pos, ch: c, lane: c.lanes[0], handler: handler}
+	r := &Radio{id: NodeID(len(c.radios)), pos: pos, ch: c, handler: handler}
 	r.txDone.r = r
 	c.radios = append(c.radios, r)
 	c.gridDirty = true
+	c.placement++
 	return r
 }
 
@@ -751,11 +814,11 @@ func (c *Channel) AddRadios(positions []geom.Point) {
 		r.id = NodeID(len(c.radios))
 		r.pos = pos
 		r.ch = c
-		r.lane = c.lanes[0]
 		r.txDone.r = r
 		c.radios = append(c.radios, r)
 	}
 	c.gridDirty = true
+	c.placement++
 }
 
 // SetHandler installs the MAC handler for a radio.
@@ -776,33 +839,26 @@ func (c *Channel) NumRadios() int { return len(c.radios) }
 // the given frame type across the whole network. Because transmissions
 // overlap in space, the sum over types can exceed elapsed time — the
 // ratio Σ TxAirtime / elapsed is the network's spatial-reuse factor.
-// Accounting is kept per lane; getters sum over lanes (only valid
-// outside execution windows).
 func (c *Channel) TxAirtime(ft FrameType) des.Time {
-	var total des.Time
-	for _, l := range c.lanes {
-		total += l.txTime[ft]
+	if uint(ft) >= uint(numFrameTypes) {
+		return 0
 	}
-	return total
+	return c.txTime[ft]
 }
 
 // TxCount returns how many frames of the given type went on the air.
 func (c *Channel) TxCount(ft FrameType) int64 {
-	var total int64
-	for _, l := range c.lanes {
-		total += l.txCount[ft]
+	if uint(ft) >= uint(numFrameTypes) {
+		return 0
 	}
-	return total
+	return c.txCount[ft]
 }
 
 // TotalTxAirtime sums TxAirtime over every frame type.
 func (c *Channel) TotalTxAirtime() des.Time {
 	var total des.Time
-	for _, l := range c.lanes {
-		//desalint:commutative integer sum over des.Time; addition is order-independent
-		for _, t := range l.txTime {
-			total += t
-		}
+	for _, t := range c.txTime {
+		total += t
 	}
 	return total
 }
@@ -818,51 +874,32 @@ func (c *Channel) Neighbors(id NodeID) []NodeID {
 // NeighborsAppend appends the IDs of all radios within range of id to
 // dst (in ID order) and returns the extended slice. Passing a reused
 // buffer keeps bulk queries — one per node at build time — free of
-// per-call allocations. The result must be consumed before the next
-// gather on the channel (it is built from lane 0's scratch walk).
+// per-call allocations. The IDs come from the radio's in-range list,
+// which the call builds if placement changed since it was last built.
 func (c *Channel) NeighborsAppend(id NodeID, dst []NodeID) []NodeID {
 	self := c.Radio(id)
 	if self == nil {
 		return dst
 	}
-	r2 := c.params.Range * c.params.Range
-	for _, cand := range c.gather(c.lanes[0], self.pos) {
-		o := c.radios[cand]
-		if o.id != id && o.pos.Dist2(self.pos) <= r2 {
-			dst = append(dst, o.id)
-		}
+	for _, o := range c.inRange(self) {
+		dst = append(dst, NodeID(o))
 	}
 	return dst
 }
 
 // propagate schedules signal start/end at every radio that hears the
 // transmission: in range, inside the beam, and not the sender itself.
-// Candidates come from the spatial grid (the sender's cell block), and
-// the received-power computation is deferred until after the beam check —
-// out-of-beam neighbors never pay for a math.Pow. Receivers in another
-// lane get their deliveries staged on the source lane's outbox instead
-// of scheduled directly; FlushCross routes them between windows.
+// Candidates are the sender's in-range list, and the received-power
+// computation is deferred until after the beam check — out-of-beam
+// neighbors never pay for a math.Pow.
 //
 //desalint:hotpath
 func (c *Channel) propagate(src *Radio, f Frame, m Mode, airtime des.Time) {
-	l := src.lane
-	r2 := c.params.Range * c.params.Range
-	now := l.sched.Now()
-	for _, cand := range c.gather(l, src.pos) {
-		dst := c.radios[cand]
-		if dst.id == src.id {
-			continue
-		}
-		if dst.pos.Dist2(src.pos) > r2 {
-			continue
-		}
+	for _, id := range c.inRange(src) {
+		dst := c.radios[id]
 		if !m.Covers(src.pos.Bearing(dst.pos)) {
 			if c.params.NAVOracle {
-				if dst.lane == l {
-					l.sched.ScheduleEvent(c.params.PropDelay+airtime, l.allocHint(dst, f))
-				} else {
-					l.stage(dst, f, 0, now+c.params.PropDelay+airtime, 0, true)
-				}
+				c.sched.ScheduleEvent(c.params.PropDelay+airtime, c.allocHint(dst, f))
 			}
 			continue
 		}
@@ -874,12 +911,8 @@ func (c *Channel) propagate(src *Radio, f Frame, m Mode, airtime des.Time) {
 			}
 			power = m.Gain() / math.Pow(d, c.params.PathLoss)
 		}
-		if dst.lane != l {
-			l.stage(dst, f, power, now+c.params.PropDelay, now+c.params.PropDelay+airtime, false)
-			continue
-		}
-		sig := l.allocSignal(f, power)
-		l.sched.ScheduleEvent(c.params.PropDelay, l.allocEvent(dst, sig, false))
-		l.sched.ScheduleEvent(c.params.PropDelay+airtime, l.allocEvent(dst, sig, true))
+		sig := c.allocSignal(f, power)
+		c.sched.ScheduleEvent(c.params.PropDelay, c.allocEvent(dst, sig, false))
+		c.sched.ScheduleEvent(c.params.PropDelay+airtime, c.allocEvent(dst, sig, true))
 	}
 }

@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -252,6 +253,19 @@ func TestTransmitWhileBusyFails(t *testing.T) {
 	sched.RunAll()
 	if _, err := radios[0].Transmit(Frame{Type: Data, Bytes: 100}, Omni); err != nil {
 		t.Errorf("Transmit after completion should succeed, got %v", err)
+	}
+}
+
+// TestTransmitUnknownFrameType: airtime is accounted per frame type in
+// fixed arrays, so a type past Hello is refused rather than counted.
+func TestTransmitUnknownFrameType(t *testing.T) {
+	_, ch, radios, _ := rig(t, DefaultParams(), geom.Point{X: 0, Y: 0})
+	bad := FrameType(42)
+	if _, err := radios[0].Transmit(Frame{Type: bad, Bytes: 100}, Omni); !errors.Is(err, ErrFrameType) {
+		t.Fatalf("Transmit of %v: err %v, want ErrFrameType", bad, err)
+	}
+	if radios[0].Transmitting() || ch.TxCount(bad) != 0 || ch.TxAirtime(bad) != 0 {
+		t.Error("a refused frame left the radio transmitting or was counted")
 	}
 }
 

@@ -5,18 +5,10 @@ package server
 // enqueue onto a fixed-capacity channel drained by a fixed pool of
 // worker goroutines, and a full queue is reported to the caller (who
 // turns it into 429 + Retry-After) instead of being absorbed into
-// unbounded goroutines or latency.
-//
-// The worker pool shares one GOMAXPROCS-derived budget with each run's
-// intra-run partition workers, exactly like sim.Runner splits its shard
-// pool (DESIGN.md §14): pool = min(concurrency, budget) goroutines run
-// simulations, and every run gets budget/pool partition workers, so
-// concurrent partitioned runs never oversubscribe the machine
-// pool×partitions-fold. Worker counts are execution knobs only — results
-// are byte-identical for any split.
+// unbounded goroutines or latency. The pool size is an execution knob
+// only: results are byte-identical for any size.
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -85,24 +77,4 @@ func (q *queue) close() {
 	close(q.jobs)
 	q.mu.Unlock()
 	q.wg.Wait()
-}
-
-// splitBudget divides a total goroutine budget between concurrent
-// simulation executions and each execution's intra-run partition
-// workers, mirroring sim.Runner's shard split. A zero or negative total
-// means GOMAXPROCS; a zero or negative concurrency asks for the widest
-// pool the budget allows.
-func splitBudget(total, concurrency int) (pool, perRun int) {
-	if total <= 0 {
-		total = runtime.GOMAXPROCS(0)
-	}
-	pool = concurrency
-	if pool <= 0 || pool > total {
-		pool = total
-	}
-	perRun = total / pool
-	if perRun < 1 {
-		perRun = 1
-	}
-	return pool, perRun
 }

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"time"
 
 	"repro/internal/cache"
@@ -65,11 +66,8 @@ type Config struct {
 	// queue rejects with 429. Non-positive selects 64.
 	QueueCap int
 	// Concurrency is the number of simultaneous simulation executions;
-	// non-positive selects the full budget (one run per budgeted core).
+	// non-positive selects GOMAXPROCS (one run per core).
 	Concurrency int
-	// Budget is the total goroutine budget shared between concurrent runs
-	// and each run's intra-run partition workers (0 = GOMAXPROCS).
-	Budget int
 	// RetryAfter is the hint returned with 429 responses, in seconds;
 	// non-positive selects 1.
 	RetryAfter int
@@ -95,12 +93,10 @@ type Stats struct {
 	// but not started, and runs executing.
 	QueueDepth int `json:"queueDepth"`
 	Inflight   int `json:"inflight"`
-	// QueueCap, Concurrency and RunWorkers echo the resolved
-	// configuration: queue bound, worker-pool size, and the per-run
-	// intra-run worker share of the budget.
+	// QueueCap and Concurrency echo the resolved configuration: queue
+	// bound and worker-pool size.
 	QueueCap    int `json:"queueCap"`
 	Concurrency int `json:"concurrency"`
-	RunWorkers  int `json:"runWorkers"`
 }
 
 // Server is the daemon: an http.Handler plus the execution pool behind
@@ -109,7 +105,6 @@ type Server struct {
 	cfg        Config
 	queue      *queue
 	sf         group
-	perRun     int
 	retryAfter string
 
 	// runFn executes one scenario; tests substitute failures and
@@ -131,12 +126,12 @@ func New(cfg Config) *Server {
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = 1
 	}
-	pool, perRun := splitBudget(cfg.Budget, cfg.Concurrency)
-	cfg.Concurrency = pool
+	if cfg.Concurrency <= 0 {
+		cfg.Concurrency = runtime.GOMAXPROCS(0)
+	}
 	s := &Server{
 		cfg:        cfg,
-		queue:      newQueue(pool, cfg.QueueCap),
-		perRun:     perRun,
+		queue:      newQueue(cfg.Concurrency, cfg.QueueCap),
 		retryAfter: fmt.Sprint(cfg.RetryAfter),
 		runFn:      sim.RunScenario,
 		mux:        http.NewServeMux(),
@@ -170,7 +165,6 @@ func (s *Server) Stats() Stats {
 		Inflight:         s.queue.inflight(),
 		QueueCap:         s.cfg.QueueCap,
 		Concurrency:      s.cfg.Concurrency,
-		RunWorkers:       s.perRun,
 	}
 }
 
@@ -196,7 +190,7 @@ func (s *Server) runOnce(sc sim.Scenario) ([]byte, error) {
 	done := make(chan out, 1)
 	admitted := s.queue.submit(func() {
 		s.counters.executed.add(1)
-		res, err := s.runFn(sc, sim.Options{Workers: s.perRun})
+		res, err := s.runFn(sc, sim.Options{})
 		if err != nil {
 			done <- out{nil, err}
 			return
@@ -338,7 +332,7 @@ func (s *Server) streamTelemetry(w http.ResponseWriter, sc sim.Scenario) {
 	done := make(chan error, 1)
 	admitted := s.queue.submit(func() {
 		s.counters.executed.add(1)
-		_, err := s.runFn(sc, sim.Options{Workers: s.perRun, Telemetry: sink})
+		_, err := s.runFn(sc, sim.Options{Telemetry: sink})
 		done <- err
 	})
 	if !admitted {

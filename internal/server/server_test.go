@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -466,7 +467,7 @@ func TestBadRequests(t *testing.T) {
 
 // TestHealthzAndStats pins the probe endpoints' shapes.
 func TestHealthzAndStats(t *testing.T) {
-	_, ts := newTestServer(t, Config{QueueCap: 5, Concurrency: 1, Budget: 4})
+	_, ts := newTestServer(t, Config{QueueCap: 5, Concurrency: 1})
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -479,34 +480,20 @@ func TestHealthzAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := string(readBody(t, resp))
-	for _, want := range []string{`"cacheHits":0`, `"queueCap":5`, `"concurrency":1`, `"runWorkers":4`} {
+	for _, want := range []string{`"cacheHits":0`, `"queueCap":5`, `"concurrency":1`} {
 		if !strings.Contains(body, want) {
 			t.Errorf("stats body %s lacks %s", body, want)
 		}
 	}
 }
 
-// TestSplitBudget pins the PR 8 budget arithmetic the pool shares with
-// sim.Runner: pool × perRun never exceeds the total budget.
-func TestSplitBudget(t *testing.T) {
-	for _, tc := range []struct {
-		total, concurrency, pool, perRun int
-	}{
-		{8, 0, 8, 1},
-		{8, 2, 2, 4},
-		{8, 3, 3, 2},
-		{8, 16, 8, 1},
-		{1, 4, 1, 1},
-		{4, 1, 1, 4},
-	} {
-		pool, perRun := splitBudget(tc.total, tc.concurrency)
-		if pool != tc.pool || perRun != tc.perRun {
-			t.Errorf("splitBudget(%d, %d) = (%d, %d), want (%d, %d)",
-				tc.total, tc.concurrency, pool, perRun, tc.pool, tc.perRun)
-		}
-		if pool*perRun > tc.total && tc.total >= pool {
-			t.Errorf("splitBudget(%d, %d) oversubscribes: %d×%d", tc.total, tc.concurrency, pool, perRun)
-		}
+// TestDefaultConcurrency: a non-positive Concurrency runs one
+// simulation per core.
+func TestDefaultConcurrency(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	if got, want := s.Stats().Concurrency, runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("default concurrency %d, want GOMAXPROCS %d", got, want)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 
 	"repro/internal/cache"
 	"repro/internal/des"
@@ -47,11 +46,9 @@ type Options struct {
 	// bypass the cache — like Tracer, the sink's side effects cannot be
 	// replayed from a cached result.
 	Telemetry telemetry.Sink
-	// Workers bounds the OS goroutines executing a partitioned run
-	// (Scenario.Partition; 0 means GOMAXPROCS). It is a pure execution
-	// knob: the partition layout — and therefore the result — is derived
-	// from the scenario alone, byte-identical for any Workers value, so
-	// Workers is deliberately absent from the result cache key.
+	// Workers is ignored: every run executes on one scheduler. It stays
+	// so that callers written against the retired partitioned kernel
+	// still compile. Runner.Workers sizes the shard pool.
 	Workers int
 }
 
@@ -79,18 +76,11 @@ type Sim struct {
 	starters []SelfDriven
 	delayRes *stats.Reservoir
 	tel      *telemetryCollector
-	parts    []*des.Scheduler // partition schedulers; parts[0] == Sched (len > 1 iff partitioned)
-	workers  int
 }
 
-// Partitions reports how many event-queue partitions the build planned
-// (1 for the sequential kernel).
-func (s *Sim) Partitions() int {
-	if len(s.parts) > 1 {
-		return len(s.parts)
-	}
-	return 1
-}
+// Partitions reports how many event queues the run uses. It is always
+// 1: every run executes on one scheduler (DESIGN.md §14).
+func (s *Sim) Partitions() int { return 1 }
 
 // Result holds the per-run metrics for the measured inner nodes. Field
 // names are a stable contract: the kernel-determinism goldens are the
@@ -231,24 +221,6 @@ func Build(sc Scenario, opts Options) (*Sim, error) {
 	}
 	ch.AddRadios(topo.Positions)
 
-	// Partitioned kernel: split large static scenarios into per-region
-	// event queues (DESIGN.md §14). The layout depends only on the
-	// scenario; partition p>0 gets its own scheduler with a seed derived
-	// from the protocol stream's.
-	plan := planPartition(sc, opts, topo)
-	if phyParams.PropDelay <= 0 {
-		plan = nil // zero lookahead cannot guarantee round progress
-	}
-	scheds := []*des.Scheduler{sched}
-	if plan != nil {
-		for p := 1; p < plan.parts; p++ {
-			scheds = append(scheds, des.New(derivePartitionSeed(sc.Seed^0x5eed, p)))
-		}
-		if err := ch.ConfigurePartitions(scheds, plan.laneOf); err != nil {
-			return nil, err
-		}
-	}
-
 	var tables []*neighbor.Table
 	if sc.Ablations.HelloBootstrap {
 		tables, err = neighbor.Bootstrap(sched, ch, neighbor.DefaultHelloConfig())
@@ -318,8 +290,6 @@ func Build(sc Scenario, opts Options) (*Sim, error) {
 		Telemetry: telBuf,
 		delayRes:  delayRes,
 		tel:       tel,
-		parts:     scheds,
-		workers:   opts.Workers,
 	}
 	// Per-node assembly is allocation-lean (DESIGN.md §15): MAC nodes
 	// come from one backing array, and each node's neighbor list is
@@ -330,20 +300,12 @@ func Build(sc Scenario, opts Options) (*Sim, error) {
 	var nbBack []phy.NodeID
 	for i := 0; i < ch.NumRadios(); i++ {
 		id := phy.NodeID(i)
-		// Every node lives entirely on its partition's scheduler: its MAC
-		// timers, traffic arrivals and random draws all come from the
-		// owning lane, so a lane's event stream is self-contained between
-		// cross-partition flushes.
-		nodeSched := sched
-		if plan != nil {
-			nodeSched = scheds[plan.laneOf[i]]
-		}
 		var src mac.Source = traffic.Empty{}
 		start := len(nbBack)
 		nbBack = ch.NeighborsAppend(id, nbBack)
 		if nbs := nbBack[start:len(nbBack):len(nbBack)]; len(nbs) > 0 {
 			src, err = buildSource(TrafficEnv{
-				Sched: nodeSched, Rand: nodeSched.Rand(), Neighbors: nbs, Spec: trafficSpec,
+				Sched: sched, Rand: sched.Rand(), Neighbors: nbs, Spec: trafficSpec,
 			})
 			if err != nil {
 				return nil, err
@@ -354,7 +316,7 @@ func Build(sc Scenario, opts Options) (*Sim, error) {
 			nodeCfg.OnDelivery = func(d des.Time) { delayRes.Add(d.Seconds()) }
 		}
 		s.Nodes[i] = &nodeBacking[i]
-		if err := mac.NewInto(s.Nodes[i], nodeSched, ch.Radio(id), tables[i], src, nodeCfg); err != nil {
+		if err := mac.NewInto(s.Nodes[i], sched, ch.Radio(id), tables[i], src, nodeCfg); err != nil {
 			return nil, err
 		}
 		if sd, ok := src.(SelfDriven); ok {
@@ -397,26 +359,7 @@ func (s *Sim) Run() (*Result, error) {
 			return nil, err
 		}
 	}
-	if len(s.parts) > 1 {
-		// Partitioned kernel: conservative barrier windows with the PHY
-		// propagation delay as lookahead (the earliest cross-partition
-		// consequence of any event is a signal START edge one propagation
-		// delay later; airtime only extends the END edge). Workers is an
-		// execution knob only — the round structure is fixed by the
-		// layout, so any worker count produces identical results.
-		workers := s.workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		g := &des.Group{
-			Parts:     s.parts,
-			Lookahead: s.Channel.Params().PropDelay,
-			Flush:     s.Channel.FlushCross,
-		}
-		g.Run(start+duration, workers)
-	} else {
-		s.Sched.Run(start + duration)
-	}
+	s.Sched.Run(start + duration)
 	if s.tel != nil {
 		if err := s.tel.finish(s); err != nil {
 			return nil, err

@@ -29,7 +29,11 @@ import (
 // equal v2's with fast-forward off, but v2 caches hold fast-forward
 // results that diverged under mobility, stored under keys shared with
 // runs that had it off; none of them may be served.
-const EngineFingerprint = "repro-sim/v3"
+//
+// v4: one event kernel (DESIGN.md §14). Every run is sequential, and
+// results equal v3's with partition "off". v3 caches hold partitioned
+// results under keys that now mean the sequential run.
+const EngineFingerprint = "repro-sim/v4"
 
 // optionsFingerprint describes the cacheable Options state. Runs are
 // only cached when no runtime overrides are attached, so today this is
@@ -39,19 +43,12 @@ const optionsFingerprint = "default"
 
 // ScenarioKey computes the content address of a scenario's result:
 // SHA-256 over the canonical scenario bytes, the engine fingerprint and
-// the options fingerprint. FastForward is normalized away before
-// hashing: it is a validated no-op the kernel never reads, so a
-// scenario with it set is the same experiment as one without. Partition
-// "auto" is normalized to its synonym "" (the default); "off" is NOT
-// normalized, because forcing the sequential kernel changes results on
-// scenarios large enough to auto-partition. Options.Workers never
-// enters the key at all — the partition layout, and with it the result,
-// is worker-count independent.
+// the options fingerprint. FastForward and Partition are normalized
+// away before hashing: both are validated no-ops the kernel never reads,
+// so a scenario with either set is the same experiment as one without.
 func ScenarioKey(sc Scenario) (cache.Key, error) {
 	sc.FastForward = false
-	if sc.Partition == "auto" {
-		sc.Partition = ""
-	}
+	sc.Partition = ""
 	b, err := MarshalScenario(sc)
 	if err != nil {
 		return cache.Key{}, err

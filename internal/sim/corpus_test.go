@@ -6,14 +6,13 @@ package sim
 // one-timer countdown (DESIGN.md §12) must reproduce every digest; the
 // corpus spans every scheme, the PHY and MAC ablations, CBR and
 // waypoint mobility, delay sampling, telemetry down to one-slot
-// sampling, a one-slot neighbor refresh, and the partitioned kernel at
-// one and two workers.
+// sampling, a one-slot neighbor refresh, and uniform fields of 384 and
+// 1440 nodes.
 //
 // Each entry also pins the run's work as two exact counts: DES events
-// executed (summed over every partition scheduler) and frames put on
-// the air. They depend on neither the machine nor the worker count, so
-// a kernel change that keeps the bytes but does more work (say, a
-// return to per-slot ticks) fails here on any host. A change that
+// executed and frames put on the air. They do not depend on the
+// machine, so a kernel change that keeps the bytes but does more work
+// (say, a return to per-slot ticks) fails here on any host. A change that
 // moves a count on purpose regenerates the file and says why.
 // Regenerate (only for an intended behaviour or cost change) with:
 //
@@ -37,12 +36,10 @@ import (
 
 const corpusPath = "testdata/corpus/digests.json"
 
-// corpusCase is one corpus entry: a scenario plus the partition-worker
-// count it runs with.
+// corpusCase is one corpus entry.
 type corpusCase struct {
-	name    string
-	sc      Scenario
-	workers int
+	name string
+	sc   Scenario
 }
 
 // corpusDigest is the recorded fingerprint of one case.
@@ -60,7 +57,7 @@ func corpusCases(t *testing.T) []corpusCase {
 		return Scenario{Scheme: scheme, BeamwidthDeg: beam, Seed: seed, Duration: ms(400), Topology: TopologySpec{N: n}}
 	}
 	var cs []corpusCase
-	add := func(name string, sc Scenario) { cs = append(cs, corpusCase{name: name, sc: sc, workers: 1}) }
+	add := func(name string, sc Scenario) { cs = append(cs, corpusCase{name: name, sc: sc}) }
 
 	// Every scheme over the paper's density/beamwidth range.
 	for i, s := range []string{"ORTS-OCTS", "DRTS-DCTS", "DRTS-OCTS", "ORTS-DCTS"} {
@@ -204,9 +201,11 @@ func corpusCases(t *testing.T) []corpusCase {
 		add("telemetry_5ms_cbr_waypoint", sc)
 	}
 
-	// Committed scenario files, and the partitioned kernel at one and
-	// two workers.
-	for _, f := range []string{"paper-drts-dcts.json", "cbr-mobility.json", "grid-sinr-trace.json", "omni-baseline.json", "telemetry-trajectory.json"} {
+	// Committed scenario files, and two 1440-node fields. The 384-node
+	// parallel-uniform.json and the fields ran on the retired partitioned
+	// kernel until it was deleted; their digests equal that kernel's
+	// sequential runs (partition "off").
+	for _, f := range []string{"paper-drts-dcts.json", "cbr-mobility.json", "grid-sinr-trace.json", "omni-baseline.json", "telemetry-trajectory.json", "parallel-uniform.json"} {
 		sc, err := LoadScenario(filepath.Join("testdata", f))
 		if err != nil {
 			t.Fatal(err)
@@ -216,18 +215,11 @@ func corpusCases(t *testing.T) []corpusCase {
 		}
 		add("file_"+f, sc)
 	}
-	par, err := LoadScenario(filepath.Join("testdata", "parallel-uniform.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{1, 2} {
-		cs = append(cs, corpusCase{name: fmt.Sprintf("parallel_uniform_w%d", w), sc: par, workers: w})
-		// 1440-node fields whose bytes depend on the partition windows
-		// matching the per-slot kernel's (des.Scheduler.NextAt).
-		for _, seed := range []int64{2, 4} {
-			field := Scenario{Scheme: "DRTS-DCTS", BeamwidthDeg: 60, Seed: seed, Duration: ms(20), Topology: TopologySpec{Kind: "uniform", N: 10, Rings: 12}}
-			cs = append(cs, corpusCase{name: fmt.Sprintf("partitioned_field_s%d_w%d", seed, w), sc: field, workers: w})
-		}
+	for _, seed := range []int64{2, 4} {
+		add(fmt.Sprintf("field_1440_s%d", seed), Scenario{
+			Scheme: "DRTS-DCTS", BeamwidthDeg: 60, Seed: seed, Duration: ms(20),
+			Topology: TopologySpec{Kind: "uniform", N: 10, Rings: 12},
+		})
 	}
 	return cs
 }
@@ -237,7 +229,7 @@ func corpusCases(t *testing.T) []corpusCase {
 func runCorpusCase(c corpusCase) (corpusDigest, error) {
 	var buf bytes.Buffer
 	w := telemetry.NewWriter(&buf)
-	s, err := Build(c.sc, Options{Workers: c.workers, Telemetry: w})
+	s, err := Build(c.sc, Options{Telemetry: w})
 	if err != nil {
 		return corpusDigest{}, err
 	}
@@ -252,12 +244,9 @@ func runCorpusCase(c corpusCase) (corpusDigest, error) {
 	if err != nil {
 		return corpusDigest{}, err
 	}
-	d := corpusDigest{Name: c.name, Result: sha256Hex(b)}
+	d := corpusDigest{Name: c.name, Result: sha256Hex(b), Events: s.Sched.Executed()}
 	if c.sc.Telemetry.Enabled() {
 		d.Telemetry = sha256Hex(buf.Bytes())
-	}
-	for _, p := range s.parts {
-		d.Events += p.Executed()
 	}
 	for _, ft := range []phy.FrameType{phy.RTS, phy.CTS, phy.Data, phy.ACK, phy.Hello} {
 		d.Frames += s.Channel.TxCount(ft)

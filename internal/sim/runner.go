@@ -42,18 +42,13 @@ func Shard(base Scenario, i int) Scenario {
 
 // Runner executes scenario shards on a bounded worker pool.
 type Runner struct {
-	// Workers is the runner's TOTAL goroutine budget (0 means
-	// GOMAXPROCS), shared between the shard pool and each shard's
-	// intra-run partition workers: the pool takes min(Workers, shards)
-	// goroutines and each shard gets Workers/pool partition workers.
-	// Without the split, a sweep of partitioned scenarios would
-	// oversubscribe the machine pool×partitions-fold. A fixed pool
-	// pulling shard indices from a channel keeps a whole sweep from
-	// allocating one parked goroutine per topology.
+	// Workers bounds the shard pool (0 means GOMAXPROCS); the pool
+	// takes min(Workers, shards) goroutines. A fixed pool pulling shard
+	// indices from a channel keeps a whole sweep from allocating one
+	// parked goroutine per topology. Results never depend on it.
 	Workers int
 	// Options is passed to every shard's Build. Callers attaching a
-	// Tracer must make it safe for concurrent use. A non-zero
-	// Options.Workers overrides the per-shard share of the budget.
+	// Tracer must make it safe for concurrent use.
 	Options Options
 }
 
@@ -67,23 +62,12 @@ func (r Runner) Run(base Scenario, shards int) ([]*Result, error) {
 	if err := base.Validate(); err != nil {
 		return nil, err
 	}
-	total := r.Workers
-	if total <= 0 {
-		total = runtime.GOMAXPROCS(0)
+	workers := r.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	workers := total
 	if workers > shards {
 		workers = shards
-	}
-	// Split the budget: pool goroutines run shards, and each shard's
-	// partitioned kernel (if its scenario partitions) gets an equal share
-	// of what's left per slot, so pool × intra-run workers ≈ total.
-	baseOpts := r.Options
-	if baseOpts.Workers == 0 {
-		baseOpts.Workers = total / workers
-		if baseOpts.Workers < 1 {
-			baseOpts.Workers = 1
-		}
 	}
 	results := make([]*Result, shards)
 	// When the caller attached a telemetry sink, each shard streams into
@@ -121,7 +105,7 @@ func (r Runner) Run(base Scenario, shards int) ([]*Result, error) {
 					// goroutine scheduling.
 					continue
 				}
-				opts := baseOpts
+				opts := r.Options
 				if telBufs != nil {
 					opts.Telemetry = telBufs[i]
 				}

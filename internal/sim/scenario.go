@@ -188,16 +188,10 @@ type Scenario struct {
 	// countdown already runs as one exact timer (DESIGN.md §12). The
 	// result cache key normalizes it away.
 	FastForward bool `json:"fastforward,omitempty"`
-	// Partition controls the grid-partitioned parallel kernel
-	// (DESIGN.md §14). "" or "auto" lets large static scenarios split
-	// into per-region event queues executed by Options.Workers
-	// goroutines; "off" forces the single sequential queue. The layout
-	// is derived from the scenario alone — never from the worker count —
-	// so a partitioned run is byte-identical for any Workers value. A
-	// partitioned layout CAN legitimately differ from the sequential
-	// kernel on scenarios large enough to split (independent per-region
-	// random streams), which is why the switch lives in the scenario and
-	// its cache key rather than in runtime Options.
+	// Partition is accepted for compatibility with existing scenario
+	// files and clients ("", "auto" or "off"), validated, and otherwise
+	// ignored: every run executes on one scheduler (DESIGN.md §14). The
+	// result cache key normalizes it away.
 	Partition string `json:"partition,omitempty"`
 }
 
