@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build lint lint-budget lint-extra test bench bench-compare fmt-check scenarios sweep-cached telemetry-smoke countdown-smoke scale-smoke simd-smoke
+.PHONY: all build lint lint-budget lint-extra test bench bench-compare perfbench-check fmt-check scenarios sweep-cached telemetry-smoke countdown-smoke scale-smoke simd-smoke
 
 all: build lint test
 
@@ -82,6 +82,15 @@ bench-compare:
 			|| { cat $$dir/$$run.txt; exit 1; }; \
 	done; \
 	awk -f benchcmp.awk side=base $$dir/base.1.txt $$dir/base.2.txt side=head $$dir/head.1.txt $$dir/head.2.txt
+
+# perfbench (the repo benchmark) is its own module, repro/perfbench, so
+# the root `go build/vet/test ./...` never compile it. This target vets
+# and tests it against the working tree (its go.mod replaces repro with
+# ../), so a change to an API it uses fails here rather than in the
+# benchmark run.
+perfbench-check:
+	$(GO) -C perfbench vet .
+	$(GO) -C perfbench test .
 
 # The incremental-sweep loop: the same reduced fig6 sweep twice through
 # one content-addressed cache. The second pass must be served entirely

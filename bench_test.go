@@ -31,13 +31,13 @@ import (
 )
 
 // benchSim is the reduced standard cell used by the figure benches.
-func benchSim(scheme core.Scheme, n int, beamDeg float64) experiments.SimConfig {
-	return experiments.SimConfig{
-		Scheme:       scheme,
+func benchSim(scheme core.Scheme, n int, beamDeg float64) sim.Scenario {
+	return sim.Scenario{
+		Scheme:       scheme.String(),
 		BeamwidthDeg: beamDeg,
-		N:            n,
 		Seed:         1,
-		Duration:     500 * des.Millisecond,
+		Duration:     sim.Duration(500 * des.Millisecond),
+		Topology:     sim.TopologySpec{N: n},
 	}
 }
 
@@ -70,7 +70,7 @@ func BenchmarkFig6(b *testing.B) {
 		b.Run(s.String(), func(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunSim(benchSim(s, 8, 30))
+				res, err := sim.RunScenario(benchSim(s, 8, 30), sim.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -87,7 +87,7 @@ func BenchmarkFig7(b *testing.B) {
 		b.Run(s.String(), func(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunSim(benchSim(s, 8, 30))
+				res, err := sim.RunScenario(benchSim(s, 8, 30), sim.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -106,7 +106,7 @@ func BenchmarkCollisionRatio(b *testing.B) {
 		b.Run(s.String(), func(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunSim(benchSim(s, 8, 30))
+				res, err := sim.RunScenario(benchSim(s, 8, 30), sim.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -124,7 +124,7 @@ func BenchmarkFairness(b *testing.B) {
 		b.Run(map[float64]string{30: "narrow30", 150: "wide150"}[beam], func(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunSim(benchSim(core.DRTSDCTS, 5, beam))
+				res, err := sim.RunScenario(benchSim(core.DRTSDCTS, 5, beam), sim.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -142,8 +142,8 @@ func BenchmarkLoadSweep(b *testing.B) {
 	var last float64
 	for i := 0; i < b.N; i++ {
 		cfg := benchSim(core.DRTSDCTS, 5, 30)
-		cfg.OfferedLoadBps = 100_000
-		res, err := experiments.RunSim(cfg)
+		cfg.Traffic = sim.TrafficSpec{Kind: "cbr", OfferedLoadBps: 100_000}
+		res, err := sim.RunScenario(cfg, sim.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -165,8 +165,8 @@ func BenchmarkAblationBasicAccess(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
 				cfg := benchSim(core.ORTSOCTS, 8, 0)
-				cfg.BasicAccess = basic
-				res, err := experiments.RunSim(cfg)
+				cfg.Ablations.BasicAccess = basic
+				res, err := sim.RunScenario(cfg, sim.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -190,8 +190,8 @@ func BenchmarkAblationCapture(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
 				cfg := benchSim(core.DRTSDCTS, 8, 30)
-				cfg.Capture = capture
-				res, err := experiments.RunSim(cfg)
+				cfg.PHY.Capture = capture
+				res, err := sim.RunScenario(cfg, sim.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -215,8 +215,8 @@ func BenchmarkAblationOracleNAV(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
 				cfg := benchSim(core.DRTSDCTS, 8, 30)
-				cfg.NAVOracle = oracle
-				res, err := experiments.RunSim(cfg)
+				cfg.PHY.NAVOracle = oracle
+				res, err := sim.RunScenario(cfg, sim.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -239,8 +239,8 @@ func BenchmarkAblationEIFS(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
 				cfg := benchSim(core.ORTSOCTS, 8, 0)
-				cfg.DisableEIFS = disable
-				res, err := experiments.RunSim(cfg)
+				cfg.Ablations.DisableEIFS = disable
+				res, err := sim.RunScenario(cfg, sim.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -381,8 +381,7 @@ func BenchmarkScenarioCache(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cfg := benchSim(core.DRTSDCTS, 5, 90)
 			cfg.Seed = int64(i + 1) // unique key per iteration: all misses
-			cfg.Cache = store
-			if _, err := experiments.RunSim(cfg); err != nil {
+			if _, err := sim.RunScenario(cfg, sim.Options{Cache: store}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -393,13 +392,13 @@ func BenchmarkScenarioCache(b *testing.B) {
 			b.Fatal(err)
 		}
 		cfg := benchSim(core.DRTSDCTS, 5, 90)
-		cfg.Cache = store
-		if _, err := experiments.RunSim(cfg); err != nil { // populate
+		opts := sim.Options{Cache: store}
+		if _, err := sim.RunScenario(cfg, opts); err != nil { // populate
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := experiments.RunSim(cfg); err != nil {
+			if _, err := sim.RunScenario(cfg, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -414,8 +413,8 @@ func BenchmarkScenarioCache(b *testing.B) {
 func BenchmarkSimulationSecond(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchSim(core.DRTSDCTS, 5, 90)
-		cfg.Duration = des.Second
-		if _, err := experiments.RunSim(cfg); err != nil {
+		cfg.Duration = sim.Duration(des.Second)
+		if _, err := sim.RunScenario(cfg, sim.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -429,8 +428,8 @@ func BenchmarkSimulationSecond(b *testing.B) {
 func BenchmarkTelemetryOff(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchSim(core.DRTSDCTS, 5, 90)
-		cfg.Duration = des.Second
-		if _, err := experiments.RunSim(cfg); err != nil {
+		cfg.Duration = sim.Duration(des.Second)
+		if _, err := sim.RunScenario(cfg, sim.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -443,10 +442,9 @@ func BenchmarkTelemetryOff(b *testing.B) {
 func BenchmarkTelemetryOn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchSim(core.DRTSDCTS, 5, 90)
-		cfg.Duration = des.Second
-		cfg.TelemetryInterval = 10 * des.Millisecond
-		cfg.Telemetry = telemetry.Discard{}
-		if _, err := experiments.RunSim(cfg); err != nil {
+		cfg.Duration = sim.Duration(des.Second)
+		cfg.Telemetry.Interval = sim.Duration(10 * des.Millisecond)
+		if _, err := sim.RunScenario(cfg, sim.Options{Telemetry: telemetry.Discard{}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -589,9 +587,10 @@ func BenchmarkMobilitySweep(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
 				cfg := benchSim(core.DRTSDCTS, 5, 30)
-				cfg.MaxSpeed = speed
-				cfg.RefreshInterval = des.Second
-				res, err := experiments.RunSim(cfg)
+				if speed > 0 {
+					cfg.Mobility = sim.MobilitySpec{Kind: "waypoint", MaxSpeed: speed, RefreshInterval: sim.Duration(des.Second)}
+				}
+				res, err := sim.RunScenario(cfg, sim.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -615,8 +614,8 @@ func BenchmarkAblationSINR(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
 				cfg := benchSim(core.DRTSDCTS, 8, 30)
-				cfg.SINR = sinr
-				res, err := experiments.RunSim(cfg)
+				cfg.PHY.SINR = sinr
+				res, err := sim.RunScenario(cfg, sim.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -633,8 +632,8 @@ func BenchmarkAblationSINR(b *testing.B) {
 func BenchmarkModelVsSim(b *testing.B) {
 	var rho float64
 	for i := 0; i < b.N; i++ {
-		base := experiments.SimConfig{Seed: 1, Duration: 500 * des.Millisecond}
-		rows, err := experiments.ModelVsSim(base, []int{8}, []float64{30}, 1)
+		base := sim.Scenario{Seed: 1, Duration: sim.Duration(500 * des.Millisecond)}
+		rows, err := experiments.ModelVsSim(sim.Runner{}, base, []int{8}, []float64{30}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -656,12 +655,11 @@ func BenchmarkAdaptiveRTS(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
 				cfg := benchSim(core.DRTSDCTS, 5, 30)
-				cfg.MaxSpeed = 1.0
-				cfg.RefreshInterval = des.Second
+				cfg.Mobility = sim.MobilitySpec{Kind: "waypoint", MaxSpeed: 1.0, RefreshInterval: sim.Duration(des.Second)}
 				if adaptive {
-					cfg.AdaptiveRTS = 200 * des.Millisecond
+					cfg.Ablations.AdaptiveRTS = sim.Duration(200 * des.Millisecond)
 				}
-				res, err := experiments.RunSim(cfg)
+				res, err := sim.RunScenario(cfg, sim.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

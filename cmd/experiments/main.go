@@ -19,6 +19,12 @@
 // cell; use -topologies and -duration to trade fidelity for time. Use
 // -csv to emit machine-readable output alongside the tables.
 //
+// -scenario FILE replaces the flag-built base scenario with a file. The
+// base may leave scheme, topology.n and beamwidthDeg unset: each study
+// fills the fields it varies, and the studies that fix a density or a
+// beamwidth fill those only where the base leaves them zero. Every
+// other field of the file reaches every simulated cell.
+//
 // Example (full paper reproduction, ~minutes):
 //
 //	experiments -run all -topologies 50 -duration 10s
@@ -35,7 +41,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/des"
 	"repro/internal/experiments"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -58,7 +63,7 @@ func run(args []string) error {
 		csv          = fs.Bool("csv", false, "also emit CSV blocks")
 		jsonOut      = fs.Bool("json", false, "also emit JSON blocks")
 		svgDir       = fs.String("svg", "", "directory to write figure SVGs into (created if missing)")
-		scenarioPath = fs.String("scenario", "", "base scenario JSON overriding -seed/-duration (and N/beamwidth where a study allows)")
+		scenarioPath = fs.String("scenario", "", "base scenario JSON replacing -seed/-duration; may leave scheme, topology.n and beamwidthDeg for the studies to fill")
 		dump         = fs.Bool("dump-scenario", false, "print the base scenario as canonical JSON and exit")
 		cacheDir     = fs.String("cache", "", "directory for the content-addressed result cache (repeat sweeps are served from it)")
 		cacheStats   = fs.Bool("cache-stats", false, "print cache hit/miss/eviction counters on exit (requires -cache)")
@@ -74,30 +79,22 @@ func run(args []string) error {
 		return fmt.Errorf("-cache-stats requires -cache DIR")
 	}
 
-	baseCfg := experiments.SimConfig{
-		Seed:     *seed,
-		Duration: des.Time(duration.Nanoseconds()),
-	}
+	// The base is not validated here: it may be partial, and the Runner
+	// validates every cell before any of its shards runs.
+	base := sim.Scenario{Seed: *seed, Duration: sim.Duration(duration.Nanoseconds())}
 	if *scenarioPath != "" {
-		sc, err := sim.LoadScenario(*scenarioPath)
-		if err != nil {
-			return err
-		}
-		if err := sc.Validate(); err != nil {
-			return err
-		}
-		baseCfg, err = experiments.ConfigFromScenario(sc)
-		if err != nil {
+		var err error
+		if base, err = sim.LoadScenario(*scenarioPath); err != nil {
 			return err
 		}
 	}
-	baseCfg.Workers = *workers
+	runner := sim.Runner{Workers: *workers}
 	if *cacheDir != "" {
 		store, err := cache.NewStore(*cacheDir, 0)
 		if err != nil {
 			return err
 		}
-		baseCfg.Cache = store
+		runner.Options.Cache = store
 		if *cacheStats {
 			defer func() {
 				st := store.Stats()
@@ -107,19 +104,19 @@ func run(args []string) error {
 		}
 	}
 	if *dump {
-		return sim.WriteScenario(os.Stdout, baseCfg.Scenario())
+		return sim.WriteScenario(os.Stdout, base)
 	}
 	// Studies that fix their own density/beamwidth fill them only when
 	// the base does not supply one, so a scenario file stays in charge.
-	withDefaults := func(n int, beamDeg float64) experiments.SimConfig {
-		cfg := baseCfg
-		if cfg.N == 0 {
-			cfg.N = n
+	withDefaults := func(n int, beamDeg float64) sim.Scenario {
+		sc := base
+		if sc.Topology.N == 0 {
+			sc.Topology.N = n
 		}
-		if cfg.BeamwidthDeg == 0 {
-			cfg.BeamwidthDeg = beamDeg
+		if sc.BeamwidthDeg == 0 {
+			sc.BeamwidthDeg = beamDeg
 		}
-		return cfg
+		return sc
 	}
 
 	var mkSVG func(name string) (io.WriteCloser, error)
@@ -172,18 +169,19 @@ func run(args []string) error {
 	}
 
 	if targets["trajectory"] {
-		base := withDefaults(5, 30)
-		if base.Scheme == 0 {
-			base.Scheme = core.DRTSDCTS
+		sc := withDefaults(5, 30)
+		if sc.Scheme == "" {
+			sc.Scheme = core.DRTSDCTS.String()
 		}
-		base.TelemetryInterval = des.Time(telInterval.Nanoseconds())
+		sc.Telemetry.Interval = sim.Duration(telInterval.Nanoseconds())
 		f, err := os.Create(*telPath)
 		if err != nil {
 			return err
 		}
 		w := telemetry.NewWriter(f)
-		base.Telemetry = w
-		res, err := experiments.RunSim(base)
+		opts := runner.Options
+		opts.Telemetry = w
+		res, err := sim.RunScenario(sc, opts)
 		if err != nil {
 			f.Close()
 			return err
@@ -195,8 +193,9 @@ func run(args []string) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
+		scheme, _ := sc.ResolvedScheme() // valid: the run succeeded
 		fmt.Printf("trajectory study: %s N=%d θ=%g° seed=%d, sampled every %v for %v\n",
-			base.Scheme, base.N, base.BeamwidthDeg, base.Seed, *telInterval, time.Duration(base.Duration))
+			scheme, sc.Topology.N, sc.BeamwidthDeg, sc.Seed, *telInterval, time.Duration(sc.Duration))
 		fmt.Printf("  final mean throughput %.1f Kb/s, collision ratio %.3f, Jain %.3f\n",
 			res.MeanThroughputBps()/1000, res.MeanCollisionRatio(), res.Jain)
 		fmt.Printf("  export written to %s (inspect with: simtrace summarize %s)\n", *telPath, *telPath)
@@ -204,9 +203,7 @@ func run(args []string) error {
 	}
 
 	if targets["loadsweep"] {
-		base := withDefaults(5, 30)
-		base.Scheme = core.ORTSOCTS // overwritten per cell
-		cells, err := experiments.LoadSweep(base, core.Schemes(), experiments.PaperLoads(), *topos)
+		cells, err := experiments.LoadSweep(runner, withDefaults(5, 30), core.Schemes(), experiments.PaperLoads(), *topos)
 		if err != nil {
 			return err
 		}
@@ -217,7 +214,7 @@ func run(args []string) error {
 	}
 
 	if targets["reuse"] {
-		cells, err := experiments.ReuseStudy(baseCfg, core.Schemes(), 8, []float64{30, 90, 150}, *topos)
+		cells, err := experiments.ReuseStudy(runner, base, core.Schemes(), 8, []float64{30, 90, 150}, *topos)
 		if err != nil {
 			return err
 		}
@@ -228,8 +225,7 @@ func run(args []string) error {
 	}
 
 	if targets["delaycdf"] {
-		base := withDefaults(8, 30)
-		rows, err := experiments.DelayCDF(base, core.Schemes(), []float64{10, 50, 90, 95, 99})
+		rows, err := experiments.DelayCDF(runner, withDefaults(8, 30), core.Schemes(), []float64{10, 50, 90, 95, 99})
 		if err != nil {
 			return err
 		}
@@ -241,7 +237,7 @@ func run(args []string) error {
 
 	if targets["modelvssim"] {
 		ns, beams := experiments.PaperGrid()
-		rows, err := experiments.ModelVsSim(baseCfg, ns, beams, *topos)
+		rows, err := experiments.ModelVsSim(runner, base, ns, beams, *topos)
 		if err != nil {
 			return err
 		}
@@ -252,8 +248,7 @@ func run(args []string) error {
 	}
 
 	if targets["mobility"] {
-		base := withDefaults(5, 30)
-		cells, err := experiments.MobilitySweep(base, core.Schemes(), experiments.PaperSpeeds(), *topos)
+		cells, err := experiments.MobilitySweep(runner, withDefaults(5, 30), core.Schemes(), experiments.PaperSpeeds(), *topos)
 		if err != nil {
 			return err
 		}
@@ -273,12 +268,12 @@ func run(args []string) error {
 
 	ns, beams := experiments.PaperGrid()
 	fmt.Printf("running simulation grid: %d N × %d beamwidths × 3 schemes × %d topologies, %v each...\n\n",
-		len(ns), len(beams), *topos, baseCfg.Duration)
+		len(ns), len(beams), *topos, base.Duration)
 	var cells []experiments.GridCell
 	var err error
 	if *pruneMargin > 0 {
 		var verdicts []experiments.PruneVerdict
-		cells, verdicts, err = experiments.RunGridPruned(baseCfg, core.Schemes(), ns, beams, *topos, *pruneMargin)
+		cells, verdicts, err = experiments.RunGridPruned(runner, base, core.Schemes(), ns, beams, *topos, *pruneMargin)
 		if err != nil {
 			return err
 		}
@@ -292,7 +287,7 @@ func run(args []string) error {
 		}
 		fmt.Printf("pre-sweep pruning: simulated %d of %d cells\n\n", len(cells), len(verdicts))
 	} else {
-		cells, err = experiments.RunGrid(baseCfg, core.Schemes(), ns, beams, *topos)
+		cells, err = experiments.Grid(runner, base, core.Schemes(), ns, beams, *topos)
 		if err != nil {
 			return err
 		}

@@ -120,3 +120,86 @@ func TestScenarioBaseConfig(t *testing.T) {
 		t.Errorf("delaycdf output missing: %q", out[:min(len(out), 300)])
 	}
 }
+
+// TestScenarioDumpKeepsEveryField: -scenario takes the file as the base
+// verbatim, so -dump-scenario prints exactly its canonical form. Fields
+// no study varies (the name, the ring layout, the queue bound, the
+// telemetry cardinality cap) reach every cell.
+func TestScenarioDumpKeepsEveryField(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "base.json")
+	spec := `{"name":"wide","scheme":"DRTS-DCTS","beamwidthDeg":60,"seed":5,"duration":"150ms",
+		"topology":{"n":3,"radius":2,"rings":5},"traffic":{"queueCap":8},
+		"telemetry":{"interval":"10ms","maxNodes":2}}`
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := sim.LoadScenario(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sim.MarshalScenario(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := capture(t, func() error { return run([]string{"-scenario", path, "-dump-scenario"}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want) {
+		t.Errorf("-dump-scenario lost fields of the file:\n got %s\nwant %s", out, want)
+	}
+}
+
+// TestDumpedBaseFeedsBack: the base -dump-scenario prints from flags
+// leaves scheme, topology.n and beamwidthDeg for the studies to fill,
+// and -scenario accepts it back: the fig6 tables are the flag run's.
+func TestDumpedBaseFeedsBack(t *testing.T) {
+	flags := []string{"-seed", "3", "-duration", "50ms"}
+	dump, err := capture(t, func() error { return run(append(flags, "-dump-scenario")) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "base.json")
+	if err := os.WriteFile(path, []byte(dump), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	study := []string{"-run", "fig6", "-topologies", "1"}
+	viaFlags, err := capture(t, func() error { return run(append(flags, study...)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaFile, err := capture(t, func() error {
+		return run(append([]string{"-scenario", path, "-duration", "50ms"}, study...))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if viaFile != viaFlags {
+		t.Errorf("dumped base ran a different sweep\n--- flags ---\n%s--- file ---\n%s", viaFlags, viaFile)
+	}
+}
+
+// TestInvalidBaseFailsBeforeSimulating: the base is not validated up
+// front, but the first grid cell is, before any of its shards runs, so
+// nothing reaches the cache.
+func TestInvalidBaseFailsBeforeSimulating(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "base.json")
+	if err := os.WriteFile(path, []byte(`{"seed":1,"duration":"50ms","topology":{"n":0,"rings":-1}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cacheDir := filepath.Join(dir, "cache")
+	_, err := capture(t, func() error {
+		return run([]string{"-scenario", path, "-run", "fig6", "-topologies", "1", "-cache", cacheDir})
+	})
+	if err == nil || !strings.Contains(err.Error(), "topology.rings") {
+		t.Fatalf("want a topology.rings validation error, got %v", err)
+	}
+	entries, err := os.ReadDir(cacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Errorf("cache holds %d entries: a cell ran before validation failed", len(entries))
+	}
+}

@@ -73,24 +73,26 @@ func run(args []string) error {
 			return err
 		}
 	} else {
+		// The scheme is written in its canonical spelling, so a dumped
+		// scenario does not depend on how the flag spelled it.
 		scheme, err := core.ParseScheme(*schemeName)
 		if err != nil {
 			return err
 		}
-		sc = experiments.SimConfig{
-			Scheme:         scheme,
-			BeamwidthDeg:   *beamDeg,
-			N:              *n,
-			TopologyKind:   *topoKind,
-			Seed:           *seed,
-			Duration:       des.Time(duration.Nanoseconds()),
-			PacketBytes:    *packet,
-			HelloBootstrap: *hello,
-			Capture:        *capture,
-			NAVOracle:      *oracle,
-			DisableEIFS:    *noEIFS,
-			AdaptiveRTS:    des.Time(adaptive.Nanoseconds()),
-		}.Scenario()
+		sc = sim.Scenario{
+			Scheme:       scheme.String(),
+			BeamwidthDeg: *beamDeg,
+			Seed:         *seed,
+			Duration:     sim.Duration(duration.Nanoseconds()),
+			Topology:     sim.TopologySpec{Kind: *topoKind, N: *n},
+			Traffic:      sim.TrafficSpec{PacketBytes: *packet},
+			PHY:          sim.PHYSpec{Capture: *capture, NAVOracle: *oracle},
+			Ablations: sim.AblationSpec{
+				DisableEIFS:    *noEIFS,
+				HelloBootstrap: *hello,
+				AdaptiveRTS:    sim.Duration(adaptive.Nanoseconds()),
+			},
+		}
 	}
 	// -telemetry turns on sampling (unless the scenario file already did)
 	// and streams the export to the named file. The sink plugs into both

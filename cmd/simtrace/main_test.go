@@ -7,29 +7,27 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/des"
-	"repro/internal/experiments"
 	"repro/internal/phy"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
 // export runs a small simulation with telemetry and returns the run's
 // result plus the raw JSONL export bytes.
-func export(t *testing.T) (*experiments.SimResult, []byte) {
+func export(t *testing.T) (*sim.Result, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
 	w := telemetry.NewWriter(&buf)
-	res, err := experiments.RunSim(experiments.SimConfig{
-		Scheme:            core.DRTSDCTS,
-		BeamwidthDeg:      60,
-		N:                 3,
-		Seed:              7,
-		Duration:          300 * des.Millisecond,
-		TelemetryInterval: 10 * des.Millisecond,
-		Telemetry:         w,
-	})
+	res, err := sim.RunScenario(sim.Scenario{
+		Scheme:       "DRTS-DCTS",
+		BeamwidthDeg: 60,
+		Seed:         7,
+		Duration:     sim.Duration(300 * des.Millisecond),
+		Topology:     sim.TopologySpec{N: 3},
+		Telemetry:    sim.TelemetrySpec{Interval: sim.Duration(10 * des.Millisecond)},
+	}, sim.Options{Telemetry: w})
 	if err != nil {
 		t.Fatal(err)
 	}

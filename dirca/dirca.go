@@ -11,18 +11,20 @@
 //     Throughput, MaxThroughput and Fig5Table.
 //
 //   - The discrete-event simulator (Section 4): a full IEEE 802.11 DCF
-//     implementation with directional-transmission variants on the
-//     paper's concentric-ring topologies, via Simulate, SimulateBatch and
-//     SimulateGrid.
+//     implementation with directional-transmission variants, via
+//     Simulate and SimulateBatch. A run is described by a Scenario, the
+//     same declarative spec `netsim -scenario` reads: the paper's
+//     concentric rings by default, or hand-placed nodes with explicit
+//     flows (topology kind "explicit", traffic kind "flows").
 //
 // A minimal session:
 //
 //	p, th, _ := dirca.MaxThroughput(dirca.DRTSDCTS, dirca.ModelParams{
 //		N: 5, Beamwidth: math.Pi / 6, Lengths: dirca.PaperLengths(),
 //	})
-//	res, _ := dirca.Simulate(dirca.SimConfig{
-//		Scheme: dirca.DRTSDCTS, BeamwidthDeg: 30, N: 5,
-//		Seed: 1, Duration: 5 * dirca.Second,
+//	res, _ := dirca.Simulate(dirca.Scenario{
+//		Scheme: "DRTS-DCTS", BeamwidthDeg: 30, Seed: 1,
+//		Duration: 5 * dirca.Second, Topology: dirca.TopologySpec{N: 5},
 //	})
 package dirca
 
@@ -30,6 +32,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/experiments"
+	"repro/internal/geom"
+	"repro/internal/sim"
 )
 
 // Scheme identifies a collision-avoidance scheme.
@@ -50,14 +54,15 @@ const (
 // Schemes returns all three schemes in the paper's order.
 func Schemes() []Scheme { return core.Schemes() }
 
-// Time is a simulation duration in nanoseconds.
-type Time = des.Time
+// Duration is a scenario duration in nanoseconds; it serializes as a
+// Go duration string ("300ms").
+type Duration = sim.Duration
 
-// Convenient duration units.
+// Duration units, for writing Scenario durations (5 * dirca.Second).
 const (
-	Microsecond = des.Microsecond
-	Millisecond = des.Millisecond
-	Second      = des.Second
+	Microsecond = Duration(des.Microsecond)
+	Millisecond = Duration(des.Millisecond)
+	Second      = Duration(des.Second)
 )
 
 // ModelParams parameterizes the analytical model: density N (average
@@ -91,36 +96,38 @@ type Fig5Row = experiments.Fig5Row
 // beamwidth, 15°..180°) for each density in ns.
 func Fig5Table(ns []float64) ([]Fig5Row, error) { return experiments.Fig5(ns) }
 
-// SimConfig configures one simulation run. See the field documentation
-// in the experiments package; the zero PacketBytes defaults to the
-// paper's 1460 bytes.
-type SimConfig = experiments.SimConfig
+// Scenario describes one simulation run: the same spec `netsim
+// -scenario` reads, with the same sections. A Flow is a saturated
+// src→dst demand of traffic kind "flows", as indices into
+// TopologySpec.Positions; a Point is a position in units of the
+// transmission range. See internal/sim for the field documentation and
+// the registered topology, traffic and scheme names.
+type (
+	Scenario      = sim.Scenario
+	TopologySpec  = sim.TopologySpec
+	TrafficSpec   = sim.TrafficSpec
+	MobilitySpec  = sim.MobilitySpec
+	PHYSpec       = sim.PHYSpec
+	AblationSpec  = sim.AblationSpec
+	TraceSpec     = sim.TraceSpec
+	TelemetrySpec = sim.TelemetrySpec
+	Flow          = sim.Flow
+	Point         = geom.Point
+)
 
 // SimResult holds per-run metrics for the measured inner nodes.
-type SimResult = experiments.SimResult
+type SimResult = sim.Result
 
-// BatchResult aggregates a configuration over many random topologies.
+// BatchResult aggregates a scenario over many random topologies.
 type BatchResult = experiments.BatchResult
 
-// GridCell is one point of a Fig. 6/7-style parameter sweep.
-type GridCell = experiments.GridCell
+// Simulate runs one complete simulation and reports the metrics of the
+// scenario's measured nodes.
+func Simulate(sc Scenario) (*SimResult, error) { return sim.RunScenario(sc, sim.Options{}) }
 
-// Simulate runs one complete simulation (topology generation, PHY, MAC,
-// saturated traffic) and reports inner-node metrics.
-func Simulate(cfg SimConfig) (*SimResult, error) { return experiments.RunSim(cfg) }
-
-// SimulateBatch runs cfg over the given number of independent random
-// topologies in parallel and aggregates the per-topology means.
-func SimulateBatch(cfg SimConfig, topologies int) (*BatchResult, error) {
-	return experiments.RunBatch(cfg, topologies)
+// SimulateBatch runs sc over the given number of independent topologies
+// (seeds sc.Seed, sc.Seed+1, ...) in parallel and aggregates the
+// per-topology means.
+func SimulateBatch(sc Scenario, topologies int) (*BatchResult, error) {
+	return experiments.RunBatch(sim.Runner{}, sc, topologies)
 }
-
-// SimulateGrid sweeps scheme × N × beamwidth, mirroring the paper's
-// Figs. 6 and 7.
-func SimulateGrid(base SimConfig, schemes []Scheme, ns []int, beamsDeg []float64, topologies int) ([]GridCell, error) {
-	return experiments.RunGrid(base, schemes, ns, beamsDeg, topologies)
-}
-
-// PaperGrid returns the paper's simulation sweep: N ∈ {3,5,8},
-// beamwidth ∈ {30°, 90°, 150°}.
-func PaperGrid() (ns []int, beamsDeg []float64) { return experiments.PaperGrid() }

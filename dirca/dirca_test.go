@@ -53,9 +53,10 @@ func TestFig5TableFacade(t *testing.T) {
 }
 
 func TestSimulateFacade(t *testing.T) {
-	res, err := dirca.Simulate(dirca.SimConfig{
-		Scheme: dirca.ORTSOCTS, N: 3, Seed: 2,
+	res, err := dirca.Simulate(dirca.Scenario{
+		Scheme: "ORTS-OCTS", Seed: 2,
 		Duration: 500 * dirca.Millisecond,
+		Topology: dirca.TopologySpec{N: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,9 +70,10 @@ func TestSimulateFacade(t *testing.T) {
 }
 
 func TestSimulateBatchFacade(t *testing.T) {
-	b, err := dirca.SimulateBatch(dirca.SimConfig{
-		Scheme: dirca.DRTSOCTS, BeamwidthDeg: 90, N: 3, Seed: 4,
+	b, err := dirca.SimulateBatch(dirca.Scenario{
+		Scheme: "DRTS-OCTS", BeamwidthDeg: 90, Seed: 4,
 		Duration: 300 * dirca.Millisecond,
+		Topology: dirca.TopologySpec{N: 3},
 	}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -81,27 +83,12 @@ func TestSimulateBatchFacade(t *testing.T) {
 	}
 }
 
-func TestSimulateGridFacade(t *testing.T) {
-	base := dirca.SimConfig{Seed: 5, Duration: 200 * dirca.Millisecond}
-	cells, err := dirca.SimulateGrid(base, []dirca.Scheme{dirca.ORTSOCTS}, []int{3}, []float64{30}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 1 {
-		t.Fatalf("cells = %d, want 1", len(cells))
-	}
-	ns, beams := dirca.PaperGrid()
-	if len(ns) != 3 || len(beams) != 3 {
-		t.Errorf("PaperGrid = %v, %v", ns, beams)
-	}
-}
-
 func TestTimeUnits(t *testing.T) {
 	if dirca.Second != 1000*dirca.Millisecond || dirca.Millisecond != 1000*dirca.Microsecond {
 		t.Error("time unit ladder broken")
 	}
-	var d dirca.Time = 2 * dirca.Second
-	if d.Seconds() != 2 {
-		t.Errorf("Seconds = %v", d.Seconds())
+	var d dirca.Duration = 2*dirca.Second + 500*dirca.Millisecond
+	if d.String() != "2.5s" {
+		t.Errorf("String = %q, want 2.5s", d.String())
 	}
 }

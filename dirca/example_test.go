@@ -62,11 +62,11 @@ func ExampleAttemptProbability() {
 // ExampleSimulate runs one small deterministic simulation and reports
 // whether the saturated network made progress.
 func ExampleSimulate() {
-	res, err := dirca.Simulate(dirca.SimConfig{
-		Scheme:   dirca.ORTSOCTS,
-		N:        3,
+	res, err := dirca.Simulate(dirca.Scenario{
+		Scheme:   "ORTS-OCTS",
 		Seed:     1,
 		Duration: 500 * dirca.Millisecond,
+		Topology: dirca.TopologySpec{N: 3},
 	})
 	if err != nil {
 		fmt.Println("error:", err)
@@ -79,21 +79,30 @@ func ExampleSimulate() {
 	// progress: true
 }
 
-// ExampleNewNetwork assembles the classic hidden-terminal scenario
-// through the custom-network API.
-func ExampleNewNetwork() {
-	nw, err := dirca.NewNetwork(dirca.NetworkConfig{
-		Scheme:    dirca.ORTSOCTS,
-		Positions: []dirca.Position{{X: -0.9}, {X: 0}, {X: 0.9}},
-		Flows:     []dirca.Flow{{Src: 0, Dst: 1}, {Src: 2, Dst: 1}},
-		Seed:      7,
+// ExampleSimulate_hiddenTerminal runs the classic hidden-terminal
+// triple as a Scenario: A and C, 1.8 R apart, cannot hear each other and
+// both saturate B between them. The first topology.n positions are the
+// measured nodes, so the result reports the two senders.
+func ExampleSimulate_hiddenTerminal() {
+	res, err := dirca.Simulate(dirca.Scenario{
+		Scheme:   "ORTS-OCTS",
+		Seed:     7,
+		Duration: 2 * dirca.Second,
+		Topology: dirca.TopologySpec{
+			Kind:      "explicit",
+			N:         2,
+			Positions: []dirca.Point{{X: -0.9}, {X: 0.9}, {X: 0}}, // A, C, B
+		},
+		Traffic: dirca.TrafficSpec{
+			Kind:  "flows",
+			Flows: []dirca.Flow{{Src: 0, Dst: 2}, {Src: 1, Dst: 2}}, // A→B, C→B
+		},
 	})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	nw.Run(2 * dirca.Second)
-	a, c := nw.NodeStats(0), nw.NodeStats(2)
+	a, c := res.NodeStats[0], res.NodeStats[1]
 	fmt.Println("both hidden senders progressed:", a.Successes > 0 && c.Successes > 0)
 	// Output:
 	// both hidden senders progressed: true

@@ -5,9 +5,10 @@ import (
 	"repro/internal/experiments"
 )
 
-// This file exposes the extension studies that go beyond the paper's
-// artifacts: the fourth scheme, sensitivity/validation sweeps, and the
-// load/mobility studies.
+// This file exposes the analytical extensions that go beyond the paper's
+// artifacts: the fourth scheme, the readiness fixed point and the Fig. 5
+// sensitivity sweep. The simulated extension studies run from
+// cmd/experiments.
 
 // ORTSDCTS is the fourth RTS/CTS combination (omni RTS, directional
 // CTS/DATA/ACK), not analyzed in the paper but derivable with its
@@ -39,54 +40,4 @@ func ThroughputFromReadiness(s Scheme, p0 float64, mp ModelParams) (float64, err
 // data-packet lengths, keyed by length.
 func Fig5Sensitivity(n float64, dataLens []int) (map[int][]Fig5Row, error) {
 	return experiments.Fig5Sensitivity(n, dataLens)
-}
-
-// LoadCell is one offered-load sweep point.
-type LoadCell = experiments.LoadCell
-
-// LoadSweep sweeps per-node offered CBR load for each scheme.
-func LoadSweep(base SimConfig, schemes []Scheme, loadsBps []float64, topologies int) ([]LoadCell, error) {
-	return experiments.LoadSweep(base, schemes, loadsBps, topologies)
-}
-
-// MobilityCell is one mobility sweep point.
-type MobilityCell = experiments.MobilityCell
-
-// MobilitySweep sweeps maximum node speed for each scheme under
-// random-waypoint motion with bounded location staleness.
-func MobilitySweep(base SimConfig, schemes []Scheme, speeds []float64, topologies int) ([]MobilityCell, error) {
-	return experiments.MobilitySweep(base, schemes, speeds, topologies)
-}
-
-// ModelVsSimRow compares analytical and simulated normalized throughput
-// at one grid point.
-type ModelVsSimRow = experiments.ModelVsSimRow
-
-// ModelVsSim evaluates the analytical model and the simulator on the
-// same grid, using the simulator's real frame timings for the model.
-func ModelVsSim(base SimConfig, ns []int, beamsDeg []float64, topologies int) ([]ModelVsSimRow, error) {
-	return experiments.ModelVsSim(base, ns, beamsDeg, topologies)
-}
-
-// SpearmanRank measures ordering agreement between the analytical and
-// simulated columns of a ModelVsSim table.
-func SpearmanRank(rows []ModelVsSimRow) float64 {
-	return experiments.SpearmanRank(rows)
-}
-
-// ReuseCell is one spatial-reuse study point.
-type ReuseCell = experiments.ReuseCell
-
-// ReuseStudy measures the concurrent-airtime factor across schemes and
-// beamwidths — the paper's spatial-reuse mechanism quantified directly.
-func ReuseStudy(base SimConfig, schemes []Scheme, n int, beamsDeg []float64, topologies int) ([]ReuseCell, error) {
-	return experiments.ReuseStudy(base, schemes, n, beamsDeg, topologies)
-}
-
-// DelayCDFRow is one percentile row of a delay-distribution comparison.
-type DelayCDFRow = experiments.DelayCDFRow
-
-// DelayCDF tabulates per-packet delay percentiles per scheme.
-func DelayCDF(base SimConfig, schemes []Scheme, percentiles []float64) ([]DelayCDFRow, error) {
-	return experiments.DelayCDF(base, schemes, percentiles)
 }

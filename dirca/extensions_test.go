@@ -48,59 +48,3 @@ func TestFig5SensitivityFacade(t *testing.T) {
 		t.Errorf("rows = %d, want 12", len(series[100]))
 	}
 }
-
-func TestSweepFacades(t *testing.T) {
-	base := dirca.SimConfig{
-		Scheme: dirca.DRTSDCTS, BeamwidthDeg: 30, N: 3, Seed: 6,
-		Duration: 200 * dirca.Millisecond,
-	}
-	loads, err := dirca.LoadSweep(base, []dirca.Scheme{dirca.ORTSOCTS}, []float64{100_000}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loads) != 1 {
-		t.Errorf("load cells = %d", len(loads))
-	}
-	speeds, err := dirca.MobilitySweep(base, []dirca.Scheme{dirca.DRTSDCTS}, []float64{0.2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(speeds) != 1 {
-		t.Errorf("mobility cells = %d", len(speeds))
-	}
-}
-
-func TestModelVsSimFacade(t *testing.T) {
-	base := dirca.SimConfig{Seed: 6, Duration: 200 * dirca.Millisecond}
-	rows, err := dirca.ModelVsSim(base, []int{3}, []float64{30}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3 (one per scheme)", len(rows))
-	}
-	rho := dirca.SpearmanRank(rows)
-	if rho < -1 || rho > 1 {
-		t.Errorf("spearman = %v", rho)
-	}
-}
-
-func TestReuseAndCDFFacades(t *testing.T) {
-	base := dirca.SimConfig{Seed: 9, Duration: 200 * dirca.Millisecond}
-	cells, err := dirca.ReuseStudy(base, []dirca.Scheme{dirca.ORTSOCTS}, 3, []float64{30}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 1 || cells[0].Reuse.Mean <= 0 {
-		t.Errorf("reuse cells = %+v", cells)
-	}
-	cdfBase := base
-	cdfBase.N = 3
-	rows, err := dirca.DelayCDF(cdfBase, []dirca.Scheme{dirca.ORTSOCTS}, []float64{50, 95})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Errorf("cdf rows = %d", len(rows))
-	}
-}

@@ -24,12 +24,12 @@ func main() {
 		"scheme", "beam", "throughput Kb/s [range]", "delay ms", "collisions", "Jain")
 	for _, beam := range []float64{30, 90, 150} {
 		for _, s := range dirca.Schemes() {
-			b, err := dirca.SimulateBatch(dirca.SimConfig{
-				Scheme:       s,
+			b, err := dirca.SimulateBatch(dirca.Scenario{
+				Scheme:       s.String(),
 				BeamwidthDeg: beam,
-				N:            n,
 				Seed:         11,
 				Duration:     3 * dirca.Second,
+				Topology:     dirca.TopologySpec{N: n},
 			}, topologies)
 			if err != nil {
 				log.Fatal(err)

@@ -16,34 +16,42 @@ import (
 
 func main() {
 	// A --- B --- C with |AB| = |BC| = 0.9 and |AC| = 1.8 > 1: A and C are
-	// hidden from each other.
-	positions := []dirca.Position{
-		{X: -0.9, Y: 0}, // A
-		{X: 0, Y: 0},    // B
-		{X: 0.9, Y: 0},  // C
+	// hidden from each other. The first topology.n = 2 positions are the
+	// measured nodes, so A and C come first.
+	topo := dirca.TopologySpec{
+		Kind: "explicit",
+		N:    2,
+		Positions: []dirca.Point{
+			{X: -0.9, Y: 0}, // A
+			{X: 0.9, Y: 0},  // C
+			{X: 0, Y: 0},    // B
+		},
 	}
-	flows := []dirca.Flow{
-		{Src: 0, Dst: 1}, // A → B
-		{Src: 2, Dst: 1}, // C → B
+	flows := dirca.TrafficSpec{
+		Kind: "flows",
+		Flows: []dirca.Flow{
+			{Src: 0, Dst: 2}, // A → B
+			{Src: 1, Dst: 2}, // C → B
+		},
 	}
 
 	fmt.Println("hidden-terminal triple: A and C both saturate B, out of each other's range")
 	fmt.Println()
 	for _, s := range dirca.Schemes() {
-		nw, err := dirca.NewNetwork(dirca.NetworkConfig{
-			Scheme:       s,
+		res, err := dirca.Simulate(dirca.Scenario{
+			Scheme:       s.String(),
 			BeamwidthDeg: 30,
-			Positions:    positions,
-			Flows:        flows,
 			Seed:         7,
+			Duration:     5 * dirca.Second,
+			Topology:     topo,
+			Traffic:      flows,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		nw.Run(5 * dirca.Second)
 
-		a, c := nw.NodeStats(0), nw.NodeStats(2)
-		agg := (nw.ThroughputBps(0) + nw.ThroughputBps(2)) / 1000
+		a, c := res.NodeStats[0], res.NodeStats[1]
+		agg := (res.ThroughputBps[0] + res.ThroughputBps[1]) / 1000
 		fmt.Printf("%-9s: aggregate %7.1f Kb/s  A: %4d ok / %3d data-collisions  C: %4d ok / %3d data-collisions\n",
 			s, agg, a.Successes, a.ACKTimeouts, c.Successes, c.ACKTimeouts)
 	}

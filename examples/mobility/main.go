@@ -27,15 +27,17 @@ func main() {
 	for _, speed := range speeds {
 		fmt.Printf("%12.2f |", speed)
 		for _, s := range []dirca.Scheme{dirca.ORTSOCTS, dirca.DRTSDCTS} {
-			b, err := dirca.SimulateBatch(dirca.SimConfig{
-				Scheme:          s,
-				BeamwidthDeg:    30,
-				N:               5,
-				Seed:            21,
-				Duration:        2 * dirca.Second,
-				MaxSpeed:        speed,
-				RefreshInterval: dirca.Second,
-			}, topologies)
+			sc := dirca.Scenario{
+				Scheme:       s.String(),
+				BeamwidthDeg: 30,
+				Seed:         21,
+				Duration:     2 * dirca.Second,
+				Topology:     dirca.TopologySpec{N: 5},
+			}
+			if speed > 0 {
+				sc.Mobility = dirca.MobilitySpec{Kind: "waypoint", MaxSpeed: speed, RefreshInterval: dirca.Second}
+			}
+			b, err := dirca.SimulateBatch(sc, topologies)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -33,12 +33,12 @@ func main() {
 	// concentric-ring topology with full IEEE 802.11 machinery.
 	fmt.Println()
 	for _, s := range dirca.Schemes() {
-		res, err := dirca.Simulate(dirca.SimConfig{
-			Scheme:       s,
+		res, err := dirca.Simulate(dirca.Scenario{
+			Scheme:       s.String(),
 			BeamwidthDeg: 30,
-			N:            5,
 			Seed:         1,
 			Duration:     3 * dirca.Second,
+			Topology:     dirca.TopologySpec{N: 5},
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -11,7 +11,7 @@ import (
 )
 
 // A topology kind that fails for every shard whose derived seed is
-// divisible by 4, injected through SimConfig.TopologyKind so RunBatch's
+// divisible by 4, injected through topology.kind so RunBatch's
 // error path can be pinned without touching production generators.
 func init() {
 	sim.RegisterTopology("failing-batch", func(rng *rand.Rand, sc sim.Scenario) (*topology.Topology, error) {
@@ -26,16 +26,16 @@ type errInjected int64
 
 func (e errInjected) Error() string { return "injected topology failure" }
 
-// TestRunBatchDeterministicError pins the error contract: quickCfg's
+// TestRunBatchDeterministicError pins the error contract: quickScenario's
 // base seed is 7, so shards 1 and 5 (seeds 8 and 12) hit the injected
 // failure; the reported error must always come from shard 1, whichever
 // goroutine fails first.
 func TestRunBatchDeterministicError(t *testing.T) {
-	cfg := quickCfg(core.DRTSDCTS, 3, 60)
-	cfg.TopologyKind = "failing-batch"
+	sc := quickScenario(core.DRTSDCTS, 3, 60)
+	sc.Topology.Kind = "failing-batch"
 	var first string
 	for trial := 0; trial < 10; trial++ {
-		_, err := RunBatch(cfg, 8)
+		_, err := RunBatch(sim.Runner{}, sc, 8)
 		if err == nil {
 			t.Fatal("want error from injected failing topology")
 		}
@@ -54,10 +54,10 @@ func TestRunBatchDeterministicError(t *testing.T) {
 // TestRunBatchSucceedsWithInjectedKind: shards that miss the failing
 // seeds run the normal generator, so a batch that avoids them works.
 func TestRunBatchSucceedsWithInjectedKind(t *testing.T) {
-	cfg := quickCfg(core.DRTSDCTS, 3, 60)
-	cfg.TopologyKind = "failing-batch"
-	cfg.Seed = 9 // shard seeds 9..11: none divisible by 4
-	b, err := RunBatch(cfg, 3)
+	sc := quickScenario(core.DRTSDCTS, 3, 60)
+	sc.Topology.Kind = "failing-batch"
+	sc.Seed = 9 // shard seeds 9..11: none divisible by 4
+	b, err := RunBatch(sim.Runner{}, sc, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

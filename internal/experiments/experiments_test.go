@@ -3,49 +3,43 @@ package experiments
 import (
 	"encoding/json"
 	"io"
-	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/des"
-	"repro/internal/topology"
+	"repro/internal/sim"
 )
 
-func quickCfg(scheme core.Scheme, n int, beamDeg float64) SimConfig {
-	return SimConfig{
-		Scheme:       scheme,
+func quickScenario(scheme core.Scheme, n int, beamDeg float64) sim.Scenario {
+	return sim.Scenario{
+		Scheme:       scheme.String(),
 		BeamwidthDeg: beamDeg,
-		N:            n,
 		Seed:         7,
-		Duration:     500 * des.Millisecond,
+		Duration:     sim.Duration(500 * des.Millisecond),
+		Topology:     sim.TopologySpec{N: n},
 	}
 }
 
-func TestSimConfigValidate(t *testing.T) {
-	if err := quickCfg(core.DRTSDCTS, 3, 30).Validate(); err != nil {
-		t.Errorf("valid config rejected: %v", err)
+// paperScenario is a rings run of s at N=n, θ=beamDeg for one second.
+func paperScenario(s core.Scheme, n int, beamDeg float64, seed int64) sim.Scenario {
+	sc := quickScenario(s, n, beamDeg)
+	sc.Seed = seed
+	sc.Duration = sim.Duration(des.Second)
+	return sc
+}
+
+// waypoint is the mobility section of a random-waypoint walk at speed
+// (none at speed 0) with neighbor locations refreshed every refresh.
+func waypoint(speed float64, refresh des.Time) sim.MobilitySpec {
+	if speed == 0 {
+		return sim.MobilitySpec{}
 	}
-	bad := []SimConfig{
-		{Scheme: core.DRTSDCTS, BeamwidthDeg: 30, N: 1, Duration: des.Second},
-		{Scheme: core.DRTSDCTS, BeamwidthDeg: 30, N: 3, Duration: 0},
-		{Scheme: core.DRTSDCTS, BeamwidthDeg: 0, N: 3, Duration: des.Second},
-		{Scheme: core.DRTSDCTS, BeamwidthDeg: 400, N: 3, Duration: des.Second},
-	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("bad config %d validated", i)
-		}
-	}
-	// ORTS-OCTS needs no beamwidth.
-	cfg := SimConfig{Scheme: core.ORTSOCTS, N: 3, Duration: des.Second}
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("ORTS-OCTS without beamwidth rejected: %v", err)
-	}
+	return sim.MobilitySpec{Kind: "waypoint", MaxSpeed: speed, RefreshInterval: sim.Duration(refresh)}
 }
 
 func TestRunSimBasics(t *testing.T) {
-	res, err := RunSim(quickCfg(core.ORTSOCTS, 3, 0))
+	res, err := sim.RunScenario(quickScenario(core.ORTSOCTS, 3, 0), sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,12 +64,12 @@ func TestRunSimBasics(t *testing.T) {
 }
 
 func TestRunSimDeterministic(t *testing.T) {
-	cfg := quickCfg(core.DRTSDCTS, 3, 90)
-	a, err := RunSim(cfg)
+	cfg := quickScenario(core.DRTSDCTS, 3, 90)
+	a, err := sim.RunScenario(cfg, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSim(cfg)
+	b, err := sim.RunScenario(cfg, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +79,7 @@ func TestRunSimDeterministic(t *testing.T) {
 		}
 	}
 	cfg.Seed = 8
-	c, err := RunSim(cfg)
+	c, err := sim.RunScenario(cfg, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,26 +94,10 @@ func TestRunSimDeterministic(t *testing.T) {
 	}
 }
 
-func TestRunSimWithProvidedTopology(t *testing.T) {
-	topo, err := topology.Generate(rand.New(rand.NewSource(3)), topology.DefaultConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := quickCfg(core.ORTSOCTS, 3, 0)
-	cfg.Topology = topo
-	res, err := RunSim(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.NodeStats) != len(topo.Positions) {
-		t.Errorf("stats for %d nodes, want %d", len(res.NodeStats), len(topo.Positions))
-	}
-}
-
 func TestRunSimHelloBootstrap(t *testing.T) {
-	cfg := quickCfg(core.DRTSDCTS, 3, 90)
-	cfg.HelloBootstrap = true
-	res, err := RunSim(cfg)
+	cfg := quickScenario(core.DRTSDCTS, 3, 90)
+	cfg.Ablations.HelloBootstrap = true
+	res, err := sim.RunScenario(cfg, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +107,8 @@ func TestRunSimHelloBootstrap(t *testing.T) {
 }
 
 func TestRunBatch(t *testing.T) {
-	cfg := quickCfg(core.ORTSOCTS, 3, 0)
-	b, err := RunBatch(cfg, 4)
+	cfg := quickScenario(core.ORTSOCTS, 3, 0)
+	b, err := RunBatch(sim.Runner{}, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,15 +121,15 @@ func TestRunBatch(t *testing.T) {
 	if b.ThroughputBps.Min == b.ThroughputBps.Max {
 		t.Error("independent topologies should differ")
 	}
-	if _, err := RunBatch(cfg, 0); err == nil {
+	if _, err := RunBatch(sim.Runner{}, cfg, 0); err == nil {
 		t.Error("zero topologies should be rejected")
 	}
 }
 
 func TestRunGrid(t *testing.T) {
-	base := quickCfg(core.ORTSOCTS, 0, 0) // scheme/N/beam filled by grid
-	base.Duration = 300 * des.Millisecond
-	cells, err := RunGrid(base, []core.Scheme{core.ORTSOCTS, core.DRTSDCTS}, []int{3}, []float64{30, 150}, 2)
+	base := quickScenario(core.ORTSOCTS, 0, 0) // scheme/N/beam filled by grid
+	base.Duration = sim.Duration(300 * des.Millisecond)
+	cells, err := Grid(sim.Runner{}, base, []core.Scheme{core.ORTSOCTS, core.DRTSDCTS}, []int{3}, []float64{30, 150}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,9 +229,9 @@ func TestWriteFig5(t *testing.T) {
 }
 
 func TestWriteGrid(t *testing.T) {
-	base := quickCfg(core.ORTSOCTS, 0, 0)
-	base.Duration = 200 * des.Millisecond
-	cells, err := RunGrid(base, []core.Scheme{core.ORTSOCTS}, []int{3}, []float64{30}, 2)
+	base := quickScenario(core.ORTSOCTS, 0, 0)
+	base.Duration = sim.Duration(200 * des.Millisecond)
+	cells, err := Grid(sim.Runner{}, base, []core.Scheme{core.ORTSOCTS}, []int{3}, []float64{30}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,8 +282,8 @@ func TestPaperFig6Fig7Shape(t *testing.T) {
 		t.Skip("short mode")
 	}
 	run := func(s core.Scheme) *BatchResult {
-		cfg := SimConfig{Scheme: s, BeamwidthDeg: 30, N: 8, Seed: 50, Duration: des.Second}
-		b, err := RunBatch(cfg, 6)
+		cfg := paperScenario(s, 8, 30, 50)
+		b, err := RunBatch(sim.Runner{}, cfg, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,16 +306,16 @@ func TestPaperFig6Fig7Shape(t *testing.T) {
 }
 
 func TestAblationSwitchesRun(t *testing.T) {
-	base := quickCfg(core.DRTSDCTS, 3, 30)
-	for name, mut := range map[string]func(*SimConfig){
-		"capture":     func(c *SimConfig) { c.Capture = true },
-		"nav oracle":  func(c *SimConfig) { c.NAVOracle = true },
-		"eifs off":    func(c *SimConfig) { c.DisableEIFS = true },
-		"small bytes": func(c *SimConfig) { c.PacketBytes = 512 },
+	base := quickScenario(core.DRTSDCTS, 3, 30)
+	for name, mut := range map[string]func(*sim.Scenario){
+		"capture":     func(c *sim.Scenario) { c.PHY.Capture = true },
+		"nav oracle":  func(c *sim.Scenario) { c.PHY.NAVOracle = true },
+		"eifs off":    func(c *sim.Scenario) { c.Ablations.DisableEIFS = true },
+		"small bytes": func(c *sim.Scenario) { c.Traffic.PacketBytes = 512 },
 	} {
 		cfg := base
 		mut(&cfg)
-		res, err := RunSim(cfg)
+		res, err := sim.RunScenario(cfg, sim.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -356,14 +334,14 @@ func TestNAVOracleForcesMoreWaiting(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	base := SimConfig{Scheme: core.DRTSDCTS, BeamwidthDeg: 30, N: 5, Seed: 60, Duration: des.Second}
-	plain, err := RunBatch(base, 5)
+	base := paperScenario(core.DRTSDCTS, 5, 30, 60)
+	plain, err := RunBatch(sim.Runner{}, base, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	oracleCfg := base
-	oracleCfg.NAVOracle = true
-	oracle, err := RunBatch(oracleCfg, 5)
+	oracleCfg.PHY.NAVOracle = true
+	oracle, err := RunBatch(sim.Runner{}, oracleCfg, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,10 +354,10 @@ func TestNAVOracleForcesMoreWaiting(t *testing.T) {
 func TestOfferedLoadLight(t *testing.T) {
 	// At light load the network delivers essentially everything offered,
 	// with low delay compared to saturation.
-	cfg := quickCfg(core.ORTSOCTS, 3, 0)
-	cfg.Duration = des.Second
-	cfg.OfferedLoadBps = 50_000 // ≈ 4.3 pkts/s/node vs ~139 pkt/s link capacity
-	res, err := RunSim(cfg)
+	cfg := quickScenario(core.ORTSOCTS, 3, 0)
+	cfg.Duration = sim.Duration(des.Second)
+	cfg.Traffic = sim.TrafficSpec{Kind: "cbr", OfferedLoadBps: 50_000} // ≈ 4.3 pkts/s/node vs ~139 pkt/s link capacity
+	res, err := sim.RunScenario(cfg, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,11 +377,13 @@ func TestOfferedLoadSaturates(t *testing.T) {
 		var sum float64
 		const runs = 5
 		for seed := int64(0); seed < runs; seed++ {
-			cfg := quickCfg(core.ORTSOCTS, 3, 0)
-			cfg.Duration = des.Second
+			cfg := quickScenario(core.ORTSOCTS, 3, 0)
+			cfg.Duration = sim.Duration(des.Second)
 			cfg.Seed = 100 + seed
-			cfg.OfferedLoadBps = load
-			res, err := RunSim(cfg)
+			if load > 0 {
+				cfg.Traffic = sim.TrafficSpec{Kind: "cbr", OfferedLoadBps: load}
+			}
+			res, err := sim.RunScenario(cfg, sim.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -421,9 +401,9 @@ func TestOfferedLoadSaturates(t *testing.T) {
 }
 
 func TestBasicAccessConfig(t *testing.T) {
-	cfg := quickCfg(core.ORTSOCTS, 3, 0)
-	cfg.BasicAccess = true
-	res, err := RunSim(cfg)
+	cfg := quickScenario(core.ORTSOCTS, 3, 0)
+	cfg.Ablations.BasicAccess = true
+	res, err := sim.RunScenario(cfg, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,9 +419,9 @@ func TestBasicAccessConfig(t *testing.T) {
 }
 
 func TestLoadSweep(t *testing.T) {
-	base := quickCfg(core.ORTSOCTS, 3, 0)
-	base.Duration = 400 * des.Millisecond
-	cells, err := LoadSweep(base, []core.Scheme{core.ORTSOCTS}, []float64{50_000, 200_000}, 2)
+	base := quickScenario(core.ORTSOCTS, 3, 0)
+	base.Duration = sim.Duration(400 * des.Millisecond)
+	cells, err := LoadSweep(sim.Runner{}, base, []core.Scheme{core.ORTSOCTS}, []float64{50_000, 200_000}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,10 +435,10 @@ func TestLoadSweep(t *testing.T) {
 	if !strings.Contains(sb.String(), "offered Kb/s") {
 		t.Errorf("load sweep output: %q", sb.String())
 	}
-	if _, err := LoadSweep(base, core.Schemes(), nil, 1); err == nil {
+	if _, err := LoadSweep(sim.Runner{}, base, core.Schemes(), nil, 1); err == nil {
 		t.Error("empty loads should be rejected")
 	}
-	if _, err := LoadSweep(base, core.Schemes(), []float64{-1}, 1); err == nil {
+	if _, err := LoadSweep(sim.Runner{}, base, core.Schemes(), []float64{-1}, 1); err == nil {
 		t.Error("negative load should be rejected")
 	}
 	if err := WriteLoadSweep(&strings.Builder{}, nil); err == nil {
@@ -476,8 +456,8 @@ func TestORTSDCTSSimulates(t *testing.T) {
 		t.Skip("short mode")
 	}
 	run := func(s core.Scheme) float64 {
-		cfg := SimConfig{Scheme: s, BeamwidthDeg: 30, N: 5, Seed: 70, Duration: des.Second}
-		b, err := RunBatch(cfg, 5)
+		cfg := paperScenario(s, 5, 30, 70)
+		b, err := RunBatch(sim.Runner{}, cfg, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -494,10 +474,9 @@ func TestORTSDCTSSimulates(t *testing.T) {
 }
 
 func TestMobilityRuns(t *testing.T) {
-	cfg := quickCfg(core.DRTSDCTS, 3, 30)
-	cfg.MaxSpeed = 0.2
-	cfg.RefreshInterval = 500 * des.Millisecond
-	res, err := RunSim(cfg)
+	cfg := quickScenario(core.DRTSDCTS, 3, 30)
+	cfg.Mobility = waypoint(0.2, 500*des.Millisecond)
+	res, err := sim.RunScenario(cfg, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,11 +493,9 @@ func TestMobilityHurtsNarrowBeams(t *testing.T) {
 		t.Skip("short mode")
 	}
 	run := func(s core.Scheme, speed float64) float64 {
-		cfg := SimConfig{
-			Scheme: s, BeamwidthDeg: 30, N: 5, Seed: 80,
-			Duration: des.Second, MaxSpeed: speed, RefreshInterval: des.Second,
-		}
-		b, err := RunBatch(cfg, 5)
+		cfg := paperScenario(s, 5, 30, 80)
+		cfg.Mobility = waypoint(speed, des.Second)
+		b, err := RunBatch(sim.Runner{}, cfg, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -539,9 +516,9 @@ func TestMobilityHurtsNarrowBeams(t *testing.T) {
 }
 
 func TestMobilitySweep(t *testing.T) {
-	base := quickCfg(core.DRTSDCTS, 3, 30)
-	base.Duration = 300 * des.Millisecond
-	cells, err := MobilitySweep(base, []core.Scheme{core.DRTSDCTS}, []float64{0, 0.5}, 2)
+	base := quickScenario(core.DRTSDCTS, 3, 30)
+	base.Duration = sim.Duration(300 * des.Millisecond)
+	cells, err := MobilitySweep(sim.Runner{}, base, []core.Scheme{core.DRTSDCTS}, []float64{0, 0.5}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,10 +532,10 @@ func TestMobilitySweep(t *testing.T) {
 	if !strings.Contains(sb.String(), "speed R/s") {
 		t.Errorf("mobility output: %q", sb.String())
 	}
-	if _, err := MobilitySweep(base, core.Schemes(), nil, 1); err == nil {
+	if _, err := MobilitySweep(sim.Runner{}, base, core.Schemes(), nil, 1); err == nil {
 		t.Error("empty speeds should be rejected")
 	}
-	if _, err := MobilitySweep(base, core.Schemes(), []float64{-1}, 1); err == nil {
+	if _, err := MobilitySweep(sim.Runner{}, base, core.Schemes(), []float64{-1}, 1); err == nil {
 		t.Error("negative speed should be rejected")
 	}
 	if err := WriteMobilitySweep(&strings.Builder{}, nil); err == nil {
@@ -570,10 +547,10 @@ func TestMobilitySweep(t *testing.T) {
 }
 
 func TestSampleDelays(t *testing.T) {
-	cfg := quickCfg(core.ORTSOCTS, 3, 0)
-	cfg.Duration = des.Second
+	cfg := quickScenario(core.ORTSOCTS, 3, 0)
+	cfg.Duration = sim.Duration(des.Second)
 	cfg.SampleDelays = true
-	res, err := RunSim(cfg)
+	res, err := sim.RunScenario(cfg, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,7 +569,7 @@ func TestSampleDelays(t *testing.T) {
 	}
 	// Without the flag no samples appear.
 	cfg.SampleDelays = false
-	res2, err := RunSim(cfg)
+	res2, err := sim.RunScenario(cfg, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -662,8 +639,9 @@ func TestSINRPreservesSchemeOrdering(t *testing.T) {
 		t.Skip("short mode")
 	}
 	run := func(s core.Scheme) float64 {
-		cfg := SimConfig{Scheme: s, BeamwidthDeg: 30, N: 8, Seed: 90, Duration: des.Second, SINR: true}
-		b, err := RunBatch(cfg, 4)
+		cfg := paperScenario(s, 8, 30, 90)
+		cfg.PHY.SINR = true
+		b, err := RunBatch(sim.Runner{}, cfg, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -699,9 +677,9 @@ func TestFigureCharts(t *testing.T) {
 		t.Error("unknown N should fail")
 	}
 
-	base := quickCfg(core.ORTSOCTS, 0, 0)
-	base.Duration = 200 * des.Millisecond
-	cells, err := RunGrid(base, core.Schemes(), []int{3}, []float64{30, 150}, 2)
+	base := quickScenario(core.ORTSOCTS, 0, 0)
+	base.Duration = sim.Duration(200 * des.Millisecond)
+	cells, err := Grid(sim.Runner{}, base, core.Schemes(), []int{3}, []float64{30, 150}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -758,9 +736,9 @@ func keys(m map[string]*memFile) []string {
 // directly: at N=8 with 30° beams, the all-directional scheme sustains
 // strictly more simultaneous on-air time than omni-directional 802.11.
 func TestSpatialReuseFactor(t *testing.T) {
-	run := func(s core.Scheme) *SimResult {
-		cfg := SimConfig{Scheme: s, BeamwidthDeg: 30, N: 8, Seed: 44, Duration: des.Second}
-		res, err := RunSim(cfg)
+	run := func(s core.Scheme) *sim.Result {
+		cfg := paperScenario(s, 8, 30, 44)
+		res, err := sim.RunScenario(cfg, sim.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -826,8 +804,8 @@ func TestModelVsSimAgreement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	base := SimConfig{Seed: 30, Duration: des.Second}
-	rows, err := ModelVsSim(base, []int{8}, []float64{30, 150}, 4)
+	base := sim.Scenario{Seed: 30, Duration: sim.Duration(des.Second)}
+	rows, err := ModelVsSim(sim.Runner{}, base, []int{8}, []float64{30, 150}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -850,9 +828,9 @@ func TestModelVsSimAgreement(t *testing.T) {
 }
 
 func TestReuseStudy(t *testing.T) {
-	base := quickCfg(core.ORTSOCTS, 0, 0)
-	base.Duration = 300 * des.Millisecond
-	cells, err := ReuseStudy(base, []core.Scheme{core.ORTSOCTS, core.DRTSDCTS}, 5, []float64{30}, 2)
+	base := quickScenario(core.ORTSOCTS, 0, 0)
+	base.Duration = sim.Duration(300 * des.Millisecond)
+	cells, err := ReuseStudy(sim.Runner{}, base, []core.Scheme{core.ORTSOCTS, core.DRTSDCTS}, 5, []float64{30}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -884,7 +862,7 @@ func TestReuseStudy(t *testing.T) {
 	if !strings.Contains(sb.String(), "reuse factor") {
 		t.Error("report header missing")
 	}
-	if _, err := ReuseStudy(base, core.Schemes(), 5, []float64{30}, 0); err == nil {
+	if _, err := ReuseStudy(sim.Runner{}, base, core.Schemes(), 5, []float64{30}, 0); err == nil {
 		t.Error("zero topologies should fail")
 	}
 	if err := WriteReuseStudy(&strings.Builder{}, nil); err == nil {
@@ -893,11 +871,11 @@ func TestReuseStudy(t *testing.T) {
 }
 
 func TestDelayCDF(t *testing.T) {
-	base := quickCfg(core.ORTSOCTS, 3, 0)
-	base.Duration = des.Second
+	base := quickScenario(core.ORTSOCTS, 3, 0)
+	base.Duration = sim.Duration(des.Second)
 	schemes := []core.Scheme{core.ORTSOCTS, core.DRTSDCTS}
 	base.BeamwidthDeg = 90
-	rows, err := DelayCDF(base, schemes, []float64{50, 95, 99})
+	rows, err := DelayCDF(sim.Runner{}, base, schemes, []float64{50, 95, 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -918,7 +896,7 @@ func TestDelayCDF(t *testing.T) {
 	if !strings.Contains(sb.String(), "percentile") {
 		t.Error("CDF header missing")
 	}
-	if _, err := DelayCDF(base, schemes, nil); err == nil {
+	if _, err := DelayCDF(sim.Runner{}, base, schemes, nil); err == nil {
 		t.Error("empty percentiles should fail")
 	}
 	if err := WriteDelayCDF(&strings.Builder{}, nil, schemes); err == nil {
@@ -934,12 +912,10 @@ func TestAdaptiveRTSHelpsUnderMobility(t *testing.T) {
 		t.Skip("short mode")
 	}
 	run := func(adaptive des.Time) float64 {
-		cfg := SimConfig{
-			Scheme: core.DRTSDCTS, BeamwidthDeg: 30, N: 5, Seed: 80,
-			Duration: des.Second, MaxSpeed: 1.0, RefreshInterval: des.Second,
-			AdaptiveRTS: adaptive,
-		}
-		b, err := RunBatch(cfg, 5)
+		cfg := paperScenario(core.DRTSDCTS, 5, 30, 80)
+		cfg.Mobility = waypoint(1.0, des.Second)
+		cfg.Ablations.AdaptiveRTS = sim.Duration(adaptive)
+		b, err := RunBatch(sim.Runner{}, cfg, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -969,9 +945,9 @@ func TestJSONWriters(t *testing.T) {
 		t.Errorf("fig5 JSON content: %v", decoded[0])
 	}
 
-	base := quickCfg(core.ORTSOCTS, 0, 0)
-	base.Duration = 200 * des.Millisecond
-	cells, err := RunGrid(base, []core.Scheme{core.ORTSOCTS}, []int{3}, []float64{30}, 1)
+	base := quickScenario(core.ORTSOCTS, 0, 0)
+	base.Duration = sim.Duration(200 * des.Millisecond)
+	cells, err := Grid(sim.Runner{}, base, []core.Scheme{core.ORTSOCTS}, []int{3}, []float64{30}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1014,13 +990,13 @@ func TestJSONWriters(t *testing.T) {
 // every per-topology simulation owns its scheduler and seed, so repeated
 // batches must be bit-identical regardless of goroutine interleaving.
 func TestBatchParallelDeterminism(t *testing.T) {
-	cfg := quickCfg(core.DRTSOCTS, 3, 90)
-	cfg.Duration = 300 * des.Millisecond
-	a, err := RunBatch(cfg, 6)
+	cfg := quickScenario(core.DRTSOCTS, 3, 90)
+	cfg.Duration = sim.Duration(300 * des.Millisecond)
+	a, err := RunBatch(sim.Runner{}, cfg, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunBatch(cfg, 6)
+	b, err := RunBatch(sim.Runner{}, cfg, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,26 +35,26 @@ import (
 )
 
 func TestKernelDeterminismGoldenFastForward(t *testing.T) {
-	for name, cfg := range goldenCases() {
-		if cfg.NAVOracle {
+	for name, base := range goldenCases() {
+		if base.PHY.NAVOracle {
 			// sim.Validate rejects fastforward+navOracle (the rule outlived
 			// the mode so files are judged the same by every version); the
 			// plain golden run covers the oracle configuration.
 			continue
 		}
 		for _, tel := range []bool{false, true} {
-			cfg := cfg
+			sc := base
+			sc.FastForward = true
+			var opts sim.Options
 			sub := name
 			if tel {
-				cfg.TelemetryInterval = 10 * des.Millisecond
-				cfg.Telemetry = telemetry.Discard{}
+				sc.Telemetry.Interval = sim.Duration(10 * des.Millisecond)
+				opts.Telemetry = telemetry.Discard{}
 				sub += "_telemetry"
 			}
 			t.Run(sub, func(t *testing.T) {
 				t.Parallel()
-				sc := cfg.Scenario()
-				sc.FastForward = true
-				res, err := sim.RunScenario(sc, sim.Options{Telemetry: cfg.Telemetry})
+				res, err := sim.RunScenario(sc, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -136,32 +136,32 @@ func TestFastForwardDifferential(t *testing.T) {
 		i := i
 		t.Run(fmt.Sprintf("case%02d", i), func(t *testing.T) {
 			t.Parallel()
-			cfg := SimConfig{
-				Scheme:       schemes[i%len(schemes)],
+			sc := sim.Scenario{
+				Scheme:       schemes[i%len(schemes)].String(),
 				BeamwidthDeg: []float64{30, 90, 150}[i%3],
-				N:            2 + i%4,
 				Seed:         int64(100 + 13*i),
-				Duration:     60 * des.Millisecond,
+				Duration:     sim.Duration(60 * des.Millisecond),
+				Topology:     sim.TopologySpec{N: 2 + i%4},
 			}
+			var opts sim.Options
 			switch i % 4 {
 			case 1:
-				cfg.OfferedLoadBps = 50_000 // sparse: long idle stretches
+				sc.Traffic = sim.TrafficSpec{Kind: "cbr", OfferedLoadBps: 50_000} // sparse: long idle stretches
 			case 2:
-				cfg.MaxSpeed = 0.5
-				cfg.RefreshInterval = 20 * des.Millisecond
-				cfg.OfferedLoadBps = 200_000
+				sc.Mobility = sim.MobilitySpec{Kind: "waypoint", MaxSpeed: 0.5, RefreshInterval: sim.Duration(20 * des.Millisecond)}
+				sc.Traffic = sim.TrafficSpec{Kind: "cbr", OfferedLoadBps: 200_000}
 			case 3:
-				cfg.SINR = true
-				cfg.BasicAccess = i%2 == 1
+				sc.PHY.SINR = true
+				sc.Ablations.BasicAccess = i%2 == 1
 			}
 			if i%5 == 0 {
-				cfg.DisableEIFS = true
+				sc.Ablations.DisableEIFS = true
 			}
 			if i%6 == 3 {
-				cfg.TelemetryInterval = 5 * des.Millisecond
-				cfg.Telemetry = telemetry.Discard{}
+				sc.Telemetry.Interval = sim.Duration(5 * des.Millisecond)
+				opts.Telemetry = telemetry.Discard{}
 			}
-			res, err := RunSim(cfg)
+			res, err := sim.RunScenario(sc, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

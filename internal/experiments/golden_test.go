@@ -4,7 +4,7 @@ package experiments
 // performance-critical and get optimized aggressively (typed event heap,
 // timer free list, spatial indexing). None of that is allowed to change
 // simulation results — not even in the last bit of a float. These tests
-// pin the complete SimResult (per-node throughput, delays, collision
+// pin the complete sim.Result (per-node throughput, delays, collision
 // ratios, fairness, airtime shares and every raw MAC counter) for a
 // spread of configurations to JSON goldens generated from the reference
 // implementation.
@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/des"
+	"repro/internal/sim"
 )
 
 // goldenCases covers both directional schemes and the omni baseline at
@@ -32,40 +33,39 @@ import (
 // code paths hardest: mobility (spatial-grid invalidation via SetPos),
 // SINR (the received-power computation), and the NAV oracle (out-of-beam
 // scheduling).
-func goldenCases() map[string]SimConfig {
-	base := func(s core.Scheme, n int, beam float64) SimConfig {
-		return SimConfig{
-			Scheme:       s,
+func goldenCases() map[string]sim.Scenario {
+	base := func(s core.Scheme, n int, beam float64) sim.Scenario {
+		return sim.Scenario{
+			Scheme:       s.String(),
 			BeamwidthDeg: beam,
-			N:            n,
 			Seed:         7,
-			Duration:     300 * des.Millisecond,
+			Duration:     sim.Duration(300 * des.Millisecond),
+			Topology:     sim.TopologySpec{N: n},
 		}
 	}
-	cases := map[string]SimConfig{
+	cases := map[string]sim.Scenario{
 		"drtsdcts_n3_b90":  base(core.DRTSDCTS, 3, 90),
 		"drtsdcts_n8_b30":  base(core.DRTSDCTS, 8, 30),
 		"drtsocts_n3_b150": base(core.DRTSOCTS, 3, 150),
 		"ortsocts_n8":      base(core.ORTSOCTS, 8, 0),
 	}
 	mob := base(core.DRTSDCTS, 5, 90)
-	mob.MaxSpeed = 0.5
-	mob.RefreshInterval = 100 * des.Millisecond
+	mob.Mobility = sim.MobilitySpec{Kind: "waypoint", MaxSpeed: 0.5, RefreshInterval: sim.Duration(100 * des.Millisecond)}
 	cases["mobility_n5_b90"] = mob
 
 	sinr := base(core.DRTSDCTS, 5, 30)
-	sinr.SINR = true
+	sinr.PHY.SINR = true
 	cases["sinr_n5_b30"] = sinr
 
 	oracle := base(core.DRTSDCTS, 5, 30)
-	oracle.NAVOracle = true
+	oracle.PHY.NAVOracle = true
 	cases["navoracle_n5_b30"] = oracle
 	return cases
 }
 
-// canonicalJSON renders a SimResult deterministically (json sorts map
+// canonicalJSON renders a sim.Result deterministically (json sorts map
 // keys, slices keep order).
-func canonicalJSON(t *testing.T, res *SimResult) []byte {
+func canonicalJSON(t *testing.T, res *sim.Result) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -78,11 +78,11 @@ func canonicalJSON(t *testing.T, res *SimResult) []byte {
 
 func TestKernelDeterminismGolden(t *testing.T) {
 	update := os.Getenv("UPDATE_GOLDEN") != ""
-	for name, cfg := range goldenCases() {
-		name, cfg := name, cfg
+	for name, sc := range goldenCases() {
+		name, sc := name, sc
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			res, err := RunSim(cfg)
+			res, err := sim.RunScenario(sc, sim.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // LoadCell is one point of an offered-load sweep: one scheme at one
@@ -17,9 +18,9 @@ type LoadCell struct {
 
 // LoadSweep runs the classic offered-load study the paper's saturation
 // analysis brackets: per-node CBR load swept from light to beyond
-// saturation, for each scheme. Base supplies N, beamwidth, seed and
-// duration.
-func LoadSweep(base SimConfig, schemes []core.Scheme, loadsBps []float64, topologies int) ([]LoadCell, error) {
+// saturation, for each scheme. Each cell sets the scheme and cbr traffic
+// at its load on a copy of base.
+func LoadSweep(r sim.Runner, base sim.Scenario, schemes []core.Scheme, loadsBps []float64, topologies int) ([]LoadCell, error) {
 	if len(loadsBps) == 0 {
 		return nil, fmt.Errorf("experiments: load sweep needs at least one load")
 	}
@@ -29,10 +30,11 @@ func LoadSweep(base SimConfig, schemes []core.Scheme, loadsBps []float64, topolo
 			return nil, fmt.Errorf("experiments: offered load must be positive, got %v", load)
 		}
 		for _, s := range schemes {
-			cfg := base
-			cfg.Scheme = s
-			cfg.OfferedLoadBps = load
-			batch, err := RunBatch(cfg, topologies)
+			sc := base
+			sc.Scheme = s.String()
+			sc.Traffic.Kind = "cbr"
+			sc.Traffic.OfferedLoadBps = load
+			batch, err := RunBatch(r, sc, topologies)
 			if err != nil {
 				return nil, fmt.Errorf("load sweep %v at %v b/s: %w", s, load, err)
 			}

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // MobilityCell is one point of a mobility sweep: one scheme at one
@@ -17,11 +18,12 @@ type MobilityCell struct {
 
 // MobilitySweep runs the extension study the paper's future-work section
 // gestures at: node speed swept from static to fast random-waypoint
-// motion, with neighbor locations refreshed at base.RefreshInterval.
-// Directional schemes aim beams using snapshots up to one refresh
-// interval old, so narrow beams increasingly miss moving receivers while
-// the omni scheme is unaffected by location error.
-func MobilitySweep(base SimConfig, schemes []core.Scheme, speeds []float64, topologies int) ([]MobilityCell, error) {
+// motion, with neighbor locations refreshed every
+// base.Mobility.RefreshInterval. Directional schemes aim beams using
+// snapshots up to one refresh interval old, so narrow beams increasingly
+// miss moving receivers while the omni scheme is unaffected by location
+// error. The static cells (speed 0) run without a mobility section.
+func MobilitySweep(r sim.Runner, base sim.Scenario, schemes []core.Scheme, speeds []float64, topologies int) ([]MobilityCell, error) {
 	if len(speeds) == 0 {
 		return nil, fmt.Errorf("experiments: mobility sweep needs at least one speed")
 	}
@@ -31,10 +33,13 @@ func MobilitySweep(base SimConfig, schemes []core.Scheme, speeds []float64, topo
 			return nil, fmt.Errorf("experiments: speed must be non-negative, got %v", v)
 		}
 		for _, s := range schemes {
-			cfg := base
-			cfg.Scheme = s
-			cfg.MaxSpeed = v
-			batch, err := RunBatch(cfg, topologies)
+			sc := base
+			sc.Scheme = s.String()
+			sc.Mobility = sim.MobilitySpec{}
+			if v > 0 {
+				sc.Mobility = sim.MobilitySpec{Kind: "waypoint", MaxSpeed: v, RefreshInterval: base.Mobility.RefreshInterval}
+			}
+			batch, err := RunBatch(r, sc, topologies)
 			if err != nil {
 				return nil, fmt.Errorf("mobility sweep %v at speed %v: %w", s, v, err)
 			}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/des"
 	"repro/internal/mac"
 	"repro/internal/phy"
+	"repro/internal/sim"
 )
 
 // ModelVsSimRow compares the analytical model against the simulator at
@@ -57,7 +58,7 @@ func SimLengths() core.Lengths {
 // the model's packet lengths. This is the paper's Section 4 argument —
 // "simulation results largely agree with what is predicted in the
 // analytical model" — made quantitative.
-func ModelVsSim(base SimConfig, ns []int, beamsDeg []float64, topologies int) ([]ModelVsSimRow, error) {
+func ModelVsSim(r sim.Runner, base sim.Scenario, ns []int, beamsDeg []float64, topologies int) ([]ModelVsSimRow, error) {
 	lengths := SimLengths()
 	dataAir := phy.DefaultParams().Airtime(1460)
 	var rows []ModelVsSimRow
@@ -69,11 +70,11 @@ func ModelVsSim(base SimConfig, ns []int, beamsDeg []float64, topologies int) ([
 				if err != nil {
 					return nil, fmt.Errorf("model point %v N=%d θ=%v: %w", s, n, beam, err)
 				}
-				cfg := base
-				cfg.Scheme = s
-				cfg.N = n
-				cfg.BeamwidthDeg = beam
-				batch, err := RunBatch(cfg, topologies)
+				sc := base
+				sc.Scheme = s.String()
+				sc.Topology.N = n
+				sc.BeamwidthDeg = beam
+				batch, err := RunBatch(r, sc, topologies)
 				if err != nil {
 					return nil, fmt.Errorf("sim point %v N=%d θ=%v: %w", s, n, beam, err)
 				}

@@ -52,8 +52,7 @@ func compareShards(t *testing.T, workers int, got, want [][]byte) {
 }
 
 func TestKernelDeterminismGoldenParallelWorkers(t *testing.T) {
-	for name, cfg := range goldenCases() {
-		sc := cfg.Scenario()
+	for name, sc := range goldenCases() {
 		_, want := runBatch(t, sc, 1, sim.Options{})
 		path := filepath.Join("testdata", fmt.Sprintf("golden_%s.json", name))
 		golden, err := os.ReadFile(path)
@@ -102,7 +101,7 @@ func TestFastForwardSparseParallelWorkers(t *testing.T) {
 // byte-identical at 1 and 4 workers, and shard 0's result must equal the
 // kernel golden, because sampling is a pure observer.
 func TestTelemetryGoldenParallelWorkers(t *testing.T) {
-	sc := goldenCases()["drtsdcts_n3_b90"].Scenario()
+	sc := goldenCases()["drtsdcts_n3_b90"]
 	sc.Telemetry.Interval = sim.Duration(10 * des.Millisecond)
 	golden, err := os.ReadFile(filepath.Join("testdata", "golden_drtsdcts_n3_b90.json"))
 	if err != nil {

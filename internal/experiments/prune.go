@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // KaiLiewFingerprint identifies the pruning predictor's behavior for
@@ -114,15 +115,15 @@ func PruneGrid(schemes []core.Scheme, ns []int, beamsDeg []float64, margin float
 	return verdicts, nil
 }
 
-// RunGridPruned is RunGrid with pre-sweep pruning: cells the predictor
+// RunGridPruned is Grid with pre-sweep pruning: cells the predictor
 // marks dominated are skipped entirely (no simulation, no cache
 // traffic), and only the surviving cells are returned. The verdicts —
 // including the skipped cells with their estimates — come back
-// alongside, so reports can show what was pruned and why. base.Cache,
-// when set, memoizes both the predictor verdicts and the surviving
-// cells' simulation results.
-func RunGridPruned(base SimConfig, schemes []core.Scheme, ns []int, beamsDeg []float64, topologies int, margin float64) ([]GridCell, []PruneVerdict, error) {
-	verdicts, err := PruneGrid(schemes, ns, beamsDeg, margin, base.Cache)
+// alongside, so reports can show what was pruned and why.
+// r.Options.Cache, when set, memoizes both the predictor verdicts and
+// the surviving cells' simulation results.
+func RunGridPruned(r sim.Runner, base sim.Scenario, schemes []core.Scheme, ns []int, beamsDeg []float64, topologies int, margin float64) ([]GridCell, []PruneVerdict, error) {
+	verdicts, err := PruneGrid(schemes, ns, beamsDeg, margin, r.Options.Cache)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -132,32 +133,11 @@ func RunGridPruned(base SimConfig, schemes []core.Scheme, ns []int, beamsDeg []f
 			skip[gridKey{v.Scheme, v.N, v.BeamwidthDeg}] = true
 		}
 	}
-	var cells []GridCell
-	for _, n := range ns {
-		for _, beam := range beamsDeg {
-			for _, s := range schemes {
-				if skip[gridKey{s, n, beam}] {
-					continue
-				}
-				cfg := base
-				cfg.Scheme = s
-				cfg.N = n
-				cfg.BeamwidthDeg = beam
-				batch, err := RunBatch(cfg, topologies)
-				if err != nil {
-					return nil, nil, fmt.Errorf("grid cell %v N=%d θ=%v: %w", s, n, beam, err)
-				}
-				cells = append(cells, GridCell{Scheme: s, N: n, BeamwidthDeg: beam, Batch: batch})
-			}
-		}
+	cells, err := runGrid(r, base, schemes, ns, beamsDeg, topologies, skip)
+	if err != nil {
+		return nil, nil, err
 	}
 	return cells, verdicts, nil
-}
-
-type gridKey struct {
-	scheme core.Scheme
-	n      int
-	beam   float64
 }
 
 const radPerDeg = 3.141592653589793 / 180

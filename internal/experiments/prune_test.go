@@ -6,6 +6,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/des"
+	"repro/internal/sim"
 )
 
 // TestPruneGridDomination pins the margin semantics: within each
@@ -109,11 +110,11 @@ func TestPruneGridCache(t *testing.T) {
 // surviving cells match the verdicts, every kept cell simulated, every
 // skipped cell absent.
 func TestRunGridPruned(t *testing.T) {
-	base := SimConfig{Seed: 7, Duration: 20 * des.Millisecond}
+	base := sim.Scenario{Seed: 7, Duration: sim.Duration(20 * des.Millisecond)}
 	schemes := []core.Scheme{core.DRTSDCTS, core.ORTSOCTS}
 	ns := []int{3}
 	beams := []float64{30, 150}
-	cells, verdicts, err := RunGridPruned(base, schemes, ns, beams, 1, 0.95)
+	cells, verdicts, err := RunGridPruned(sim.Runner{}, base, schemes, ns, beams, 1, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -25,25 +26,21 @@ type ReuseCell struct {
 
 // ReuseStudy measures the spatial-reuse factor across schemes and
 // beamwidths — the paper's central mechanism quantified directly rather
-// than inferred from throughput.
-func ReuseStudy(base SimConfig, schemes []core.Scheme, n int, beamsDeg []float64, topologies int) ([]ReuseCell, error) {
-	if topologies < 1 {
-		return nil, fmt.Errorf("experiments: need at least one topology")
-	}
+// than inferred from throughput. Each cell runs `topologies` shards on r.
+func ReuseStudy(r sim.Runner, base sim.Scenario, schemes []core.Scheme, n int, beamsDeg []float64, topologies int) ([]ReuseCell, error) {
 	var cells []ReuseCell
 	for _, beam := range beamsDeg {
 		for _, s := range schemes {
+			sc := base
+			sc.Scheme = s.String()
+			sc.Topology.N = n
+			sc.BeamwidthDeg = beam
+			results, err := r.Run(sc, topologies)
+			if err != nil {
+				return nil, fmt.Errorf("reuse cell %v θ=%v: %w", s, beam, err)
+			}
 			var reuse, share stats.Stream
-			for i := 0; i < topologies; i++ {
-				cfg := base
-				cfg.Scheme = s
-				cfg.N = n
-				cfg.BeamwidthDeg = beam
-				cfg.Seed = base.Seed + int64(i)
-				res, err := RunSim(cfg)
-				if err != nil {
-					return nil, fmt.Errorf("reuse cell %v θ=%v: %w", s, beam, err)
-				}
+			for _, res := range results {
 				reuse.Add(res.SpatialReuse)
 				share.Add(res.AirtimeShare["DATA"])
 			}
@@ -79,19 +76,19 @@ type DelayCDFRow struct {
 	DelayMsByScheme map[string]float64
 }
 
-// DelayCDF runs each scheme once with per-packet delay sampling and
+// DelayCDF runs base once per scheme with per-packet delay sampling and
 // tabulates the given percentiles — the tail view that Fig. 7's means
 // hide (BEB unfairness lives in the tail).
-func DelayCDF(base SimConfig, schemes []core.Scheme, percentiles []float64) ([]DelayCDFRow, error) {
+func DelayCDF(r sim.Runner, base sim.Scenario, schemes []core.Scheme, percentiles []float64) ([]DelayCDFRow, error) {
 	if len(percentiles) == 0 {
 		return nil, fmt.Errorf("experiments: need at least one percentile")
 	}
-	samples := make(map[string]*SimResult, len(schemes))
+	samples := make(map[string]*sim.Result, len(schemes))
 	for _, s := range schemes {
-		cfg := base
-		cfg.Scheme = s
-		cfg.SampleDelays = true
-		res, err := RunSim(cfg)
+		sc := base
+		sc.Scheme = s.String()
+		sc.SampleDelays = true
+		res, err := sim.RunScenario(sc, r.Options)
 		if err != nil {
 			return nil, fmt.Errorf("delay CDF %v: %w", s, err)
 		}

@@ -19,17 +19,17 @@ import (
 	"testing"
 
 	"repro/internal/des"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
 func TestKernelDeterminismGoldenWithTelemetry(t *testing.T) {
-	for name, cfg := range goldenCases() {
-		name, cfg := name, cfg
+	for name, sc := range goldenCases() {
+		name, sc := name, sc
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			cfg.TelemetryInterval = 10 * des.Millisecond
-			cfg.Telemetry = telemetry.Discard{}
-			res, err := RunSim(cfg)
+			sc.Telemetry.Interval = sim.Duration(10 * des.Millisecond)
+			res, err := sim.RunScenario(sc, sim.Options{Telemetry: telemetry.Discard{}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,12 +49,11 @@ func TestKernelDeterminismGoldenWithTelemetry(t *testing.T) {
 
 func TestTelemetryExportGolden(t *testing.T) {
 	update := os.Getenv("UPDATE_GOLDEN") != ""
-	cfg := goldenCases()["drtsdcts_n3_b90"]
-	cfg.TelemetryInterval = 10 * des.Millisecond
+	sc := goldenCases()["drtsdcts_n3_b90"]
+	sc.Telemetry.Interval = sim.Duration(10 * des.Millisecond)
 	var buf bytes.Buffer
 	w := telemetry.NewWriter(&buf)
-	cfg.Telemetry = w
-	if _, err := RunSim(cfg); err != nil {
+	if _, err := sim.RunScenario(sc, sim.Options{Telemetry: w}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {

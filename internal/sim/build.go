@@ -29,16 +29,13 @@ import (
 // Options carries the runtime (non-serializable) hooks a caller may
 // attach alongside a declarative Scenario.
 type Options struct {
-	// Topology overrides the scenario's topology section with a
-	// pre-generated placement.
-	Topology *topology.Topology
 	// Tracer receives every node's protocol events. It takes precedence
 	// over the scenario's trace sink.
 	Tracer trace.Tracer
 	// Cache, when set, lets RunScenario (and therefore Runner.Run) serve
 	// results from a content-addressed store instead of re-running
-	// identical scenarios. Runs with a Topology or Tracer override bypass
-	// the cache: those overrides are not part of the content address.
+	// identical scenarios. Runs with a Tracer bypass the cache: its side
+	// effects are not part of the content address.
 	Cache *cache.Store
 	// Telemetry receives the streaming export of a run whose scenario
 	// enables telemetry (ignored otherwise). When nil, Build provides an
@@ -197,12 +194,9 @@ func Build(sc Scenario, opts Options) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	topo := opts.Topology
-	if topo == nil {
-		topo, err = GenerateTopology(rand.New(rand.NewSource(sc.Seed)), sc)
-		if err != nil {
-			return nil, err
-		}
+	topo, err := GenerateTopology(rand.New(rand.NewSource(sc.Seed)), sc)
+	if err != nil {
+		return nil, err
 	}
 
 	sched := des.New(sc.Seed ^ 0x5eed)
@@ -305,7 +299,7 @@ func Build(sc Scenario, opts Options) (*Sim, error) {
 		nbBack = ch.NeighborsAppend(id, nbBack)
 		if nbs := nbBack[start:len(nbBack):len(nbBack)]; len(nbs) > 0 {
 			src, err = buildSource(TrafficEnv{
-				Sched: sched, Rand: sched.Rand(), Neighbors: nbs, Spec: trafficSpec,
+				Sched: sched, Rand: sched.Rand(), ID: id, Neighbors: nbs, Spec: trafficSpec,
 			})
 			if err != nil {
 				return nil, err

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/des"
+	"repro/internal/geom"
 	"repro/internal/trace"
 )
 
@@ -117,24 +119,82 @@ func TestBuildNoneTrafficIsSilent(t *testing.T) {
 	}
 }
 
-func TestBuildProvidedTopology(t *testing.T) {
+// TestExplicitPlacementMatchesGenerated: the placement a rings scenario
+// draws, written back as topology.kind "explicit" with the same n and
+// radius, runs to the same result bytes as the generated run. The
+// topology and the protocol draw from separate random streams, so
+// supplying the placement leaves every protocol draw in place.
+func TestExplicitPlacementMatchesGenerated(t *testing.T) {
 	sc := quickScenario()
 	topo, err := GenerateTopology(rand.New(rand.NewSource(sc.Seed)), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaOpts, err := RunScenario(sc, Options{Topology: topo})
+	explicit := sc
+	explicit.Topology = TopologySpec{Kind: "explicit", N: sc.Topology.N, Radius: topo.Radius, Positions: topo.Positions}
+	var enc [2][]byte
+	for i, spec := range []Scenario{sc, explicit} {
+		res, err := RunScenario(spec, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.NodeStats) != len(topo.Positions) {
+			t.Errorf("stats for %d nodes, topology has %d", len(res.NodeStats), len(topo.Positions))
+		}
+		if enc[i], err = EncodeResult(res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(enc[0], enc[1]) {
+		t.Error("the generated placement written as an explicit topology ran to different bytes")
+	}
+}
+
+// flowsScenario is a saturated explicit-topology run over flows.
+func flowsScenario(scheme string, seed int64, positions []geom.Point, flows ...Flow) Scenario {
+	return Scenario{
+		Scheme: scheme, BeamwidthDeg: 45, Seed: seed,
+		Duration: Duration(2 * des.Second),
+		Topology: TopologySpec{Kind: "explicit", N: len(positions), Positions: positions},
+		Traffic:  TrafficSpec{Kind: "flows", Flows: flows},
+	}
+}
+
+// TestFlowsTwoNodeLink: one flow over a clean 0.5 R link carries about
+// the link's saturated goodput with no failures, and its destination,
+// which sources no flow, only responds.
+func TestFlowsTwoNodeLink(t *testing.T) {
+	for _, scheme := range []string{"ORTS-OCTS", "DRTS-DCTS"} {
+		sc := flowsScenario(scheme, 3, []geom.Point{{X: 0, Y: 0}, {X: 0.5, Y: 0}}, Flow{Src: 0, Dst: 1})
+		res, err := RunScenario(sc, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if thr := res.ThroughputBps[0]; thr < 1.4e6 || thr > 1.9e6 {
+			t.Errorf("%s: clean link goodput = %.3g b/s, want ≈ 1.62 Mb/s", scheme, thr)
+		}
+		if st := res.NodeStats[0]; st.Drops != 0 || st.CTSTimeouts != 0 {
+			t.Errorf("%s: clean link had failures: %+v", scheme, st)
+		}
+		if st := res.NodeStats[1]; st.RTSSent != 0 || st.CTSSent == 0 {
+			t.Errorf("%s: flow-less node sent %d RTS and %d CTS; want none and some", scheme, st.RTSSent, st.CTSSent)
+		}
+	}
+}
+
+// TestFlowsSourceOnlyTheirDestinations: a node sources saturated
+// traffic to its flow destinations only. The middle of a three-node
+// chain has both ends in range, but its one flow names the right end.
+func TestFlowsSourceOnlyTheirDestinations(t *testing.T) {
+	chain := []geom.Point{{X: -0.5}, {X: 0}, {X: 0.5}}
+	res, err := RunScenario(flowsScenario("ORTS-OCTS", 5, chain, Flow{Src: 1, Dst: 2}), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaSpec, err := RunScenario(sc, Options{})
-	if err != nil {
-		t.Fatal(err)
+	if got := res.NodeStats[0]; got.CTSSent != 0 || got.RTSSent != 0 {
+		t.Errorf("left end is in no flow, yet sent %d RTS and %d CTS", got.RTSSent, got.CTSSent)
 	}
-	if !reflect.DeepEqual(viaOpts, viaSpec) {
-		t.Error("Options.Topology with the canonical placement diverged from the in-Build draw")
-	}
-	if len(viaOpts.NodeStats) != len(topo.Positions) {
-		t.Errorf("stats for %d nodes, topology has %d", len(viaOpts.NodeStats), len(topo.Positions))
+	if res.NodeStats[1].Successes == 0 || res.NodeStats[2].CTSSent == 0 {
+		t.Errorf("flow 1→2 made no progress: %+v / %+v", res.NodeStats[1], res.NodeStats[2])
 	}
 }

@@ -3,10 +3,9 @@ package sim
 // Result caching. Determinism is the enabler: a Scenario's canonical
 // bytes plus the engine fingerprint fully determine the Result (the
 // kernel-determinism goldens pin this), so a content-addressed lookup
-// can replace a simulation run bit-for-bit. Runs with runtime overrides
-// attached (a pre-generated topology or a tracer) are NOT cached — the
-// override isn't part of the canonical bytes, and replaying a cached
-// result would silently drop tracer side effects.
+// can replace a simulation run bit-for-bit. Runs with a tracer or
+// telemetry attached are NOT cached: replaying a cached result would
+// silently drop their side effects.
 
 import (
 	"encoding/json"
@@ -36,9 +35,8 @@ import (
 const EngineFingerprint = "repro-sim/v4"
 
 // optionsFingerprint describes the cacheable Options state. Runs are
-// only cached when no runtime overrides are attached, so today this is
-// a single canonical value; it becomes a real encoding if cacheable
-// options ever appear.
+// only cached without a tracer, so today this is a single canonical
+// value; it becomes a real encoding if cacheable options ever appear.
 const optionsFingerprint = "default"
 
 // ScenarioKey computes the content address of a scenario's result:
@@ -87,10 +85,9 @@ func DecodeResult(b []byte) (*Result, error) {
 // cacheable reports whether a run of sc under opts may be served from
 // or stored to the cache. Telemetry-enabled scenarios bypass the cache
 // entirely: the streaming export is a side effect a cached Result
-// cannot replay, exactly like a Tracer override.
+// cannot replay, exactly like a Tracer.
 func cacheable(sc Scenario, opts Options) bool {
-	return opts.Cache != nil && opts.Topology == nil && opts.Tracer == nil &&
-		!sc.Telemetry.Enabled()
+	return opts.Cache != nil && opts.Tracer == nil && !sc.Telemetry.Enabled()
 }
 
 // runCached serves sc from the cache when possible, otherwise runs it

@@ -3,13 +3,13 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/trace"
 )
 
 // canonicalResultJSON mirrors the kernel-determinism golden encoding of
@@ -178,16 +178,15 @@ func TestCacheBypassedWithRuntimeOverrides(t *testing.T) {
 	if _, err := RunScenario(sc, Options{Cache: store}); err != nil {
 		t.Fatal(err)
 	}
-	topo, err := GenerateTopology(rand.New(rand.NewSource(sc.Seed)), sc)
-	if err != nil {
+	rec := trace.NewRecorder(64)
+	if _, err := RunScenario(sc, Options{Cache: store, Tracer: rec}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunScenario(sc, Options{Cache: store, Topology: topo}); err != nil {
-		t.Fatal(err)
+	if st := store.Stats(); st.Hits != 0 {
+		t.Errorf("a run with a tracer consulted the cache (hits = %d)", st.Hits)
 	}
-	st := store.Stats()
-	if st.Hits != 0 {
-		t.Errorf("a run with a topology override consulted the cache (hits = %d)", st.Hits)
+	if len(rec.Events()) == 0 {
+		t.Error("the tracer saw no events: the run was not executed")
 	}
 }
 

@@ -6,8 +6,8 @@ package sim
 // one-timer countdown (DESIGN.md §12) must reproduce every digest; the
 // corpus spans every scheme, the PHY and MAC ablations, CBR and
 // waypoint mobility, delay sampling, telemetry down to one-slot
-// sampling, a one-slot neighbor refresh, and uniform fields of 384 and
-// 1440 nodes.
+// sampling, a one-slot neighbor refresh, uniform fields of 384 and 1440
+// nodes, and explicit flows (the hidden-terminal triple).
 //
 // Each entry also pins the run's work as two exact counts: DES events
 // executed and frames put on the air. They do not depend on the
@@ -221,6 +221,13 @@ func corpusCases(t *testing.T) []corpusCase {
 			Topology: TopologySpec{Kind: "uniform", N: 10, Rings: 12},
 		})
 	}
+
+	// Explicit flows: the hidden-terminal triple, run at full length.
+	sc, err := LoadScenario(filepath.Join("testdata", "hidden-terminal.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	add("file_hidden-terminal.json", sc)
 	return cs
 }
 

@@ -32,6 +32,9 @@ type TrafficEnv struct {
 	Sched *des.Scheduler
 	// Rand is the protocol random stream shared by all sources.
 	Rand *rand.Rand
+	// ID is the node the source is built for (its index in the
+	// topology's positions).
+	ID phy.NodeID
 	// Neighbors are the node's in-range peers (never empty; nodes
 	// without neighbors get an empty source without consulting the
 	// builder). Ownership transfers to the builder: the slice is stable
@@ -169,6 +172,7 @@ func init() {
 
 	RegisterTraffic("saturated", buildSaturated)
 	RegisterTraffic("cbr", buildCBR)
+	RegisterTraffic("flows", buildFlows)
 	RegisterTraffic("none", buildNone)
 }
 
@@ -279,6 +283,25 @@ func buildCBR(env TrafficEnv) (mac.Source, error) {
 	return traffic.NewCBROwned(env.Sched, env.Rand, env.Neighbors, traffic.CBRConfig{
 		Interval: interval, Bytes: env.Spec.PacketBytes, QueueCap: env.Spec.QueueCap,
 	})
+}
+
+// buildFlows saturates the node's explicit flows: its source draws
+// uniformly among the destinations of the flows it sources, listed in
+// flow order. A node that sources no flow gets an empty source and only
+// responds. Like every kind, the builder is consulted only for nodes
+// with an in-range peer: a node with none stays silent even if it
+// sources a flow.
+func buildFlows(env TrafficEnv) (mac.Source, error) {
+	var dsts []phy.NodeID
+	for _, f := range env.Spec.Flows {
+		if phy.NodeID(f.Src) == env.ID {
+			dsts = append(dsts, phy.NodeID(f.Dst))
+		}
+	}
+	if len(dsts) == 0 {
+		return traffic.Empty{}, nil
+	}
+	return traffic.NewSaturatedOwned(env.Rand, dsts, env.Spec.PacketBytes)
 }
 
 // buildNone leaves the node silent.

@@ -6,13 +6,14 @@
 // into a live scheduler + channel + MAC nodes, and a sharded Runner that
 // fans a scenario out over independent seeds with a bounded worker pool.
 //
-// The package is the seam every scaling feature plugs into: new workloads
-// are added by registering a component, not by editing assembly code, and
-// whole experiment grids are files, not flag soup. Determinism is the
-// contract — building and running the same Scenario twice produces
-// bit-identical results, and the assembly here reproduces the historical
-// experiments.RunSim byte-for-byte (pinned by the kernel-determinism
-// goldens).
+// A Scenario plus Options is the only description of a run, and Build is
+// the only assembly path outside the MAC test fixtures (sim/simtest):
+// the CLIs, the experiment studies, the daemon and the dirca facade all
+// build a Scenario. New workloads are added by registering a component,
+// not by editing assembly code, and whole experiment grids are files,
+// not flag soup. Determinism is the contract — building and running the
+// same Scenario twice produces bit-identical results (pinned by the
+// kernel-determinism goldens and the countdown corpus).
 package sim
 
 import (
@@ -77,7 +78,8 @@ type TopologySpec struct {
 type TrafficSpec struct {
 	// Kind names a registered traffic source; empty means "saturated"
 	// (the paper's always-backlogged CBR). "cbr" paces arrivals at
-	// OfferedLoadBps; "none" generates nothing.
+	// OfferedLoadBps; "flows" saturates the explicit Flows; "none"
+	// generates nothing.
 	Kind string `json:"kind,omitempty"`
 	// PacketBytes is the data payload size (0 means 1460, Table 1).
 	PacketBytes int `json:"packetBytes,omitempty"`
@@ -85,6 +87,17 @@ type TrafficSpec struct {
 	OfferedLoadBps float64 `json:"offeredLoadBps,omitempty"`
 	// QueueCap bounds the CBR backlog (0 means 64).
 	QueueCap int `json:"queueCap,omitempty"`
+	// Flows lists the saturated demands of kind "flows", as indices into
+	// topology.positions. A node may source several flows; one that
+	// sources none only responds. As under every kind, a node with no
+	// in-range peer stays silent.
+	Flows []Flow `json:"flows,omitempty"`
+}
+
+// Flow is an always-backlogged demand from node Src to node Dst.
+type Flow struct {
+	Src int `json:"src"`
+	Dst int `json:"dst"`
 }
 
 // MobilitySpec animates node positions.
@@ -306,6 +319,30 @@ func (sc Scenario) validateTraffic() error {
 	}
 	if kind != "cbr" && sc.Traffic.OfferedLoadBps != 0 {
 		return fmt.Errorf("sim: traffic.offeredLoadBps: only meaningful for cbr traffic, got kind %q", kind)
+	}
+	if kind != "flows" {
+		if len(sc.Traffic.Flows) > 0 {
+			return fmt.Errorf("sim: traffic.flows: only meaningful for kind \"flows\", got kind %q", kind)
+		}
+		return nil
+	}
+	if len(sc.Traffic.Flows) == 0 {
+		return fmt.Errorf("sim: traffic.flows: kind \"flows\" needs at least one flow")
+	}
+	if topo := sc.Topology.Kind; topo != "explicit" {
+		if topo == "" {
+			topo = "rings"
+		}
+		return fmt.Errorf("sim: traffic.flows: flows index topology.positions, so topology.kind must be \"explicit\", got %q", topo)
+	}
+	nodes := len(sc.Topology.Positions)
+	for i, f := range sc.Traffic.Flows {
+		if f.Src < 0 || f.Src >= nodes || f.Dst < 0 || f.Dst >= nodes {
+			return fmt.Errorf("sim: traffic.flows[%d]: node indices must be in [0, %d), got src %d dst %d", i, nodes, f.Src, f.Dst)
+		}
+		if f.Src == f.Dst {
+			return fmt.Errorf("sim: traffic.flows[%d]: node %d sends to itself", i, f.Src)
+		}
 	}
 	return nil
 }

@@ -213,6 +213,7 @@ func TestValidateErrors(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("baseline scenario should validate: %v", err)
 	}
+	pair := TopologySpec{Kind: "explicit", N: 2, Positions: []geom.Point{{X: 0}, {X: 0.5}}}
 	tests := []struct {
 		name   string
 		mutate func(*Scenario)
@@ -248,6 +249,29 @@ func TestValidateErrors(t *testing.T) {
 			sc.Telemetry.MaxNodes = -1
 		}, "telemetry.maxNodes"},
 		{"maxNodes without interval", func(sc *Scenario) { sc.Telemetry.MaxNodes = 4 }, "telemetry.maxNodes"},
+		{"flows kind without flows", func(sc *Scenario) {
+			sc.Topology = pair
+			sc.Traffic.Kind = "flows"
+		}, "traffic.flows: kind \"flows\" needs at least one flow"},
+		{"flows on rings", func(sc *Scenario) {
+			sc.Traffic = TrafficSpec{Kind: "flows", Flows: []Flow{{Src: 0, Dst: 1}}}
+		}, "traffic.flows: flows index topology.positions"},
+		{"flows under saturated", func(sc *Scenario) {
+			sc.Topology = pair
+			sc.Traffic.Flows = []Flow{{Src: 0, Dst: 1}}
+		}, "traffic.flows: only meaningful for kind \"flows\""},
+		{"flow past positions", func(sc *Scenario) {
+			sc.Topology = pair
+			sc.Traffic = TrafficSpec{Kind: "flows", Flows: []Flow{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}}}
+		}, "traffic.flows[1]: node indices must be in [0, 2)"},
+		{"negative flow index", func(sc *Scenario) {
+			sc.Topology = pair
+			sc.Traffic = TrafficSpec{Kind: "flows", Flows: []Flow{{Src: -1, Dst: 1}}}
+		}, "traffic.flows[0]: node indices"},
+		{"self flow", func(sc *Scenario) {
+			sc.Topology = pair
+			sc.Traffic = TrafficSpec{Kind: "flows", Flows: []Flow{{Src: 1, Dst: 0}, {Src: 1, Dst: 1}}}
+		}, "traffic.flows[1]: node 1 sends to itself"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
