@@ -329,11 +329,11 @@ func BenchmarkScheduler(b *testing.B) {
 	s.RunAll()
 }
 
-// BenchmarkChannelBroadcast measures one omni transmission delivered to a
-// dense neighborhood.
-func BenchmarkChannelBroadcast(b *testing.B) {
+// channelRing builds a sender at the origin ringed by 32 radios at
+// 0.9 R, the dense neighborhood of the channel benchmarks.
+func channelRing(b *testing.B, p phy.Params) (*des.Scheduler, *phy.Radio) {
 	sched := des.New(1)
-	ch, err := phy.NewChannel(sched, phy.DefaultParams())
+	ch, err := phy.NewChannel(sched, p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -342,13 +342,35 @@ func BenchmarkChannelBroadcast(b *testing.B) {
 	for i := 1; i < 33; i++ {
 		ch.AddRadio(geom.Polar(geom.Point{}, 0.9, float64(i)), &handlers[i])
 	}
+	return sched, tx
+}
+
+// benchTransmit times one transmission in mode m, run to completion.
+func benchTransmit(b *testing.B, sched *des.Scheduler, tx *phy.Radio, m phy.Mode) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tx.Transmit(phy.Frame{Type: phy.Data, Bytes: 1460}, phy.Omni); err != nil {
+		if _, err := tx.Transmit(phy.Frame{Type: phy.Data, Bytes: 1460}, m); err != nil {
 			b.Fatal(err)
 		}
 		sched.RunAll()
 	}
+}
+
+// BenchmarkChannelBroadcast measures one omni transmission delivered to a
+// dense neighborhood.
+func BenchmarkChannelBroadcast(b *testing.B) {
+	sched, tx := channelRing(b, phy.DefaultParams())
+	benchTransmit(b, sched, tx, phy.Omni)
+}
+
+// BenchmarkChannelDirectional measures one 30° transmission into the same
+// neighborhood under the NAV oracle: the beam test runs for every
+// neighbor, a few hear the frame, and the rest take the hint path.
+func BenchmarkChannelDirectional(b *testing.B) {
+	p := phy.DefaultParams()
+	p.NAVOracle = true
+	sched, tx := channelRing(b, p)
+	benchTransmit(b, sched, tx, phy.Directed(0.575, math.Pi/6))
 }
 
 // BenchmarkAnalyticalThroughput measures one throughput evaluation (one

@@ -6,6 +6,7 @@ package phy
 // and keep steady-state delivery allocation-free.
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -199,30 +200,76 @@ func TestInRangeListFollowsSetPos(t *testing.T) {
 	check("peer moved back")
 }
 
-// TestBroadcastAllocFree: once the channel pools are warm, an omni
-// broadcast into a dense neighborhood schedules all its delivery events
-// without allocating.
+// hintCounter also tallies NAV hints.
+type hintCounter struct {
+	countingHandler
+	hints int
+}
+
+func (h *hintCounter) OnNAVHint(Frame) { h.hints++ }
+
+// TestBroadcastAllocFree: once the channel pools are warm, one
+// transmission costs an exact number of kernel events and allocates
+// nothing, whoever hears it. A transmission heard in beam runs a start
+// edge, an end edge and the sender's tx-done; one heard only through
+// NAV hints skips the start edge; one nobody hears runs tx-done alone.
+// The sender sits at the centre of a ring of 16 neighbours at 0.9 R; a
+// 17th radio has no neighbour.
 func TestBroadcastAllocFree(t *testing.T) {
-	sched := des.New(1)
-	ch, err := NewChannel(sched, DefaultParams())
-	if err != nil {
-		t.Fatal(err)
+	beam := 30 * math.Pi / 180
+	cases := []struct {
+		name          string
+		oracle, lone  bool
+		mode          Mode
+		frames, hints int // heard per transmission, network-wide
+		events        uint64
+	}{
+		{name: "omni", mode: Omni, frames: 16, events: 3},
+		{name: "beam", mode: Directed(0.575, beam), frames: 2, events: 3},
+		{name: "beam-oracle", oracle: true, mode: Directed(0.575, beam), frames: 2, hints: 14, events: 3},
+		{name: "beam-misses-all-oracle", oracle: true, mode: Directed(0.075, beam), hints: 16, events: 2},
+		{name: "no-neighbour", lone: true, mode: Omni, events: 1},
 	}
-	var handlers [17]discardHandler
-	tx := ch.AddRadio(geom.Point{}, &handlers[0])
-	for i := 1; i < 17; i++ {
-		ch.AddRadio(geom.Polar(geom.Point{}, 0.9, float64(i)), &handlers[i])
-	}
-	warm := func() {
-		if _, err := tx.Transmit(Frame{Type: Data, Bytes: 1460}, Omni); err != nil {
-			t.Fatal(err)
-		}
-		sched.RunAll()
-	}
-	warm()
-	allocs := testing.AllocsPerRun(50, warm)
-	if allocs != 0 {
-		t.Errorf("steady-state broadcast allocates %v per op, want 0", allocs)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := DefaultParams()
+			p.NAVOracle = tc.oracle
+			sched := des.New(1)
+			ch, err := NewChannel(sched, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var handlers [18]hintCounter
+			tx := ch.AddRadio(geom.Point{}, &handlers[0])
+			for i := 1; i < 17; i++ {
+				ch.AddRadio(geom.Polar(geom.Point{}, 0.9, float64(i)), &handlers[i])
+			}
+			if lone := ch.AddRadio(geom.Point{X: 10, Y: 10}, &handlers[17]); tc.lone {
+				tx = lone
+			}
+			send := func() {
+				if _, err := tx.Transmit(Frame{Type: Data, Bytes: 1460}, tc.mode); err != nil {
+					t.Fatal(err)
+				}
+				sched.RunAll()
+			}
+			before := sched.Executed()
+			send()
+			if got := sched.Executed() - before; got != tc.events {
+				t.Errorf("one transmission ran %d kernel events, want %d", got, tc.events)
+			}
+			frames, hints := 0, 0
+			for _, h := range handlers {
+				frames += h.frames
+				hints += h.hints
+			}
+			if frames != tc.frames || hints != tc.hints {
+				t.Fatalf("one transmission delivered %d frames and %d hints, want %d and %d", frames, hints, tc.frames, tc.hints)
+			}
+			if allocs := testing.AllocsPerRun(50, send); allocs != 0 {
+				t.Errorf("steady-state transmission allocates %v per op, want 0", allocs)
+			}
+		})
 	}
 }
 

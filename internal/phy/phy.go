@@ -239,9 +239,10 @@ type NAVHinter interface {
 	OnNAVHint(f Frame)
 }
 
-// signal is one transmission as perceived by one receiver.
+// signal is one transmission as perceived by one receiver. The frame
+// lives once, in the transmission's delivery record.
 type signal struct {
-	frame     Frame
+	frame     *Frame
 	power     float64 // received power under the SINR model
 	corrupted bool
 	missed    bool // receiver was deaf (transmitting) during part of it
@@ -428,14 +429,16 @@ func (r *Radio) signalEnd(sig *signal) {
 		r.handler.OnFrameError()
 	default:
 		r.ch.metrics.RxFrames.Inc()
-		r.handler.OnFrame(sig.frame)
+		r.handler.OnFrame(*sig.frame)
 	}
 	if len(r.active) == 0 && !r.transmitting {
 		r.handler.OnCarrierIdle()
 	}
 }
 
-// Channel connects radios on a shared single-frequency medium.
+// Channel connects radios on a shared single-frequency medium. Each
+// transmission reaches its receivers through one pooled delivery record
+// and two kernel events, whoever and however many hear it.
 //
 // Delivery reads each sender's in-range list: the radios within range,
 // in ID order. A list is built on first use and rebuilt only after
@@ -463,10 +466,8 @@ type Channel struct {
 
 	scratch []int32 // counting buffer for buildFirstLists
 
-	// Free lists for per-delivery objects.
-	freeSigs   []*signal
-	freeEvents []*sigEvent
-	freeHints  []*navHintEvent
+	// freeDeliveries holds records whose end edge has fired.
+	freeDeliveries []*delivery
 
 	// Spatial index: cell -> slot in buckets; buckets hold radio IDs in
 	// ascending order, so migrate can binary-search them. Moves migrate a
@@ -680,90 +681,60 @@ func (c *Channel) buildFirstLists() {
 	}
 }
 
-// allocSignal takes a recycled signal or makes a new one.
-//
-//desalint:hotpath
-func (c *Channel) allocSignal(f Frame, power float64) *signal {
-	if n := len(c.freeSigs); n > 0 {
-		sig := c.freeSigs[n-1]
-		c.freeSigs = c.freeSigs[:n-1]
-		*sig = signal{frame: f, power: power}
-		return sig
-	}
-	return &signal{frame: f, power: power}
-}
-
-// sigEvent delivers one signal edge (start or end) to one radio. Events
-// are pooled on the channel; an event recycles itself after firing, and
-// the end edge also recycles its signal (nothing references a signal
-// after signalEnd).
-type sigEvent struct {
-	dst *Radio
-	sig *signal
-	end bool
-}
-
-// Fire dispatches the signal edge and returns the event (and, on the end
-// edge, the signal) to the channel pools.
-//
-//desalint:hotpath
-func (e *sigEvent) Fire() {
-	c := e.dst.ch
-	if e.end {
-		e.dst.signalEnd(e.sig)
-		c.freeSigs = append(c.freeSigs, e.sig)
-	} else {
-		e.dst.signalStart(e.sig)
-	}
-	e.sig = nil
-	e.dst = nil
-	c.freeEvents = append(c.freeEvents, e)
-}
-
-// allocEvent takes a recycled delivery event or makes a new one.
-//
-//desalint:hotpath
-func (c *Channel) allocEvent(dst *Radio, sig *signal, end bool) *sigEvent {
-	if n := len(c.freeEvents); n > 0 {
-		e := c.freeEvents[n-1]
-		c.freeEvents = c.freeEvents[:n-1]
-		e.dst, e.sig, e.end = dst, sig, end
-		return e
-	}
-	return &sigEvent{dst: dst, sig: sig, end: end}
-}
-
-// navHintEvent delivers an out-of-beam frame header under the NAV-oracle
-// ablation.
-type navHintEvent struct {
-	dst   *Radio
+// delivery is one transmission in flight: its frame, stored once, and
+// the radios that hear it, in in-range (ID) order. Two kernel events
+// drive it, both views of the record itself, so scheduling them
+// allocates nothing: startEdge at PropDelay and endEdge at
+// PropDelay+airtime. Records are pooled on the channel and reused only
+// after their end edge, so the signals Radio.active points into stay
+// put while they are on the air.
+type delivery struct {
+	ch    *Channel
 	frame Frame
+	rx    []reception
 }
 
-// Fire hands the header to the destination's NAVHinter, if implemented.
-//
-//desalint:hotpath
-func (e *navHintEvent) Fire() {
-	c := e.dst.ch
-	if h, ok := e.dst.handler.(NAVHinter); ok {
-		h.OnNAVHint(e.frame)
-	}
-	e.dst = nil
-	e.frame = Frame{}
-	c.freeHints = append(c.freeHints, e)
+// reception is one radio's share of a delivery: a signal, or, for an
+// out-of-beam radio under the NAV oracle, a header-only hint.
+type reception struct {
+	dst  *Radio
+	hint bool
+	sig  signal
 }
 
-// allocHint takes a recycled NAV-hint event or makes a new one.
+// startEdge is a delivery's first kernel event.
+type startEdge delivery
+
+// Fire starts the signal at every in-beam radio, in ID order.
 //
 //desalint:hotpath
-func (c *Channel) allocHint(dst *Radio, f Frame) *navHintEvent {
-	if n := len(c.freeHints); n > 0 {
-		e := c.freeHints[n-1]
-		c.freeHints = c.freeHints[:n-1]
-		e.dst, e.frame = dst, f
-		return e
+func (e *startEdge) Fire() {
+	for i := range e.rx {
+		if rx := &e.rx[i]; !rx.hint {
+			rx.dst.signalStart(&rx.sig)
+		}
 	}
-	return &navHintEvent{dst: dst, frame: f}
+}
+
+// endEdge is a delivery's last kernel event.
+type endEdge delivery
+
+// Fire ends every signal and hands out every NAV hint, in ID order, then
+// returns the record to the channel pool.
+//
+//desalint:hotpath
+func (e *endEdge) Fire() {
+	d := (*delivery)(e)
+	for i := range d.rx {
+		rx := &d.rx[i]
+		if !rx.hint {
+			rx.dst.signalEnd(&rx.sig)
+		} else if h, ok := rx.dst.handler.(NAVHinter); ok {
+			h.OnNAVHint(d.frame)
+		}
+	}
+	d.rx = d.rx[:0]
+	d.ch.freeDeliveries = append(d.ch.freeDeliveries, d)
 }
 
 // NewChannel creates a channel driven by the given scheduler.
@@ -887,32 +858,51 @@ func (c *Channel) NeighborsAppend(id NodeID, dst []NodeID) []NodeID {
 	return dst
 }
 
-// propagate schedules signal start/end at every radio that hears the
-// transmission: in range, inside the beam, and not the sender itself.
-// Candidates are the sender's in-range list, and the received-power
-// computation is deferred until after the beam check — out-of-beam
-// neighbors never pay for a math.Pow.
+// propagate fills one pooled delivery record with every radio that hears
+// the transmission (in range, inside the beam, not the sender itself)
+// and schedules its start edge if some radio is in beam and its end edge
+// if anyone hears at all. Candidates are the sender's in-range list. An
+// omni frame skips the bearing, and out-of-beam neighbors skip the
+// received-power math.Pow. DESIGN.md §7.2 shows why walking the record
+// in ID order at each edge fires the same callbacks in the same order as
+// one event per receiver would.
 //
 //desalint:hotpath
 func (c *Channel) propagate(src *Radio, f Frame, m Mode, airtime des.Time) {
+	var d *delivery
+	if n := len(c.freeDeliveries); n > 0 {
+		d = c.freeDeliveries[n-1]
+		c.freeDeliveries = c.freeDeliveries[:n-1]
+	} else {
+		d = &delivery{ch: c}
+	}
+	d.frame = f
+	inBeam := false
 	for _, id := range c.inRange(src) {
 		dst := c.radios[id]
-		if !m.Covers(src.pos.Bearing(dst.pos)) {
+		if m.Directional && !m.Covers(src.pos.Bearing(dst.pos)) {
 			if c.params.NAVOracle {
-				c.sched.ScheduleEvent(c.params.PropDelay+airtime, c.allocHint(dst, f))
+				d.rx = append(d.rx, reception{dst: dst, hint: true})
 			}
 			continue
 		}
 		power := 0.0
 		if c.params.sinr() {
-			d := src.pos.Dist(dst.pos)
-			if d < 1e-6 {
-				d = 1e-6
+			dist := src.pos.Dist(dst.pos)
+			if dist < 1e-6 {
+				dist = 1e-6
 			}
-			power = m.Gain() / math.Pow(d, c.params.PathLoss)
+			power = m.Gain() / math.Pow(dist, c.params.PathLoss)
 		}
-		sig := c.allocSignal(f, power)
-		c.sched.ScheduleEvent(c.params.PropDelay, c.allocEvent(dst, sig, false))
-		c.sched.ScheduleEvent(c.params.PropDelay+airtime, c.allocEvent(dst, sig, true))
+		d.rx = append(d.rx, reception{dst: dst, sig: signal{frame: &d.frame, power: power}})
+		inBeam = true
 	}
+	if len(d.rx) == 0 {
+		c.freeDeliveries = append(c.freeDeliveries, d)
+		return
+	}
+	if inBeam {
+		c.sched.ScheduleEvent(c.params.PropDelay, (*startEdge)(d))
+	}
+	c.sched.ScheduleEvent(c.params.PropDelay+airtime, (*endEdge)(d))
 }

@@ -13,7 +13,10 @@ package sim
 // executed and frames put on the air. They do not depend on the
 // machine, so a kernel change that keeps the bytes but does more work
 // (say, a return to per-slot ticks) fails here on any host. A change that
-// moves a count on purpose regenerates the file and says why.
+// moves a count on purpose regenerates the file and says why. A change
+// to how the PHY delivers a frame (its kernel events per transmission)
+// moves `events` only: every `result`, `telemetry` and `frames` value
+// must stay as it was.
 // Regenerate (only for an intended behaviour or cost change) with:
 //
 //	UPDATE_CORPUS=1 go test ./internal/sim -run TestCountdownCorpus
