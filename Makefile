@@ -51,10 +51,10 @@ bench:
 
 # The hot-path benchmark set (bench_test.go): the event kernel and
 # channel micro-benches (omni, and directional under the NAV oracle),
-# one simulated second dense and sparse, the
+# one simulated second dense, sparse and mobile, the
 # analytical Fig. 5 sweep, the result cache cold/warm, telemetry off/on,
 # the 10⁴-node scale trio and the served scenario cold/warm.
-HOTPATH = ^(BenchmarkScheduler|BenchmarkChannelBroadcast|BenchmarkChannelDirectional|BenchmarkSimulationSecond|BenchmarkSimulationSecondSparse|BenchmarkFig5|BenchmarkScenarioCache|BenchmarkTelemetryOff|BenchmarkTelemetryOn|BenchmarkBuildLargeN|BenchmarkMobilityChurn|BenchmarkScaleSimulationSecond|BenchmarkServedScenario)$$
+HOTPATH = ^(BenchmarkScheduler|BenchmarkChannelBroadcast|BenchmarkChannelDirectional|BenchmarkSimulationSecond|BenchmarkSimulationSecondSparse|BenchmarkSimulationSecondMobile|BenchmarkFig5|BenchmarkScenarioCache|BenchmarkTelemetryOff|BenchmarkTelemetryOn|BenchmarkBuildLargeN|BenchmarkMobilityChurn|BenchmarkScaleSimulationSecond|BenchmarkServedScenario)$$
 
 # Paired regression gate: `make bench-compare BASE=<git revision>`.
 # Builds the root package's test binary at BASE (in a temporary git

@@ -499,6 +499,25 @@ func BenchmarkSimulationSecondSparse(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulationSecondMobile measures a run shaped like perfbench's
+// sparse-idle runs: 27 nodes in three rings, DRTS-DCTS at 30°, 200 kb/s
+// CBR per node, waypoint mobility up to 2 R/s with neighbor tables
+// refreshed every second. It is the hot-path bench that reaches bearing
+// lookups that miss (an RTS toward a peer the last refresh dropped) and
+// in-range lists rebuilt after moves. It runs two simulated seconds:
+// the first refresh lands at 1 s, so a one-second run misses no lookup.
+func BenchmarkSimulationSecondMobile(b *testing.B) {
+	sc := benchSim(core.DRTSDCTS, 3, 30)
+	sc.Duration = sim.Duration(2 * des.Second)
+	sc.Traffic = sim.TrafficSpec{Kind: "cbr", OfferedLoadBps: 200_000}
+	sc.Mobility = sim.MobilitySpec{Kind: "waypoint", MaxSpeed: 2, RefreshInterval: sim.Duration(des.Second)}
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.RunScenario(sc, sim.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // scaleBench is the committed large-N scale scenario (DESIGN.md §15): a
 // uniform field of Rings²·N = 10240 saturated nodes over a disk of
 // radius 32R — two orders of magnitude past paper scale, sized so one

@@ -56,7 +56,7 @@ func (w *cdWorld) start(c *cd, b int) {
 	}
 	c.running = true
 	if !w.perSlot {
-		c.timer = w.s.Countdown(b, tSlot, done)
+		c.timer = w.s.Countdown(b, tSlot, funcEvent(done))
 		return
 	}
 	c.left = b
@@ -247,7 +247,7 @@ func TestCountdownInterruptAtStart(t *testing.T) {
 func TestCountdownHandle(t *testing.T) {
 	s := New(1)
 	fired := 0
-	tm := s.Countdown(3, tSlot, func() { fired++ })
+	tm := s.Countdown(3, tSlot, funcEvent(func() { fired++ }))
 	if !tm.Active() || tm.When() != 3*tSlot {
 		t.Fatalf("fresh countdown: active=%v when=%v, want true, %v", tm.Active(), tm.When(), 3*tSlot)
 	}
@@ -262,7 +262,7 @@ func TestCountdownHandle(t *testing.T) {
 	}
 	// The recycled entry serves a new countdown; the stale handle must
 	// neither see nor cancel it.
-	next := s.Countdown(2, tSlot, func() { fired++ })
+	next := s.Countdown(2, tSlot, funcEvent(func() { fired++ }))
 	if next.tm != tm.tm {
 		t.Fatal("expected the free list to recycle the canceled entry")
 	}

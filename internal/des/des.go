@@ -51,9 +51,10 @@ func (t Time) String() string {
 }
 
 // Event is a scheduled action dispatched without a closure. Hot callers
-// (the PHY layer) pool Event implementations and schedule them via
-// AtEvent/ScheduleEvent, so delivering a frame to a dense neighborhood
-// allocates nothing.
+// schedule pointer-shaped Event implementations via AtEvent,
+// ScheduleEvent and Countdown: the PHY's delivery edges are views of a
+// pooled record and the MAC's timers views of its node, so neither
+// delivering a frame nor arming a timer allocates.
 type Event interface {
 	// Fire runs the event at its due time, on the scheduler goroutine.
 	Fire()
@@ -283,7 +284,7 @@ func (s *Scheduler) ScheduleEvent(d Time, ev Event) Timer {
 	return s.AtEvent(s.now+d, ev)
 }
 
-// Countdown schedules fn as the one timer of a slotted countdown that
+// Countdown schedules ev as the one timer of a slotted countdown that
 // starts now and runs slots slots of length slot (slots >= 1). It fires
 // at Now()+slots*slot, and in every tie with other events it fires
 // exactly where the last tick of the per-slot chain "wait one slot,
@@ -293,10 +294,10 @@ func (s *Scheduler) ScheduleEvent(d Time, ev Event) Timer {
 // one slot ahead itself. An interrupter reads SlotsLeft, then cancels.
 //
 //desalint:hotpath
-func (s *Scheduler) Countdown(slots int, slot Time, fn func()) Timer {
+func (s *Scheduler) Countdown(slots int, slot Time, ev Event) Timer {
 	at := s.now + Time(slots)*slot
 	rootAt, rootKey := s.newRoot(slot)
-	return s.insert(funcEvent(fn), at, at-slot, rootAt, rootKey)
+	return s.insert(ev, at, at-slot, rootAt, rootKey)
 }
 
 // SlotsLeft returns how many slots the pending countdown t still has to

@@ -268,20 +268,17 @@ type Node struct {
 	holdUntil des.Time // responder-side hold covering an exchange we joined
 	needEIFS  bool
 
+	// The timers fire typed views of the node (navExpiry and its
+	// siblings), so arming one allocates nothing.
 	difsTimer des.Timer
 	countdown des.Timer // the running backoff countdown (des.Countdown)
 	navTimer  des.Timer
 	ctsTo     des.Timer
 	ackTo     des.Timer
 
-	// Contention callbacks fire millions of times per simulated second;
-	// binding the method values once here keeps the scheduling hot path
-	// free of per-call closure allocations.
-	resumeDeferenceFn func()
-	difsElapsedFn     func()
-	countdownDoneFn   func()
-	onCTSTimeoutFn    func()
-	onACKTimeoutFn    func()
+	// Channel timing read once at construction: the propagation delay,
+	// the CTS and ACK airtimes, and EIFS.
+	prop, ctsAir, ackAir, eifs des.Time
 
 	// respPending is set while a SIFS-separated transmission (CTS, DATA
 	// after CTS, ACK) is scheduled or on the air; contention stays frozen.
@@ -290,10 +287,9 @@ type Node struct {
 
 	// respQueue holds the parameters of scheduled SIFS responses in fire
 	// order. Timers all carry the same SIFS delay, so the scheduler fires
-	// them in schedule order and the single pre-bound dispatcher
-	// (fireResponseFn) pops from the front — no per-response closure.
-	respQueue      []respParams
-	fireResponseFn func()
+	// them in schedule order and each responseDue event pops the front —
+	// no per-response closure.
+	respQueue []respParams
 
 	// txType is the frame type currently on the air (valid while the
 	// radio transmits).
@@ -333,32 +329,68 @@ func NewInto(n *Node, sched *des.Scheduler, radio *phy.Radio, table *neighbor.Ta
 	// §12). DIFS > Slot roots each countdown's tick chain at its DIFS/EIFS
 	// expiry, as the exact ordering assumes; PropDelay < Slot <= SyncTime
 	// is the range the equivalence tests cover. Table 1 lies inside it.
-	if p := radio.ChannelParams(); !(p.PropDelay < cfg.Slot && cfg.Slot <= p.SyncTime && cfg.DIFS > cfg.Slot) {
+	p := radio.ChannelParams()
+	if !(p.PropDelay < cfg.Slot && cfg.Slot <= p.SyncTime && cfg.DIFS > cfg.Slot) {
 		return fmt.Errorf("mac: timing outside the countdown envelope PropDelay < Slot <= SyncTime, DIFS > Slot (PropDelay %v, Slot %v, SyncTime %v, DIFS %v)",
 			p.PropDelay, cfg.Slot, p.SyncTime, cfg.DIFS)
 	}
+	ackAir := p.Airtime(cfg.ACKBytes)
 	*n = Node{
-		sched: sched,
-		radio: radio,
-		table: table,
-		src:   src,
-		cfg:   cfg,
-		st:    stIdle,
-		cw:    cfg.CWMin,
+		sched:     sched,
+		radio:     radio,
+		table:     table,
+		src:       src,
+		cfg:       cfg,
+		st:        stIdle,
+		cw:        cfg.CWMin,
+		prop:      p.PropDelay,
+		ctsAir:    p.Airtime(cfg.CTSBytes),
+		ackAir:    ackAir,
+		eifs:      cfg.SIFS + ackAir + cfg.DIFS,
+		respQueue: make([]respParams, 0, 4),
 		// lastData is allocated lazily on first data delivery; most nodes
 		// in a large topology receive from a handful of senders, many from
 		// none at all.
 	}
-	n.resumeDeferenceFn = n.resumeDeference
-	n.difsElapsedFn = n.difsElapsed
-	n.countdownDoneFn = n.countdownDone
-	n.onCTSTimeoutFn = n.onCTSTimeout
-	n.onACKTimeoutFn = n.onACKTimeout
-	n.fireResponseFn = n.fireResponse
-	n.respQueue = make([]respParams, 0, 4)
 	radio.SetHandler(n)
 	return nil
 }
+
+// The node's timer events. Each is a view of the Node itself, as the
+// PHY's delivery edges are views of their record, so scheduling one
+// stores the node pointer in the des.Event and allocates nothing.
+type (
+	navExpiry   Node // the NAV or responder hold ran out
+	difsExpiry  Node // DIFS or EIFS elapsed on an idle medium
+	backoffDone Node // every backoff slot elapsed on an idle medium
+	ctsTimeout  Node // no CTS answered our RTS
+	ackTimeout  Node // no ACK answered our data frame
+	responseDue Node // SIFS before the oldest queued response elapsed
+)
+
+// Fire resumes deference.
+//
+//desalint:hotpath
+func (e *navExpiry) Fire() { (*Node)(e).resumeDeference() }
+
+// Fire starts the backoff countdown, or transmits.
+//
+//desalint:hotpath
+func (e *difsExpiry) Fire() { (*Node)(e).difsElapsed() }
+
+// Fire transmits.
+//
+//desalint:hotpath
+func (e *backoffDone) Fire() { (*Node)(e).countdownDone() }
+
+// Fire retries the RTS or drops the packet.
+func (e *ctsTimeout) Fire() { (*Node)(e).onCTSTimeout() }
+
+// Fire retries the data frame or drops the packet.
+func (e *ackTimeout) Fire() { (*Node)(e).onACKTimeout() }
+
+// Fire transmits the oldest queued response.
+func (e *responseDue) Fire() { (*Node)(e).fireResponse() }
 
 // ID returns the node's PHY identifier.
 func (n *Node) ID() phy.NodeID { return n.radio.ID() }
@@ -420,11 +452,6 @@ func (n *Node) beginAttempt() {
 	n.resumeDeference()
 }
 
-// eifs returns the extended interframe space used after frame errors.
-func (n *Node) eifs() des.Time {
-	return n.cfg.SIFS + n.radio.ChannelParams().Airtime(n.cfg.ACKBytes) + n.cfg.DIFS
-}
-
 // cancelContention stops any running DIFS wait, NAV wait or backoff
 // countdown. A countdown keeps the slots it had left: the kernel counts
 // the slot boundaries that fell before the interrupting event exactly as
@@ -459,14 +486,14 @@ func (n *Node) resumeDeference() {
 		wait = n.holdUntil
 	}
 	if wait > now {
-		n.navTimer = n.sched.At(wait, n.resumeDeferenceFn)
+		n.navTimer = n.sched.AtEvent(wait, (*navExpiry)(n))
 		return
 	}
 	d := n.cfg.DIFS
 	if n.needEIFS && !n.cfg.DisableEIFS {
-		d = n.eifs()
+		d = n.eifs
 	}
-	n.difsTimer = n.sched.Schedule(d, n.difsElapsedFn)
+	n.difsTimer = n.sched.ScheduleEvent(d, (*difsExpiry)(n))
 }
 
 // difsElapsed runs when the medium stayed idle through DIFS/EIFS; the
@@ -484,7 +511,7 @@ func (n *Node) difsElapsed() {
 		n.transmitAttempt()
 		return
 	}
-	n.countdown = n.sched.Countdown(n.backoff, n.cfg.Slot, n.countdownDoneFn)
+	n.countdown = n.sched.Countdown(n.backoff, n.cfg.Slot, (*backoffDone)(n))
 }
 
 // countdownDone runs when every backoff slot elapsed on an idle medium.
@@ -496,6 +523,8 @@ func (n *Node) countdownDone() {
 }
 
 // mode returns the antenna mode for a frame of type ft toward dst.
+//
+//desalint:hotpath
 func (n *Node) mode(ft phy.FrameType, dst phy.NodeID) (phy.Mode, error) {
 	if !n.cfg.directional(ft) {
 		return phy.Omni, nil
@@ -517,11 +546,6 @@ func (n *Node) mode(ft phy.FrameType, dst phy.NodeID) (phy.Mode, error) {
 	return phy.Directed(bearing, n.cfg.Beamwidth), nil
 }
 
-// air is shorthand for frame airtime at the channel bit rate.
-func (n *Node) air(bytes int) des.Time {
-	return n.radio.ChannelParams().Airtime(bytes)
-}
-
 // transmitAttempt opens the exchange after winning contention: RTS under
 // collision avoidance, the data frame itself under basic access.
 func (n *Node) transmitAttempt() {
@@ -535,8 +559,7 @@ func (n *Node) transmitAttempt() {
 // sendDataDirect transmits the data frame without a handshake (basic
 // access). The receiver still acknowledges after SIFS.
 func (n *Node) sendDataDirect() {
-	prop := n.radio.ChannelParams().PropDelay
-	nav := n.cfg.SIFS + n.air(n.cfg.ACKBytes) + prop
+	nav := n.cfg.SIFS + n.ackAir + n.prop
 	mode, err := n.mode(phy.Data, n.cur.Dst)
 	if err != nil {
 		n.stats.Drops++
@@ -559,9 +582,8 @@ func (n *Node) sendDataDirect() {
 
 // sendRTS transmits the RTS opening the four-way handshake.
 func (n *Node) sendRTS() {
-	prop := n.radio.ChannelParams().PropDelay
 	// Duration field: remaining exchange after the RTS.
-	nav := 3*n.cfg.SIFS + n.air(n.cfg.CTSBytes) + n.air(n.cur.Bytes) + n.air(n.cfg.ACKBytes) + 3*prop
+	nav := 3*n.cfg.SIFS + n.ctsAir + n.radio.ChannelParams().Airtime(n.cur.Bytes) + n.ackAir + 3*n.prop
 	mode, err := n.mode(phy.RTS, n.cur.Dst)
 	if err != nil {
 		// No bearing for the destination: the packet is undeliverable.
@@ -609,7 +631,7 @@ func (n *Node) scheduleResponse(p respParams) {
 	n.cancelContention()
 	n.respPending = true
 	n.respQueue = append(n.respQueue, p)
-	n.respTimer = n.sched.Schedule(n.cfg.SIFS, n.fireResponseFn)
+	n.respTimer = n.sched.ScheduleEvent(n.cfg.SIFS, (*responseDue)(n))
 }
 
 // fireResponse pops and transmits the oldest queued response.
@@ -624,7 +646,7 @@ func (n *Node) fireResponse() {
 			n.stats.CTSSent++
 			n.emit(trace.TxStart, phy.CTS, p.dst, "")
 			// Hold our own contention through the expected exchange.
-			if until := n.sched.Now() + n.air(n.cfg.CTSBytes) + p.nav; until > n.holdUntil {
+			if until := n.sched.Now() + n.ctsAir + p.nav; until > n.holdUntil {
 				n.holdUntil = until
 			}
 		}
@@ -711,8 +733,7 @@ func (n *Node) onRTS(f phy.Frame, now des.Time) {
 	if !available {
 		return
 	}
-	prop := n.radio.ChannelParams().PropDelay
-	ctsNAV := f.NAV - n.air(n.cfg.CTSBytes) - n.cfg.SIFS - prop
+	ctsNAV := f.NAV - n.ctsAir - n.cfg.SIFS - n.prop
 	if ctsNAV < 0 {
 		ctsNAV = 0
 	}
@@ -726,8 +747,7 @@ func (n *Node) onCTS(f phy.Frame) {
 	}
 	n.sched.Cancel(n.ctsTo)
 	n.shortRetries = 0 // RTS phase succeeded
-	prop := n.radio.ChannelParams().PropDelay
-	dataNAV := n.cfg.SIFS + n.air(n.cfg.ACKBytes) + prop
+	dataNAV := n.cfg.SIFS + n.ackAir + n.prop
 	n.st = stTxData
 	n.scheduleResponse(respParams{kind: respData, nav: dataNAV})
 }
@@ -814,17 +834,16 @@ func (n *Node) OnCarrierIdle() {
 //
 //desalint:hotpath
 func (n *Node) OnTxDone() {
-	prop := n.radio.ChannelParams().PropDelay
 	n.respPending = false
 	switch n.txType {
 	case phy.RTS:
 		n.st = stWaitCTS
-		to := n.cfg.SIFS + n.air(n.cfg.CTSBytes) + 2*prop + n.cfg.Slot
-		n.ctsTo = n.sched.Schedule(to, n.onCTSTimeoutFn)
+		to := n.cfg.SIFS + n.ctsAir + 2*n.prop + n.cfg.Slot
+		n.ctsTo = n.sched.ScheduleEvent(to, (*ctsTimeout)(n))
 	case phy.Data:
 		n.st = stWaitACK
-		to := n.cfg.SIFS + n.air(n.cfg.ACKBytes) + 2*prop + n.cfg.Slot
-		n.ackTo = n.sched.Schedule(to, n.onACKTimeoutFn)
+		to := n.cfg.SIFS + n.ackAir + 2*n.prop + n.cfg.Slot
+		n.ackTo = n.sched.ScheduleEvent(to, (*ackTimeout)(n))
 	case phy.CTS, phy.ACK:
 		n.resumeDeference()
 	}

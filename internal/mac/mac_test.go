@@ -615,3 +615,26 @@ func TestNewRejectsTimingOutsideCountdownEnvelope(t *testing.T) {
 		})
 	}
 }
+
+// TestNewIntoAllocatesOnce pins that initializing a node in place makes
+// one allocation, its response queue: the timers are typed views of the
+// node, with no closure bound per node.
+func TestNewIntoAllocatesOnce(t *testing.T) {
+	sched := des.New(1)
+	ch, err := phy.NewChannel(sched, phy.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	radio := ch.AddRadio(geom.Point{}, nil)
+	table := neighbor.NewTable(0, geom.Point{})
+	cfg := mac.DefaultConfig(core.DRTSDCTS, math.Pi/6)
+	var n mac.Node
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := mac.NewInto(&n, sched, radio, table, nil, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("NewInto made %v allocations, want 1", allocs)
+	}
+}

@@ -7,6 +7,7 @@
 package neighbor
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -127,6 +128,12 @@ func (t *Table) Position(id phy.NodeID) (geom.Point, bool) {
 	return t.recs[i].pos, true
 }
 
+// ErrUnknown is the error Bearing and BearingFrom return for a neighbor
+// the table has no entry for. It is one preallocated value: under
+// mobility a quarter of a sparse network's RTS lookups can miss, and a
+// miss must cost no allocation.
+var ErrUnknown = errors.New("neighbor: no entry for the node")
+
 // Bearing returns the direction from this node's recorded own position
 // to the recorded position of the given neighbor.
 func (t *Table) Bearing(id phy.NodeID) (float64, error) {
@@ -134,12 +141,15 @@ func (t *Table) Bearing(id phy.NodeID) (float64, error) {
 }
 
 // BearingFrom returns the direction from the given (live) position to
-// the recorded position of the neighbor. Mobile nodes know their own
-// position exactly but only a possibly stale snapshot of others'.
+// the recorded position of the neighbor, or ErrUnknown. Mobile nodes
+// know their own position exactly but only a possibly stale snapshot of
+// others'.
+//
+//desalint:hotpath
 func (t *Table) BearingFrom(from geom.Point, id phy.NodeID) (float64, error) {
 	i, ok := t.find(id)
 	if !ok {
-		return 0, fmt.Errorf("neighbor: node %d has no entry for %d", t.self, id)
+		return 0, ErrUnknown
 	}
 	return from.Bearing(t.recs[i].pos), nil
 }
@@ -161,15 +171,17 @@ func (t *Table) Len() int { return len(t.ids) }
 //
 // The assembly is allocation-lean for large N: Table structs come from
 // one backing array, neighbor queries reuse one scratch buffer, and the
-// per-table record slices are carved from two shared append-grown
-// backings (capped subslices, so a later Learn reallocates privately
-// instead of stomping a sibling).
+// per-table record slices are carved from two shared backings sized
+// exactly by InRangePairs (capped subslices, so a later Learn
+// reallocates privately instead of stomping a sibling). Append-grown
+// backings would leave up to half their capacity unused, and every
+// table keeps its backing alive.
 func GroundTruth(ch *phy.Channel) []*Table {
 	n := ch.NumRadios()
 	tables := make([]*Table, n)
 	backing := make([]Table, n)
-	var idsBack []phy.NodeID
-	var recBack []record
+	idsBack := make([]phy.NodeID, 0, ch.InRangePairs())
+	recBack := make([]record, 0, cap(idsBack))
 	var nbs []phy.NodeID
 	for i := 0; i < n; i++ {
 		id := phy.NodeID(i)

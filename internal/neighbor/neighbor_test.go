@@ -1,6 +1,7 @@
 package neighbor
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -192,6 +193,23 @@ func TestBearingFromAndSetSelfPos(t *testing.T) {
 	}
 	if b2 != b {
 		t.Errorf("Bearing after SetSelfPos = %v, want %v", b2, b)
+	}
+}
+
+// TestBearingMissIsAllocationFree pins that a lookup miss returns the
+// preallocated ErrUnknown and allocates nothing.
+func TestBearingMissIsAllocationFree(t *testing.T) {
+	tab := NewTable(0, geom.Point{})
+	tab.Learn(1, geom.Point{X: 1, Y: 0})
+	var err error
+	allocs := testing.AllocsPerRun(100, func() {
+		_, err = tab.BearingFrom(geom.Point{X: 0.5, Y: 0}, 42)
+	})
+	if !errors.Is(err, ErrUnknown) {
+		t.Fatalf("miss returned %v, want ErrUnknown", err)
+	}
+	if allocs != 0 {
+		t.Fatalf("a miss made %v allocations, want 0", allocs)
 	}
 }
 

@@ -42,7 +42,7 @@ func sameIDs(a, b []NodeID) bool {
 
 // TestGridNeighborsMatchBruteForce: random clouds at several scales and
 // ranges, including positions straddling cell boundaries and negative
-// coordinates.
+// coordinates. InRangePairs must count the same pairs.
 func TestGridNeighborsMatchBruteForce(t *testing.T) {
 	for _, rng0 := range []float64{0.3, 1.0, 2.5} {
 		rng := rand.New(rand.NewSource(int64(rng0 * 100)))
@@ -58,12 +58,17 @@ func TestGridNeighborsMatchBruteForce(t *testing.T) {
 			pos := geom.Point{X: rng.Float64()*8 - 4, Y: rng.Float64()*8 - 4}
 			ch.AddRadio(pos, &handlers[i])
 		}
+		pairs := 0
 		for id := 0; id < 60; id++ {
 			got := ch.Neighbors(NodeID(id))
 			want := brutNeighbors(ch, NodeID(id))
 			if !sameIDs(got, want) {
 				t.Fatalf("range %v node %d: grid %v, brute force %v", rng0, id, got, want)
 			}
+			pairs += len(want)
+		}
+		if got := ch.InRangePairs(); got != pairs {
+			t.Fatalf("range %v: InRangePairs = %d, brute force %d", rng0, got, pairs)
 		}
 	}
 }

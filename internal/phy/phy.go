@@ -469,6 +469,11 @@ type Channel struct {
 	// freeDeliveries holds records whose end edge has fired.
 	freeDeliveries []*delivery
 
+	// halfOf is the beamwidth whose half-angle sine and cosine halfSin
+	// and halfCos hold, for the filtered beam test.
+	halfOf           float64
+	halfSin, halfCos float64
+
 	// Spatial index: cell -> slot in buckets; buckets hold radio IDs in
 	// ascending order, so migrate can binary-search them. Moves migrate a
 	// radio between its source and destination buckets (swap-remove plus
@@ -842,6 +847,17 @@ func (c *Channel) Neighbors(id NodeID) []NodeID {
 	return c.NeighborsAppend(id, nil)
 }
 
+// InRangePairs returns the total length of every radio's neighbor list:
+// the number of ordered pairs of radios within range of each other.
+// Bulk assembly sizes its shared neighbor backings with it exactly.
+func (c *Channel) InRangePairs() int {
+	total := 0
+	for _, r := range c.radios {
+		total += len(c.inRange(r))
+	}
+	return total
+}
+
 // NeighborsAppend appends the IDs of all radios within range of id to
 // dst (in ID order) and returns the extended slice. Passing a reused
 // buffer keeps bulk queries — one per node at build time — free of
@@ -862,10 +878,10 @@ func (c *Channel) NeighborsAppend(id NodeID, dst []NodeID) []NodeID {
 // the transmission (in range, inside the beam, not the sender itself)
 // and schedules its start edge if some radio is in beam and its end edge
 // if anyone hears at all. Candidates are the sender's in-range list. An
-// omni frame skips the bearing, and out-of-beam neighbors skip the
-// received-power math.Pow. DESIGN.md §7.2 shows why walking the record
-// in ID order at each edge fires the same callbacks in the same order as
-// one event per receiver would.
+// omni frame skips the beam test, a directional one runs beamTest, and
+// out-of-beam neighbors skip the received-power math.Pow. DESIGN.md §7.2
+// shows why walking the record in ID order at each edge fires the same
+// callbacks in the same order as one event per receiver would.
 //
 //desalint:hotpath
 func (c *Channel) propagate(src *Radio, f Frame, m Mode, airtime des.Time) {
@@ -877,10 +893,14 @@ func (c *Channel) propagate(src *Radio, f Frame, m Mode, airtime des.Time) {
 		d = &delivery{ch: c}
 	}
 	d.frame = f
+	var beam beamTest
+	if m.Directional {
+		beam = c.beamTest(m)
+	}
 	inBeam := false
 	for _, id := range c.inRange(src) {
 		dst := c.radios[id]
-		if m.Directional && !m.Covers(src.pos.Bearing(dst.pos)) {
+		if m.Directional && !beam.covers(m, src.pos, dst.pos) {
 			if c.params.NAVOracle {
 				d.rx = append(d.rx, reception{dst: dst, hint: true})
 			}
@@ -905,4 +925,58 @@ func (c *Channel) propagate(src *Radio, f Frame, m Mode, airtime des.Time) {
 		c.sched.ScheduleEvent(c.params.PropDelay, (*startEdge)(d))
 	}
 	c.sched.ScheduleEvent(c.params.PropDelay+airtime, (*endEdge)(d))
+}
+
+// beamTest decides beam coverage for one directional frame without a
+// bearing per receiver. For a receiver at offset d from the sender, beam
+// axis u and half-width h = θ/2 in (0, π),
+//
+//	e = sin h·(u·d) − cos h·|u×d| = |d|·sin(h − φ),
+//
+// where φ in [0, π] is the angle between u and d, so e > 0 iff φ < h.
+// Rounding moves the computed e by at most about 1e-15·(|dx|+|dy|) and
+// the reference m.Covers(p.Bearing(q)) errs by about 1e-15 rad on φ and
+// widens the beam by 1e-12 rad. Outside the band |e| <= 1e-9·(|dx|+|dy|)
+// the true φ is therefore about 1e-9 rad or more from h, and the sign of
+// e is the reference's answer; inside the band, and for a mode outside
+// the test's domain, the reference itself decides. Every decision equals
+// the reference's (DESIGN.md §7.2).
+type beamTest struct {
+	reference bool    // decide every receiver with the reference
+	ux, uy    float64 // beam axis
+	sin, cos  float64 // of half the beamwidth
+}
+
+// beamTest returns the test for directional mode m. The half-width's
+// sine and cosine are computed once per distinct beamwidth, the axis
+// once per frame. Widths outside (0, 2π) and bearings outside [−2π, 2π]
+// (where the reference's own rounding grows with the bearing) take the
+// reference for every receiver.
+//
+//desalint:hotpath
+func (c *Channel) beamTest(m Mode) beamTest {
+	if !(m.Beamwidth > 0 && m.Beamwidth < 2*math.Pi && math.Abs(m.Bearing) <= 2*math.Pi) {
+		return beamTest{reference: true}
+	}
+	if m.Beamwidth != c.halfOf {
+		c.halfOf = m.Beamwidth
+		c.halfSin, c.halfCos = math.Sincos(m.Beamwidth / 2)
+	}
+	uy, ux := math.Sincos(m.Bearing)
+	return beamTest{ux: ux, uy: uy, sin: c.halfSin, cos: c.halfCos}
+}
+
+// covers reports m.Covers(p.Bearing(q)) for the frame b was built for.
+// A NaN e fails the band comparison and falls back too.
+//
+//desalint:hotpath
+func (b *beamTest) covers(m Mode, p, q geom.Point) bool {
+	if !b.reference {
+		dx, dy := q.X-p.X, q.Y-p.Y
+		e := b.sin*(b.ux*dx+b.uy*dy) - b.cos*math.Abs(b.ux*dy-b.uy*dx)
+		if math.Abs(e) > 1e-9*(math.Abs(dx)+math.Abs(dy)) {
+			return e > 0
+		}
+	}
+	return m.Covers(p.Bearing(q))
 }

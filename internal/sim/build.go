@@ -287,11 +287,11 @@ func Build(sc Scenario, opts Options) (*Sim, error) {
 	}
 	// Per-node assembly is allocation-lean (DESIGN.md §15): MAC nodes
 	// come from one backing array, and each node's neighbor list is
-	// carved from one shared append-grown backing (capped subslices whose
+	// carved from one shared backing sized exactly (capped subslices whose
 	// ownership transfers to the traffic source), so the loop costs O(1)
 	// allocations per node at any N.
 	nodeBacking := make([]mac.Node, ch.NumRadios())
-	var nbBack []phy.NodeID
+	nbBack := make([]phy.NodeID, 0, ch.InRangePairs())
 	for i := 0; i < ch.NumRadios(); i++ {
 		id := phy.NodeID(i)
 		var src mac.Source = traffic.Empty{}
