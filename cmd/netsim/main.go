@@ -36,7 +36,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("netsim", flag.ContinueOnError)
 	var (
 		scenarioPath = fs.String("scenario", "", "run a scenario JSON file instead of building one from flags")
@@ -94,28 +94,9 @@ func run(args []string) error {
 			},
 		}
 	}
-	// -telemetry turns on sampling (unless the scenario file already did)
-	// and streams the export to the named file. The sink plugs into both
-	// the single-run and the sharded-runner paths; the runner merges the
-	// per-shard series in shard order before anything reaches the file.
-	var telSink *telemetry.Writer
-	if *telPath != "" {
-		if !sc.Telemetry.Enabled() {
-			sc.Telemetry.Interval = sim.Duration(telInterval.Nanoseconds())
-		}
-	}
-	if *telPath != "" && !*dump {
-		out := os.Stdout
-		if *telPath != "-" {
-			f, err := os.Create(*telPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			out = f
-		}
-		telSink = telemetry.NewWriter(out)
-		defer telSink.Flush()
+	// -telemetry turns on sampling (unless the scenario file already did).
+	if *telPath != "" && !sc.Telemetry.Enabled() {
+		sc.Telemetry.Interval = sim.Duration(telInterval.Nanoseconds())
 	}
 	if err := sc.Validate(); err != nil {
 		return err
@@ -131,6 +112,37 @@ func run(args []string) error {
 
 	if *jsonOut && *topos > 1 {
 		return fmt.Errorf("-json reports a single run; it cannot aggregate -topologies %d", *topos)
+	}
+
+	// The export streams to the named file, which is created only once
+	// the flags are known to be valid, so a rejected invocation leaves an
+	// existing file alone. The sink plugs into both the single-run and
+	// the sharded-runner paths; the runner merges the per-shard series in
+	// shard order before anything reaches the file. Every return flushes
+	// the sink and then closes the file, and the first error of the two
+	// fails the run: an export smaller than the write buffer only reaches
+	// the file at that flush.
+	var telSink *telemetry.Writer
+	if *telPath != "" {
+		out := os.Stdout
+		if *telPath != "-" {
+			f, cerr := os.Create(*telPath)
+			if cerr != nil {
+				return cerr
+			}
+			defer func() {
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
+			}()
+			out = f
+		}
+		telSink = telemetry.NewWriter(out)
+		defer func() {
+			if ferr := telSink.Flush(); err == nil {
+				err = ferr
+			}
+		}()
 	}
 
 	if *topos > 1 {

@@ -198,3 +198,43 @@ func TestRunJSON(t *testing.T) {
 		t.Error("-json with -topologies 2: want error (single-run contract)")
 	}
 }
+
+// TestTelemetryWriteErrorFails: an export that fails to reach its file
+// fails the run. The export here is smaller than the writer's buffer,
+// so the write error surfaces only at the final flush; both the single
+// run and the sharded -topologies path must report it.
+func TestTelemetryWriteErrorFails(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	base := []string{"-scheme", "drts-dcts", "-n", "3", "-beam", "30", "-duration", "2ms",
+		"-telemetry", "/dev/full", "-telemetry-interval", "1ms"}
+	for name, extra := range map[string][]string{"single": nil, "topologies": {"-topologies", "2"}} {
+		args := append(append([]string{}, base...), extra...)
+		t.Run(name, func(t *testing.T) {
+			if _, err := capture(t, func() error { return run(args) }); err == nil {
+				t.Error("telemetry export to /dev/full: want a write error")
+			}
+		})
+	}
+}
+
+// TestRejectedRunKeepsTelemetryFile: flags that fail validation must not
+// truncate an existing export; the file is created only for a run.
+func TestRejectedRunKeepsTelemetryFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	if err := os.WriteFile(path, []byte("kept\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-n", "0", "-telemetry", path},
+		{"-json", "-topologies", "2", "-telemetry", path},
+	} {
+		if err := run(args); err == nil {
+			t.Fatalf("%v: want an error", args)
+		}
+		if b, err := os.ReadFile(path); err != nil || string(b) != "kept\n" {
+			t.Errorf("%v: export file now %q (err %v), want it untouched", args, b, err)
+		}
+	}
+}

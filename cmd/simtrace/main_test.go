@@ -1,11 +1,15 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/des"
 	"repro/internal/phy"
@@ -272,4 +276,103 @@ func TestRunBadInput(t *testing.T) {
 	if err := run([]string{"summarize", path}, &out); err == nil {
 		t.Error("malformed input: want error")
 	}
+}
+
+// FuzzSimtraceFilter: filter must never panic, and when it succeeds its
+// output holds only input lines, byte for byte and in input order. A
+// line is what bufio.ScanLines yields, as in filter and
+// telemetry.ReadAll: a CR before the newline belongs to the line
+// ending. Every header line (one with a "format" field) passes whatever
+// the predicates, and an input that telemetry.ReadAll accepts still
+// reads back after filtering. Plain `go test` runs the seeds: the
+// experiments package's telemetry golden and a trace event stream under
+// a few flag sets. Explore further with the command below; as for
+// FuzzTelemetryReadAll, the 17 KB golden seed needs a short
+// minimization time or the workers stall.
+//
+//	go test ./cmd/simtrace -run '^$' -fuzz FuzzSimtraceFilter -fuzzminimizetime 2s
+func FuzzSimtraceFilter(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("..", "..", "internal", "experiments", "testdata", "golden_telemetry_drtsdcts_n3_b90.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	rec := trace.NewRecorder(8)
+	rec.Record(trace.Event{At: 1000, Node: 0, Kind: trace.TxStart, Frame: phy.RTS, Peer: 1})
+	rec.Record(trace.Event{At: 2000, Node: 1, Kind: trace.RxFrame, Frame: phy.RTS, Peer: 0})
+	rec.Record(trace.Event{At: 3000, Node: 0, Kind: trace.Backoff, Peer: -1, Note: "cw=31"})
+	var events bytes.Buffer
+	if err := rec.WriteJSONL(&events); err != nil {
+		f.Fatal(err)
+	}
+	ms := int64(des.Millisecond)
+	f.Add(golden, -1, "", int64(0), int64(0))
+	f.Add(golden, 1, "node", 100*ms, 200*ms)
+	f.Add(golden, -1, "agg", int64(0), int64(0))
+	f.Add(golden, 2, "hist", int64(0), 50*ms)
+	f.Add(events.Bytes(), 0, "", int64(0), int64(0))
+	f.Add(events.Bytes(), -1, "tx", int64(1500), int64(0))
+	f.Add([]byte{}, -1, "", int64(0), int64(0))
+
+	path := filepath.Join(f.TempDir(), "in.jsonl")
+	f.Fuzz(func(t *testing.T, data []byte, node int, kind string, from, to int64) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		args := []string{"filter", "-node=" + strconv.Itoa(node), "-kind=" + kind,
+			"-from=" + time.Duration(from).String(), "-to=" + time.Duration(to).String(), path}
+		var out bytes.Buffer
+		if err := run(args, &out); err != nil {
+			return
+		}
+
+		var in [][]byte
+		sc := bufio.NewScanner(bytes.NewReader(data))
+		sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+		for sc.Scan() {
+			in = append(in, bytes.Clone(sc.Bytes()))
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatalf("filter accepted input the scanner rejects: %v", err)
+		}
+		got := out.Bytes()
+		if len(got) > 0 && got[len(got)-1] != '\n' {
+			t.Fatalf("output does not end in a newline: %q", got)
+		}
+		next := 0 // index of the first input line the next output line may match
+		for _, line := range bytes.SplitAfter(got, []byte("\n")) {
+			if len(line) == 0 {
+				continue
+			}
+			line = line[:len(line)-1]
+			for ; next < len(in) && !bytes.Equal(in[next], line); next++ {
+				if isHeader(in[next]) {
+					t.Fatalf("header line dropped: %q", in[next])
+				}
+			}
+			if next == len(in) {
+				t.Fatalf("output line %q is not a later input line", line)
+			}
+			next++
+		}
+		for ; next < len(in); next++ {
+			if isHeader(in[next]) {
+				t.Fatalf("header line dropped: %q", in[next])
+			}
+		}
+
+		if _, _, err := telemetry.ReadAll(bytes.NewReader(data)); err == nil {
+			if _, _, err := telemetry.ReadAll(&out); err != nil {
+				t.Fatalf("a valid export no longer reads back after filtering: %v", err)
+			}
+		}
+	})
+}
+
+// isHeader reports whether line is a header in filter's sense: a JSON
+// object with a non-empty "format" field.
+func isHeader(line []byte) bool {
+	var h struct {
+		Format string `json:"format"`
+	}
+	return json.Unmarshal(line, &h) == nil && h.Format != ""
 }

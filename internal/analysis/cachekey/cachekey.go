@@ -4,12 +4,11 @@
 // build/run path reads — meaning it can change a Result — but (b) is
 // not covered by those bytes — json:"-", unexported, or normalized away
 // inside ScenarioKey — would let two behaviorally different scenarios
-// collide on one cache entry and serve stale results. FastForward is
-// the one deliberate exclusion (a validated no-op the kernel never
-// reads); it is named in the ResultInvariant allowlist, and the
-// analyzer reports any other
-// excluded-but-read field, as well as allowlist entries that no longer
-// correspond to an excluded field.
+// collide on one cache entry and serve stale results. FastForward and
+// Partition are the deliberate exclusions (validated no-ops the kernel
+// never reads); they are named in the ResultInvariant allowlist, and
+// the analyzer reports any other excluded-but-read field, as well as
+// allowlist entries that no longer correspond to an excluded field.
 package cachekey
 
 import (

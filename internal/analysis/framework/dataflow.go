@@ -1,9 +1,12 @@
 // desaflow: field-sensitive read/write effect extraction over
 // typechecked ASTs. Every analyzer question this layer answers reduces
 // to "which locations may this code read or write": cachekey asks
-// which Scenario fields a build closure reads, sharedstate which
-// captured variables a goroutine writes, and reaching-writes propagates
-// write sets over the CFG.
+// which Scenario fields the build/run path reads and which ones
+// ScenarioKey writes, and sharedstate which package-level variables a
+// goroutine's function writes. The layer is effect sets (EffectsOf)
+// plus cached per-function summaries (Summaries) with one level of
+// same-package callee merge (SummarizedEffects); it builds no
+// control-flow graph, so effects are path-insensitive.
 //
 // Locations are deliberately coarse where precision would require alias
 // analysis: a field write is keyed by named type and field name
@@ -131,19 +134,6 @@ func EffectsOf(pkg *Package, n ast.Node) *Effects {
 	return w.eff
 }
 
-// NodeEffects computes the effects of one CFG block node. It matches
-// the block granularity of BuildCFG: a *ast.RangeStmt node contributes
-// its header only (ranged expression read, key/value written), because
-// the loop body lives in successor blocks.
-func NodeEffects(pkg *Package, n ast.Node) *Effects {
-	if r, ok := n.(*ast.RangeStmt); ok {
-		w := &effector{pkg: pkg, eff: NewEffects()}
-		w.rangeHeader(r)
-		return w.eff
-	}
-	return EffectsOf(pkg, n)
-}
-
 // Summaries computes (and caches on pkg) the direct effect summary of
 // every function and method declared in the package.
 func Summaries(pkg *Package) map[*types.Func]*Effects {
@@ -198,85 +188,10 @@ func SummarizedEffects(pkg *Package, fn *types.Func) *Effects {
 	return eff
 }
 
-// BlockWrites is the reaching-writes state of one CFG block.
-type BlockWrites struct {
-	// In holds every location some predecessor path may have written
-	// before this block runs; Out adds the block's own writes.
-	In, Out map[Loc]token.Pos
-}
-
-// ReachingWrites runs a forward may-analysis over the CFG: a write
-// reaches a block if any path from the entry passes a write to that
-// location. There is no kill set — for determinism checking, "was ever
-// written on some path" is the question, not "which write wins".
-func ReachingWrites(pkg *Package, cfg *CFG) map[*CFGBlock]*BlockWrites {
-	state := make(map[*CFGBlock]*BlockWrites, len(cfg.Blocks))
-	gen := make(map[*CFGBlock]map[Loc]token.Pos, len(cfg.Blocks))
-	for _, b := range cfg.Blocks {
-		state[b] = &BlockWrites{In: make(map[Loc]token.Pos), Out: make(map[Loc]token.Pos)}
-		g := make(map[Loc]token.Pos)
-		for _, n := range b.Nodes {
-			for l, pos := range NodeEffects(pkg, n).Writes {
-				addLoc(g, l, pos)
-			}
-		}
-		gen[b] = g
-	}
-	work := make([]*CFGBlock, len(cfg.Blocks))
-	copy(work, cfg.Blocks)
-	for len(work) > 0 {
-		b := work[0]
-		work = work[1:]
-		st := state[b]
-		out := st.Out
-		changed := false
-		for l, pos := range st.In {
-			if _, ok := out[l]; !ok {
-				out[l] = pos
-				changed = true
-			}
-		}
-		for l, pos := range gen[b] {
-			if _, ok := out[l]; !ok {
-				out[l] = pos
-				changed = true
-			}
-		}
-		if !changed && len(out) > 0 {
-			// No new facts; successors already saw this Out.
-			continue
-		}
-		for _, s := range b.Succs {
-			sin := state[s].In
-			grew := false
-			for l, pos := range out {
-				if _, ok := sin[l]; !ok {
-					sin[l] = pos
-					grew = true
-				}
-			}
-			if grew {
-				work = append(work, s)
-			}
-		}
-	}
-	return state
-}
-
 // effector walks expressions and statements accumulating effects.
 type effector struct {
 	pkg *Package
 	eff *Effects
-}
-
-func (w *effector) rangeHeader(r *ast.RangeStmt) {
-	w.expr(r.X, false)
-	if r.Key != nil {
-		w.expr(r.Key, true)
-	}
-	if r.Value != nil {
-		w.expr(r.Value, true)
-	}
 }
 
 func (w *effector) node(n ast.Node) {
@@ -348,7 +263,9 @@ func (w *effector) node(n ast.Node) {
 		w.node(n.Body)
 
 	case *ast.RangeStmt:
-		w.rangeHeader(n)
+		w.expr(n.X, false)
+		w.expr(n.Key, true)
+		w.expr(n.Value, true)
 		w.node(n.Body)
 
 	case *ast.SwitchStmt:

@@ -167,38 +167,3 @@ func TestDataflowDifferential(t *testing.T) {
 		})
 	}
 }
-
-func TestReachingWritesMayReachJoin(t *testing.T) {
-	pkg := loadFlowfix(t)
-	fd := funcDecl(t, pkg, "branchy")
-	cfg := BuildCFG(fd.Body)
-	state := ReachingWrites(pkg, cfg)
-
-	// The block writing box.label runs after the conditional write to
-	// box.n; on the may-analysis, box.n must reach it.
-	var labelBlock *CFGBlock
-	for _, b := range cfg.Blocks {
-		for _, n := range b.Nodes {
-			for l := range NodeEffects(pkg, n).Writes {
-				if l.String() == "flowfix.box.label" {
-					labelBlock = b
-				}
-			}
-		}
-	}
-	if labelBlock == nil {
-		t.Fatal("no block writes box.label")
-	}
-	found := false
-	for l := range state[labelBlock].In {
-		if l.String() == "flowfix.box.n" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("conditional write to box.n must reach the join block (may-analysis)")
-	}
-	for l := range state[cfg.Entry()].In {
-		t.Errorf("entry block In must be empty, has %s", l)
-	}
-}

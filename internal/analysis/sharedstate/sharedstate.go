@@ -1,7 +1,7 @@
-// Package sharedstate is the pre-flight gate for a parallel intra-run
-// kernel (ROADMAP: GloMoSim-style deterministic parallel DES): before
-// events may execute concurrently, every write to state visible outside
-// a goroutine must be machine-detectable. The analyzer flags writes to
+// Package sharedstate keeps the goroutines in sim packages race-free:
+// today those are sim.Runner's shard pool and cmd/simd's serve
+// goroutine, and every write they make to state visible outside the
+// goroutine must be machine-detectable. The analyzer flags writes to
 // captured or package-level variables inside `go` launches in sim
 // packages unless the write is under a held lock (Lock/RLock earlier in
 // the same statement sequence, sync.Once.Do callback) or the line

@@ -32,7 +32,11 @@ import (
 // v4: one event kernel (DESIGN.md §14). Every run is sequential, and
 // results equal v3's with partition "off". v3 caches hold partitioned
 // results under keys that now mean the sequential run.
-const EngineFingerprint = "repro-sim/v4"
+//
+// v5: stats.JainIndex clamps its ratio to 1. Equal shares whose rounded
+// sums put the ratio a few ulps above 1 now read exactly 1, and v4
+// caches may hold the unclamped Jain bytes.
+const EngineFingerprint = "repro-sim/v5"
 
 // optionsFingerprint describes the cacheable Options state. Runs are
 // only cached without a tracer, so today this is a single canonical

@@ -274,13 +274,13 @@ func sortInsideOut(ps []geom.Point) {
 // buildSaturated is the paper's always-backlogged source. Env neighbor
 // slices are owned by the builder (see TrafficEnv), so no copy.
 func buildSaturated(env TrafficEnv) (mac.Source, error) {
-	return traffic.NewSaturatedOwned(env.Rand, env.Neighbors, env.Spec.PacketBytes)
+	return traffic.NewSaturated(env.Rand, env.Neighbors, env.Spec.PacketBytes)
 }
 
 // buildCBR paces arrivals at the spec's offered load.
 func buildCBR(env TrafficEnv) (mac.Source, error) {
 	interval := des.Time(float64(env.Spec.PacketBytes*8) / env.Spec.OfferedLoadBps * float64(des.Second))
-	return traffic.NewCBROwned(env.Sched, env.Rand, env.Neighbors, traffic.CBRConfig{
+	return traffic.NewCBR(env.Sched, env.Rand, env.Neighbors, traffic.CBRConfig{
 		Interval: interval, Bytes: env.Spec.PacketBytes, QueueCap: env.Spec.QueueCap,
 	})
 }
@@ -301,7 +301,7 @@ func buildFlows(env TrafficEnv) (mac.Source, error) {
 	if len(dsts) == 0 {
 		return traffic.Empty{}, nil
 	}
-	return traffic.NewSaturatedOwned(env.Rand, dsts, env.Spec.PacketBytes)
+	return traffic.NewSaturated(env.Rand, dsts, env.Spec.PacketBytes)
 }
 
 // buildNone leaves the node silent.

@@ -284,7 +284,7 @@ func (c *telemetryCollector) finish(s *Sim) error {
 		return fmt.Errorf("sim: telemetry export: %w", c.err)
 	}
 	t := des.Time(c.sampler.LastSample() - c.start)
-	if err := c.reg.WriteMetrics(c.sink, t, nil); err != nil {
+	if err := c.reg.WriteMetrics(c.sink, t); err != nil {
 		return fmt.Errorf("sim: telemetry export: %w", err)
 	}
 	return nil

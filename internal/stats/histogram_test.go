@@ -126,9 +126,16 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
-// TestJainAgainstHandValues pins the fairness index (both spellings)
-// against hand-computed values.
+// TestJainAgainstHandValues pins the fairness index against
+// hand-computed values.
 func TestJainAgainstHandValues(t *testing.T) {
+	equal := func(n int, share float64) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = share
+		}
+		return xs
+	}
 	cases := []struct {
 		xs   []float64
 		want float64
@@ -138,11 +145,12 @@ func TestJainAgainstHandValues(t *testing.T) {
 		{[]float64{4, 2}, (6.0 * 6) / (2 * 20)}, // (4+2)²/(2·(16+4)) = 0.9
 		{nil, 1},
 		{[]float64{0, 0}, 1},
+		// Equal shares whose rounded sums put the raw ratio 1 and 2 ulps
+		// above 1: the clamp holds the index at its bound.
+		{equal(8, 601823.7211705742), 1},
+		{equal(9, 594165.127112583), 1},
 	}
 	for _, c := range cases {
-		if got := Jain(c.xs); got != c.want {
-			t.Errorf("Jain(%v) = %v, want %v", c.xs, got, c.want)
-		}
 		if got := JainIndex(c.xs); got != c.want {
 			t.Errorf("JainIndex(%v) = %v, want %v", c.xs, got, c.want)
 		}

@@ -162,14 +162,11 @@ func (r *Reservoir) Percentile(p float64) float64 {
 	return Percentile(r.sample, p)
 }
 
-// Jain returns Jain's fairness index for the given allocations; it is
-// the short name for JainIndex.
-func Jain(xs []float64) float64 { return JainIndex(xs) }
-
 // JainIndex returns Jain's fairness index (Σx)²/(n·Σx²) for the given
 // allocations: 1.0 when all shares are equal, approaching 1/n when one
 // node monopolizes the resource. An empty or all-zero input returns 1
-// (vacuously fair).
+// (vacuously fair). The ratio is clamped to 1, its exact upper bound:
+// for equal shares the rounded sums can put it a few ulps above.
 func JainIndex(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 1
@@ -182,7 +179,7 @@ func JainIndex(xs []float64) float64 {
 	if sq == 0 {
 		return 1
 	}
-	return sum * sum / (float64(len(xs)) * sq)
+	return min(sum*sum/(float64(len(xs))*sq), 1)
 }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear

@@ -120,7 +120,7 @@ func TestJainIndexBounds(t *testing.T) {
 			xs[i] = rng.Float64() * 100
 		}
 		j := JainIndex(xs)
-		return j >= 1/float64(n)-1e-12 && j <= 1+1e-12
+		return j >= 1/float64(n)-1e-12 && j <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

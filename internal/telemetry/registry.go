@@ -119,25 +119,12 @@ func (r *Registry) Names() []string {
 }
 
 // WriteMetrics emits one record per registered metric to sink, in
-// registration order, stamped with sim time t. A non-empty only list
-// restricts the export to those names (order still follows
-// registration, so the output is independent of the filter's own
-// ordering).
-func (r *Registry) WriteMetrics(sink Sink, t des.Time, only []string) error {
+// registration order, stamped with sim time t.
+func (r *Registry) WriteMetrics(sink Sink, t des.Time) error {
 	if r == nil {
 		return nil
 	}
-	var keep map[string]bool
-	if len(only) > 0 {
-		keep = make(map[string]bool, len(only))
-		for _, n := range only {
-			keep[n] = true
-		}
-	}
 	for _, e := range r.order {
-		if keep != nil && !keep[e.name] {
-			continue
-		}
 		rec := Record{T: int64(t), Node: -1, Name: e.name}
 		switch e.kind {
 		case kindCounter:

@@ -44,7 +44,7 @@ func TestNilRegistryLookups(t *testing.T) {
 	if names := r.Names(); names != nil {
 		t.Errorf("nil registry Names = %v, want nil", names)
 	}
-	if err := r.WriteMetrics(Discard{}, 0, nil); err != nil {
+	if err := r.WriteMetrics(Discard{}, 0); err != nil {
 		t.Errorf("nil registry WriteMetrics error: %v", err)
 	}
 }
@@ -116,26 +116,28 @@ func TestWriteMetricsFilterAndOrder(t *testing.T) {
 	h.Observe(25)
 
 	buf := NewBuffer()
-	// Filter order is deliberately reversed: output must still follow
-	// registration order.
-	if err := r.WriteMetrics(buf, 42, []string{"c", "a"}); err != nil {
+	// Output follows registration order, one record per metric.
+	if err := r.WriteMetrics(buf, 42); err != nil {
 		t.Fatal(err)
 	}
 	recs := buf.Records()
-	if len(recs) != 2 {
-		t.Fatalf("got %d records, want 2", len(recs))
+	if len(recs) != 3 {
+		t.Fatalf("got %d records, want 3", len(recs))
 	}
 	if recs[0].Name != "a" || recs[0].Kind != KindCounter || recs[0].Count != 3 || recs[0].T != 42 {
 		t.Errorf("record 0 = %+v", recs[0])
 	}
-	if recs[1].Name != "c" || recs[1].Kind != KindHist || recs[1].Count != 2 || recs[1].Sum != 30 {
+	if recs[1].Name != "b" || recs[1].Kind != KindGauge || recs[1].Value != 2.5 || recs[1].T != 42 {
 		t.Errorf("record 1 = %+v", recs[1])
 	}
-	if len(recs[1].Bounds) != 2 || len(recs[1].Counts) != 3 {
-		t.Errorf("record 1 layout = %d bounds / %d counts", len(recs[1].Bounds), len(recs[1].Counts))
+	if recs[2].Name != "c" || recs[2].Kind != KindHist || recs[2].Count != 2 || recs[2].Sum != 30 {
+		t.Errorf("record 2 = %+v", recs[2])
 	}
-	if recs[1].Counts[0] != 1 || recs[1].Counts[1] != 0 || recs[1].Counts[2] != 1 {
-		t.Errorf("record 1 counts = %v", recs[1].Counts)
+	if len(recs[2].Bounds) != 2 || len(recs[2].Counts) != 3 {
+		t.Errorf("record 2 layout = %d bounds / %d counts", len(recs[2].Bounds), len(recs[2].Counts))
+	}
+	if recs[2].Counts[0] != 1 || recs[2].Counts[1] != 0 || recs[2].Counts[2] != 1 {
+		t.Errorf("record 2 counts = %v", recs[2].Counts)
 	}
 }
 

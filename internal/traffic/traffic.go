@@ -39,22 +39,11 @@ type Saturated struct {
 var _ mac.Source = (*Saturated)(nil)
 
 // NewSaturated builds a saturated source choosing destinations uniformly
-// from neighbors. The neighbor list must be non-empty; it is copied, so
-// the caller may reuse the slice.
+// from neighbors, which must be non-empty. The source takes ownership of
+// the slice and never writes it; the caller must not modify it
+// afterwards. Bulk assembly (sim.Build) carves per-node neighbor slices
+// from one shared backing array and hands them over here.
 func NewSaturated(rng *rand.Rand, neighbors []phy.NodeID, bytes int) (*Saturated, error) {
-	if len(neighbors) == 0 {
-		return nil, fmt.Errorf("traffic: saturated source needs at least one neighbor")
-	}
-	cp := make([]phy.NodeID, len(neighbors))
-	copy(cp, neighbors)
-	return NewSaturatedOwned(rng, cp, bytes)
-}
-
-// NewSaturatedOwned is NewSaturated without the defensive copy: the
-// caller transfers ownership of the neighbors slice. Bulk assembly
-// (sim.Build) carves per-node neighbor slices from one shared backing
-// array and hands them over through here.
-func NewSaturatedOwned(rng *rand.Rand, neighbors []phy.NodeID, bytes int) (*Saturated, error) {
 	if len(neighbors) == 0 {
 		return nil, fmt.Errorf("traffic: saturated source needs at least one neighbor")
 	}
@@ -107,20 +96,10 @@ type CBRConfig struct {
 }
 
 // NewCBR builds a paced source. Call Start to begin arrivals and SetKick
-// to connect the owning MAC node's Kick method. The neighbor list is
-// copied, so the caller may reuse the slice.
+// to connect the owning MAC node's Kick method. Like NewSaturated, the
+// source takes ownership of the non-empty neighbors slice, and the
+// caller must not modify it afterwards.
 func NewCBR(sched *des.Scheduler, rng *rand.Rand, neighbors []phy.NodeID, cfg CBRConfig) (*CBR, error) {
-	if len(neighbors) == 0 {
-		return nil, fmt.Errorf("traffic: CBR source needs at least one neighbor")
-	}
-	cp := make([]phy.NodeID, len(neighbors))
-	copy(cp, neighbors)
-	return NewCBROwned(sched, rng, cp, cfg)
-}
-
-// NewCBROwned is NewCBR without the defensive copy: the caller transfers
-// ownership of the neighbors slice (see NewSaturatedOwned).
-func NewCBROwned(sched *des.Scheduler, rng *rand.Rand, neighbors []phy.NodeID, cfg CBRConfig) (*CBR, error) {
 	if len(neighbors) == 0 {
 		return nil, fmt.Errorf("traffic: CBR source needs at least one neighbor")
 	}

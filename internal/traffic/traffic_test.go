@@ -55,20 +55,6 @@ func TestSaturatedValidation(t *testing.T) {
 	}
 }
 
-func TestSaturatedCopiesNeighborSlice(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	neighbors := []phy.NodeID{1}
-	s, err := NewSaturated(rng, neighbors, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	neighbors[0] = 99
-	p, _ := s.Dequeue(0)
-	if p.Dst != 1 {
-		t.Error("source must not alias the caller's slice")
-	}
-}
-
 func TestCBRArrivalsAndKick(t *testing.T) {
 	sched := des.New(2)
 	c, err := NewCBR(sched, sched.Rand(), []phy.NodeID{7}, CBRConfig{
