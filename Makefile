@@ -129,7 +129,7 @@ countdown-smoke:
 # (kept in testdata/scale/ so the `scenarios` glob skips it) must build,
 # run, and export bounded telemetry inside the same wall-clock budget
 # pattern as lint-budget. It exercises the whole scale path at once:
-# batched Build, the incremental grid, and the telemetry.maxNodes
+# batched Build, the spatial grid, and the telemetry.maxNodes
 # cardinality cap (the header must report the 4-node sample).
 scale-smoke:
 	@start=$$(date +%s); \

@@ -549,11 +549,10 @@ func BenchmarkBuildLargeN(b *testing.B) {
 
 // mobilityChurn measures the spatial-index cost of mobility: each
 // iteration teleports a small batch of radios (waypoint-style random
-// repositioning) and then runs one neighbor query, which forces the
-// index to absorb the moves. With incremental migration the cost is
-// O(moved); the fullrebuild variant forces the historical all-or-nothing
-// reindex of every radio for the paired ≥10× comparison.
-func mobilityChurn(b *testing.B, fullRebuild bool) {
+// repositioning), which moves each between grid cells, and then runs
+// one neighbor query, which rebuilds that radio's in-range list. The
+// cost is O(moved), not a reindex of every radio.
+func mobilityChurn(b *testing.B) {
 	const (
 		n       = 10_000
 		side    = 100  // radios per row
@@ -571,8 +570,7 @@ func mobilityChurn(b *testing.B, fullRebuild bool) {
 		pos := geom.Point{X: float64(i%side) * spacing, Y: float64(i/side) * spacing}
 		radios[i] = ch.AddRadio(pos, &handlers[i])
 	}
-	ch.SetFullRebuild(fullRebuild)
-	ch.Neighbors(0) // settle the initial index outside the timer
+	ch.Neighbors(0) // build the first in-range lists outside the timer
 	rng := rand.New(rand.NewSource(42))
 	width := float64(side) * spacing
 	b.ResetTimer()
@@ -585,8 +583,7 @@ func mobilityChurn(b *testing.B, fullRebuild bool) {
 }
 
 func BenchmarkMobilityChurn(b *testing.B) {
-	b.Run("incremental", func(b *testing.B) { mobilityChurn(b, false) })
-	b.Run("fullrebuild", func(b *testing.B) { mobilityChurn(b, true) })
+	b.Run("incremental", mobilityChurn)
 }
 
 // BenchmarkScaleSimulationSecond runs the committed 10240-node scale

@@ -21,8 +21,10 @@
 // event counts by kind and node.
 //
 // filter passes through the lines matching the node/kind/time-window
-// predicates, preserving the original bytes (a filtered telemetry file
-// keeps its header and remains a valid export).
+// predicates, preserving the original bytes, line endings included (a
+// filtered telemetry file keeps its header and remains a valid export).
+// Only the first non-empty line can be a header: one whose "format" is
+// a non-empty string. Every later line is a record.
 package main
 
 import (
@@ -75,20 +77,40 @@ func open(fs *flag.FlagSet) (io.ReadCloser, error) {
 	}
 }
 
-// probe is the minimal shape shared by telemetry records, telemetry
-// headers and trace events — enough to classify and filter any line.
+// probe is the minimal shape shared by telemetry records and trace
+// events — enough to filter any record line.
 type probe struct {
-	Format string `json:"format"`
-	Kind   string `json:"kind"`
-	T      int64  `json:"t"`
-	Node   *int   `json:"node"`
+	Kind string `json:"kind"`
+	T    int64  `json:"t"`
+	Node *int   `json:"node"`
+}
+
+// telemetryHeader reports whether line is a telemetry header as
+// telemetry.ReadAll reads one: a JSON object whose "format" is a
+// non-empty string.
+func telemetryHeader(line []byte) bool {
+	var h struct {
+		Format string `json:"format"`
+	}
+	return json.Unmarshal(line, &h) == nil && h.Format != ""
 }
 
 // scanLines iterates the non-empty lines of r, reporting 1-based line
-// numbers. The buffer limit matches telemetry.ReadAll.
+// numbers. Each line keeps its terminator ("\n" or "\r\n"; none on a
+// last line without one), so filter can emit the input bytes unchanged.
+// The buffer limit matches telemetry.ReadAll.
 func scanLines(r io.Reader, fn func(line []byte, n int) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			return i + 1, data[:i+1], nil
+		}
+		if atEOF && len(data) > 0 {
+			return len(data), data, nil
+		}
+		return 0, nil, nil
+	})
 	for n := 1; sc.Scan(); n++ {
 		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
 			continue
@@ -120,14 +142,10 @@ func summarizeCmd(args []string, out io.Writer) error {
 	if err != nil && err != io.EOF {
 		return err
 	}
-	var p probe
 	if i := bytes.IndexByte(first, '\n'); i >= 0 {
 		first = first[:i]
 	}
-	if err := json.Unmarshal(first, &p); err != nil {
-		return fmt.Errorf("parse first line: %w", err)
-	}
-	if p.Format != "" {
+	if telemetryHeader(first) {
 		return summarizeTelemetry(br, out, *window, *tol)
 	}
 	return summarizeTrace(br, out)
@@ -170,7 +188,7 @@ func summarize(h telemetry.Header, recs []telemetry.Record, window int, tol floa
 			s.Jain = r.Jain
 			aggT = append(aggT, r.T)
 			aggCum = append(aggCum, r.CumThroughputBps)
-		case telemetry.KindCounter, telemetry.KindGauge, telemetry.KindHist:
+		case telemetry.KindCounter, telemetry.KindHist:
 			s.Metrics = append(s.Metrics, r)
 		}
 	}
@@ -252,8 +270,6 @@ func summarizeTelemetry(r io.Reader, out io.Writer, window int, tol float64) err
 		switch m.Kind {
 		case telemetry.KindCounter:
 			fmt.Fprintf(out, "  counter %-18s %d\n", m.Name, m.Count)
-		case telemetry.KindGauge:
-			fmt.Fprintf(out, "  gauge   %-18s %v\n", m.Name, m.Value)
 		case telemetry.KindHist:
 			mean := 0.0
 			if m.Count > 0 {
@@ -324,7 +340,7 @@ func summarizeTrace(r io.Reader, out io.Writer) error {
 func filterCmd(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("simtrace filter", flag.ContinueOnError)
 	node := fs.Int("node", -1, "keep only records of this node (-1 = all)")
-	kind := fs.String("kind", "", "keep only records of this kind (telemetry: node/agg/counter/gauge/hist; trace: tx/rx/...)")
+	kind := fs.String("kind", "", "keep only records of this kind (telemetry: node/agg/counter/hist; trace: tx/rx/...)")
 	from := fs.Duration("from", 0, "keep only records at or after this sim time")
 	to := fs.Duration("to", 0, "keep only records at or before this sim time (0 = unbounded)")
 	if err := fs.Parse(args); err != nil {
@@ -337,12 +353,15 @@ func filterCmd(args []string, out io.Writer) error {
 	defer in.Close()
 
 	bw := bufio.NewWriter(out)
+	first := true
 	err = scanLines(in, func(line []byte, n int) error {
-		var p probe
-		if err := json.Unmarshal(line, &p); err != nil {
-			return fmt.Errorf("parse line %d: %w", n, err)
-		}
-		if p.Format == "" { // headers always pass; records are filtered
+		header := first && telemetryHeader(line)
+		first = false
+		if !header { // a header always passes; records are filtered
+			var p probe
+			if err := json.Unmarshal(line, &p); err != nil {
+				return fmt.Errorf("parse line %d: %w", n, err)
+			}
 			if *kind != "" && p.Kind != *kind {
 				return nil
 			}
@@ -358,10 +377,8 @@ func filterCmd(args []string, out io.Writer) error {
 		}
 		// Emit the original bytes: filtering must not re-encode (and
 		// thereby risk perturbing) the floats.
-		if _, err := bw.Write(line); err != nil {
-			return err
-		}
-		return bw.WriteByte('\n')
+		_, err := bw.Write(line)
+		return err
 	})
 	if err != nil {
 		return err

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"os"
@@ -158,6 +157,62 @@ func TestFilterPreservesBytes(t *testing.T) {
 	}
 }
 
+// filterBytes runs filter with args over in and returns its output.
+func filterBytes(t *testing.T, in []byte, args ...string) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "in.jsonl")
+	if err := os.WriteFile(path, in, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run(append(append([]string{"filter"}, args...), path), &out); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// TestFilterKeepsLineEndings: a kept line leaves filter with the bytes
+// it came in with, CRLF terminators and a missing final newline
+// included.
+func TestFilterKeepsLineEndings(t *testing.T) {
+	_, raw := export(t)
+	crlf := bytes.ReplaceAll(bytes.Join(bytes.SplitAfter(raw, []byte("\n"))[:3], nil), []byte("\n"), []byte("\r\n"))
+	for _, in := range [][]byte{crlf, bytes.TrimSuffix(crlf, []byte("\r\n"))} {
+		if got := filterBytes(t, in); !bytes.Equal(got, in) {
+			t.Errorf("filter changed the bytes:\n got %q\nwant %q", got, in)
+		}
+	}
+}
+
+// TestFilterHeaderIsFirstLineOnly: only the first line can be a header,
+// and a record is decoded without its "format", as telemetry.ReadAll
+// decodes it. A record whose format is a number passes; one whose format
+// is a string is filtered by its kind like any other record.
+func TestFilterHeaderIsFirstLineOnly(t *testing.T) {
+	const header = `{"format":"repro-telemetry/v1","seed":7,"nodes":3,"innerNodes":3,"intervalNs":10000000,"durationNs":300000000}` + "\n"
+	const agg = `{"kind":"agg","t":1,"node":-1,"jain":1}` + "\n"
+	cases := []struct {
+		name, in, kind, want string
+	}{
+		{"numeric format", header + `{"t":1,"node":0,"kind":"node","format":1}` + "\n" + agg, "", ""},
+		{"string format", header + `{"t":1,"node":0,"kind":"node","format":"x"}` + "\n" + agg, "agg", header + agg},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if _, _, err := telemetry.ReadAll(strings.NewReader(c.in)); err != nil {
+				t.Fatalf("telemetry.ReadAll rejects the input: %v", err)
+			}
+			want := c.want
+			if want == "" {
+				want = c.in
+			}
+			if got := filterBytes(t, []byte(c.in), "-kind="+c.kind); string(got) != want {
+				t.Errorf("filter -kind=%q kept\n%s\nwant\n%s", c.kind, got, want)
+			}
+		})
+	}
+}
+
 // TestSummarizeTraceEvents: the summarize subcommand also reads protocol
 // trace JSONL (no telemetry header).
 func TestSummarizeTraceEvents(t *testing.T) {
@@ -279,14 +334,16 @@ func TestRunBadInput(t *testing.T) {
 }
 
 // FuzzSimtraceFilter: filter must never panic, and when it succeeds its
-// output holds only input lines, byte for byte and in input order. A
-// line is what bufio.ScanLines yields, as in filter and
-// telemetry.ReadAll: a CR before the newline belongs to the line
-// ending. Every header line (one with a "format" field) passes whatever
-// the predicates, and an input that telemetry.ReadAll accepts still
-// reads back after filtering. Plain `go test` runs the seeds: the
-// experiments package's telemetry golden and a trace event stream under
-// a few flag sets. Explore further with the command below; as for
+// output holds only non-blank input lines, byte for byte and in input
+// order. A line runs up to and including its newline, so a CRLF ending
+// is part of the line; a last line may have none. The first non-blank
+// line is a header if its "format" is a non-empty string, and then
+// passes whatever the predicates; no later line is a header. An input
+// that telemetry.ReadAll accepts still reads back after filtering.
+// Plain `go test` runs the seeds: the experiments package's telemetry
+// golden (also with CRLF endings), a trace event stream and a header
+// followed by records carrying a "format" field, under a few flag
+// sets. Explore further with the command below; as for
 // FuzzTelemetryReadAll, the 17 KB golden seed needs a short
 // minimization time or the workers stall.
 //
@@ -312,6 +369,11 @@ func FuzzSimtraceFilter(f *testing.F) {
 	f.Add(events.Bytes(), 0, "", int64(0), int64(0))
 	f.Add(events.Bytes(), -1, "tx", int64(1500), int64(0))
 	f.Add([]byte{}, -1, "", int64(0), int64(0))
+	f.Add(bytes.ReplaceAll(golden, []byte("\n"), []byte("\r\n")), -1, "agg", int64(0), int64(0))
+	formats := []byte(`{"format":"repro-telemetry/v1","nodes":3}` + "\n" +
+		`{"t":1,"node":0,"kind":"node","format":1}` + "\n" + `{"t":2,"node":0,"kind":"node","format":"x"}`)
+	f.Add(formats, -1, "", int64(0), int64(0))
+	f.Add(formats, -1, "agg", int64(0), int64(0))
 
 	path := filepath.Join(f.TempDir(), "in.jsonl")
 	f.Fuzz(func(t *testing.T, data []byte, node int, kind string, from, to int64) {
@@ -325,39 +387,27 @@ func FuzzSimtraceFilter(f *testing.F) {
 			return
 		}
 
-		var in [][]byte
-		sc := bufio.NewScanner(bytes.NewReader(data))
-		sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-		for sc.Scan() {
-			in = append(in, bytes.Clone(sc.Bytes()))
-		}
-		if err := sc.Err(); err != nil {
-			t.Fatalf("filter accepted input the scanner rejects: %v", err)
+		var in [][]byte // the non-blank input lines
+		for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+			if len(bytes.TrimSpace(line)) > 0 {
+				in = append(in, line)
+			}
 		}
 		got := out.Bytes()
-		if len(got) > 0 && got[len(got)-1] != '\n' {
-			t.Fatalf("output does not end in a newline: %q", got)
+		if len(in) > 0 && isHeader(in[0]) && !bytes.HasPrefix(got, in[0]) {
+			t.Fatalf("header line dropped: %q", in[0])
 		}
 		next := 0 // index of the first input line the next output line may match
 		for _, line := range bytes.SplitAfter(got, []byte("\n")) {
 			if len(line) == 0 {
 				continue
 			}
-			line = line[:len(line)-1]
 			for ; next < len(in) && !bytes.Equal(in[next], line); next++ {
-				if isHeader(in[next]) {
-					t.Fatalf("header line dropped: %q", in[next])
-				}
 			}
 			if next == len(in) {
 				t.Fatalf("output line %q is not a later input line", line)
 			}
 			next++
-		}
-		for ; next < len(in); next++ {
-			if isHeader(in[next]) {
-				t.Fatalf("header line dropped: %q", in[next])
-			}
 		}
 
 		if _, _, err := telemetry.ReadAll(bytes.NewReader(data)); err == nil {
@@ -368,8 +418,9 @@ func FuzzSimtraceFilter(f *testing.F) {
 	})
 }
 
-// isHeader reports whether line is a header in filter's sense: a JSON
-// object with a non-empty "format" field.
+// isHeader reports whether line is a header in filter's sense when it is
+// the first non-blank line: a JSON object whose "format" is a non-empty
+// string.
 func isHeader(line []byte) bool {
 	var h struct {
 		Format string `json:"format"`

@@ -30,9 +30,9 @@ import (
 
 // goldenCases covers both directional schemes and the omni baseline at
 // two densities, plus the configurations that exercise the optimized
-// code paths hardest: mobility (spatial-grid invalidation via SetPos),
-// SINR (the received-power computation), and the NAV oracle (out-of-beam
-// scheduling).
+// code paths hardest: mobility (grid cell moves and in-range list
+// rebuilds via SetPos), SINR (the received-power computation), and the
+// NAV oracle (out-of-beam scheduling).
 func goldenCases() map[string]sim.Scenario {
 	base := func(s core.Scheme, n int, beam float64) sim.Scenario {
 		return sim.Scenario{

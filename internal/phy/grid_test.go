@@ -2,8 +2,9 @@ package phy
 
 // Tests for the channel's spatial index and the in-range lists built
 // from it: both must agree with a brute-force all-pairs scan in every
-// geometry, stay correct through mobility (lazy invalidation on SetPos),
-// and keep steady-state delivery allocation-free.
+// geometry, stay correct through mobility (SetPos moves a radio between
+// cells and makes every list stale), and keep steady-state delivery
+// allocation-free.
 
 import (
 	"math"
@@ -73,8 +74,8 @@ func TestGridNeighborsMatchBruteForce(t *testing.T) {
 	}
 }
 
-// TestGridInvalidationOnSetPos: moving radios must invalidate the index;
-// neighbor queries after each batch of moves see the new geometry.
+// TestGridInvalidationOnSetPos: neighbor queries after each batch of
+// moves see the new geometry.
 func TestGridInvalidationOnSetPos(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	sched := des.New(1)

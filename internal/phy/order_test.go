@@ -62,6 +62,15 @@ func orderScript(seed int64, n, sends int) []orderSend {
 	return script
 }
 
+// traceRec is one observed PHY indication.
+type traceRec struct {
+	at   des.Time
+	node NodeID
+	kind byte // 'f' frame, 'e' frame error, 'b' carrier busy, 'i' carrier idle, 't' tx done, 'h' NAV hint
+	src  NodeID
+	seq  int64
+}
+
 // orderRun is the shared state of one variant's run.
 type orderRun struct {
 	sched *des.Scheduler

@@ -252,7 +252,6 @@ type signal struct {
 type Radio struct {
 	id      NodeID
 	pos     geom.Point
-	cell    cellKey // grid cell handle; valid while the index is built
 	ch      *Channel
 	handler Handler
 
@@ -279,24 +278,24 @@ func (r *Radio) Pos() geom.Point { return r.pos }
 
 // SetPos moves the radio (mobility support). Propagation decisions use
 // positions as of each transmission's start; a frame already in flight is
-// unaffected by later movement (quasi-static per frame). The spatial
-// index absorbs the move incrementally: only the source and destination
-// cell buckets are touched, so mobility churn costs O(moved) radios, not
-// a full reindex (DESIGN.md §15). Every in-range list goes stale and is
-// rebuilt on its next use.
+// unaffected by later movement (quasi-static per frame). A move into
+// another grid cell takes the radio out of its old cell (swap-remove)
+// and appends it to the new one; a cell it empties keeps its entry and
+// capacity. Every in-range list goes stale and is rebuilt on its next
+// use.
+//
+//desalint:hotpath
 func (r *Radio) SetPos(p geom.Point) {
 	c := r.ch
+	if from, to := c.cellOf(r.pos), c.cellOf(p); from != to {
+		ids := c.cells[from]
+		i, last := slices.Index(ids, int32(r.id)), len(ids)-1
+		ids[i] = ids[last]
+		c.cells[from] = ids[:last]
+		c.cells[to] = append(c.cells[to], int32(r.id))
+	}
 	r.pos = p
 	c.placement++
-	if c.gridDirty || c.fullRebuild {
-		// No valid cell handles to migrate between; fall back to the
-		// all-or-nothing rebuild on the next neighbor search.
-		c.gridDirty = true
-		return
-	}
-	if k := c.cellOf(p); k != r.cell {
-		c.migrate(r, k)
-	}
 }
 
 // Transmitting reports whether the radio is currently transmitting.
@@ -446,11 +445,8 @@ func (r *Radio) signalEnd(sig *signal) {
 // the first skips the neighbor search entirely (DESIGN.md §7.2). The
 // search itself uses a uniform spatial grid with cell size equal to the
 // transmission range: every radio in range lies in the radio's cell or
-// one of its eight neighbors. The grid is built lazily after AddRadio;
-// once built, SetPos migrates the moved radio between its source and
-// destination cell buckets in place, so a burst of mobility updates
-// costs O(moved) bucket edits, not a reindex of every radio
-// (DESIGN.md §15).
+// one of its eight neighbors. AddRadio and AddRadios put each radio in
+// its cell, and SetPos moves it between cells.
 type Channel struct {
 	sched   *des.Scheduler
 	params  Params
@@ -474,20 +470,9 @@ type Channel struct {
 	halfOf           float64
 	halfSin, halfCos float64
 
-	// Spatial index: cell -> slot in buckets; buckets hold radio IDs in
-	// ascending order, so migrate can binary-search them. Moves migrate a
-	// radio between its source and destination buckets (swap-remove plus
-	// append); a touched bucket whose internal order broke is flagged in
-	// bucketDirty and re-sorted lazily by the next neighbor search that
-	// reads it. Bucket storage is reused across rebuilds and migrations; emptied
-	// buckets park their slots on freeSlots.
-	cells       map[cellKey]int
-	buckets     [][]int32
-	bucketDirty []bool
-	freeSlots   []int
-	usedBuckets int
-	gridDirty   bool
-	fullRebuild bool
+	// cells holds the IDs of the radios in each grid cell, unordered:
+	// every in-range list is sorted after it is collected.
+	cells map[cellKey][]int32
 }
 
 // cellKey addresses one grid cell (position divided by range, floored).
@@ -501,135 +486,16 @@ func (c *Channel) cellOf(p geom.Point) cellKey {
 	return cellKey{x: int32(math.Floor(p.X * inv)), y: int32(math.Floor(p.Y * inv))}
 }
 
-// rebuildGrid reindexes every radio and refreshes the cell handles.
-// Buckets fill in radio-ID order, so each stays sorted without an
-// explicit sort. Backing arrays are reused, except that a bucket whose
-// occupancy fell below 25% of its capacity is reallocated tight and
-// slots past the used range are released — otherwise bucket storage
-// grows to the largest-ever occupancy and stays there, which is
-// permanent ballast at large N.
-func (c *Channel) rebuildGrid() {
-	for i := 0; i < c.usedBuckets; i++ {
-		c.buckets[i] = c.buckets[i][:0]
-	}
-	if c.cells == nil {
-		c.cells = make(map[cellKey]int, len(c.radios))
-	} else {
-		clear(c.cells)
-	}
-	c.usedBuckets = 0
-	c.freeSlots = c.freeSlots[:0]
-	for _, r := range c.radios {
-		k := c.cellOf(r.pos)
-		r.cell = k
-		slot, ok := c.cells[k]
-		if !ok {
-			if c.usedBuckets == len(c.buckets) {
-				c.buckets = append(c.buckets, nil)
-			}
-			slot = c.usedBuckets
-			c.usedBuckets++
-			c.cells[k] = slot
-		}
-		c.buckets[slot] = append(c.buckets[slot], int32(r.id))
-	}
-	for i := 0; i < c.usedBuckets; i++ {
-		if b := c.buckets[i]; cap(b) >= 8 && len(b)*4 < cap(b) {
-			c.buckets[i] = append(make([]int32, 0, len(b)), b...)
-		}
-	}
-	for i := c.usedBuckets; i < len(c.buckets); i++ {
-		c.buckets[i] = nil
-	}
-	if cap(c.bucketDirty) < len(c.buckets) {
-		c.bucketDirty = make([]bool, len(c.buckets))
-	} else {
-		c.bucketDirty = c.bucketDirty[:len(c.buckets)]
-		clear(c.bucketDirty)
-	}
-	c.gridDirty = false
-}
-
-// migrate moves radio r (whose position is already updated) from the
-// bucket of its current cell handle into the bucket of cell k. The
-// source bucket uses swap-remove — O(1), order restored lazily — and
-// the destination appends; only these two buckets are touched, so a
-// burst of mobility costs O(moved) rather than a full reindex.
-//
-//desalint:hotpath
-func (c *Channel) migrate(r *Radio, k cellKey) {
-	id := int32(r.id)
-	oldSlot := c.cells[r.cell]
-	b := c.buckets[oldSlot]
-	idx := -1
-	if c.bucketDirty[oldSlot] {
-		for i, v := range b {
-			if v == id {
-				idx = i
-				break
-			}
-		}
-	} else if i, ok := slices.BinarySearch(b, id); ok {
-		idx = i
-	}
-	last := len(b) - 1
-	if idx != last {
-		b[idx] = b[last]
-		c.bucketDirty[oldSlot] = true
-	}
-	c.buckets[oldSlot] = b[:last]
-	if last == 0 {
-		delete(c.cells, r.cell)
-		c.freeSlots = append(c.freeSlots, oldSlot)
-		c.bucketDirty[oldSlot] = false
-	}
-
-	slot, ok := c.cells[k]
-	if !ok {
-		if n := len(c.freeSlots); n > 0 {
-			slot = c.freeSlots[n-1]
-			c.freeSlots = c.freeSlots[:n-1]
-		} else {
-			if c.usedBuckets == len(c.buckets) {
-				c.buckets = append(c.buckets, nil)
-				c.bucketDirty = append(c.bucketDirty, false)
-			}
-			slot = c.usedBuckets
-			c.usedBuckets++
-		}
-		c.cells[k] = slot
-	}
-	nb := c.buckets[slot]
-	if len(nb) > 0 && nb[len(nb)-1] > id {
-		c.bucketDirty[slot] = true
-	}
-	c.buckets[slot] = append(nb, id)
-	r.cell = k
-}
-
 // collect appends to dst the IDs of the other radios within range of r,
 // unordered. They all lie in the 3×3 cell block around r.
 //
 //desalint:hotpath
 func (c *Channel) collect(dst []int32, r *Radio) []int32 {
-	if c.gridDirty {
-		c.rebuildGrid()
-	}
 	r2 := c.params.Range * c.params.Range
 	center := c.cellOf(r.pos)
 	for dx := int32(-1); dx <= 1; dx++ {
 		for dy := int32(-1); dy <= 1; dy++ {
-			slot, ok := c.cells[cellKey{x: center.x + dx, y: center.y + dy}]
-			if !ok {
-				continue
-			}
-			if c.bucketDirty[slot] {
-				// Restore the per-bucket sorted order broken by a
-				// migration's swap-remove or append.
-				slices.Sort(c.buckets[slot])
-				c.bucketDirty[slot] = false
-			}
-			for _, id := range c.buckets[slot] {
+			for _, id := range c.cells[cellKey{x: center.x + dx, y: center.y + dy}] {
 				if o := c.radios[id]; o != r && o.pos.Dist2(r.pos) <= r2 {
 					dst = append(dst, id)
 				}
@@ -747,19 +613,11 @@ func NewChannel(sched *des.Scheduler, params Params) (*Channel, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	return &Channel{sched: sched, params: params}, nil
+	return &Channel{sched: sched, params: params, cells: make(map[cellKey][]int32)}, nil
 }
 
 // Params returns the channel configuration.
 func (c *Channel) Params() Params { return c.params }
-
-// SetFullRebuild forces the all-or-nothing reindex strategy: every
-// SetPos marks the whole index dirty and the next neighbor search
-// rebuilds it from scratch, instead of migrating the moved radio between
-// its source and destination cells. Incremental migration is the default; the
-// forced mode exists for the differential mobility tests and the
-// mobility-churn benchmark baseline.
-func (c *Channel) SetFullRebuild(v bool) { c.fullRebuild = v }
 
 // SetMetrics installs telemetry counters for the channel's frame
 // accounting. The zero Metrics value (all nil) disables them.
@@ -772,19 +630,23 @@ func (c *Channel) AddRadio(pos geom.Point, handler Handler) *Radio {
 	r := &Radio{id: NodeID(len(c.radios)), pos: pos, ch: c, handler: handler}
 	r.txDone.r = r
 	c.radios = append(c.radios, r)
-	c.gridDirty = true
+	c.place(r)
 	c.placement++
 	return r
 }
 
 // AddRadios attaches one handler-less radio per position (IDs assigned
 // densely in slice order) from a single batched backing array — the
-// large-N assembly path, costing O(1) allocations for the whole batch
-// instead of one heap object per radio. Handlers are attached afterwards
-// via SetHandler, before the first event fires.
+// large-N assembly path, costing one allocation for all the radios
+// instead of one heap object per radio. An empty grid is sized for the
+// batch before the radios go into their cells. Handlers are attached
+// afterwards via SetHandler, before the first event fires.
 func (c *Channel) AddRadios(positions []geom.Point) {
 	backing := make([]Radio, len(positions))
 	c.radios = slices.Grow(c.radios, len(positions))
+	if len(c.cells) == 0 {
+		c.cells = make(map[cellKey][]int32, len(positions))
+	}
 	for i, pos := range positions {
 		r := &backing[i]
 		r.id = NodeID(len(c.radios))
@@ -792,9 +654,15 @@ func (c *Channel) AddRadios(positions []geom.Point) {
 		r.ch = c
 		r.txDone.r = r
 		c.radios = append(c.radios, r)
+		c.place(r)
 	}
-	c.gridDirty = true
 	c.placement++
+}
+
+// place puts radio r in the grid cell of its position.
+func (c *Channel) place(r *Radio) {
+	k := c.cellOf(r.pos)
+	c.cells[k] = append(c.cells[k], int32(r.id))
 }
 
 // SetHandler installs the MAC handler for a radio.

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -510,4 +512,85 @@ func TestQueueCloseRejectsSubmissions(t *testing.T) {
 		t.Error("closed queue admitted a job")
 	}
 	q.close() // idempotent
+}
+
+// FuzzPostRun: POST /v1/runs never panics. It answers 400 exactly when
+// the body is over the cap or sim.ParseScenario or Validate rejects it,
+// and 200 otherwise, with the stub run's canonical encoding plus a
+// newline and the parsed scenario's ScenarioKey. The run is a stub that
+// returns a fixed Result, so the target exercises the request path and
+// not the simulator. The seeds are the committed scenario files, valid
+// and bad. Before fuzzing, a valid body padded to exactly the cap and
+// one a byte longer pin the cap's boundary, which mutation does not
+// reach.
+//
+//	go test ./internal/server -run '^$' -fuzz FuzzPostRun -fuzztime 60s -parallel 2
+func FuzzPostRun(f *testing.F) {
+	var seeds []string
+	for _, pattern := range []string{"*.json", filepath.Join("bad", "*.json")} {
+		paths, err := filepath.Glob(filepath.Join("..", "sim", "testdata", pattern))
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, paths...)
+	}
+	if len(seeds) == 0 {
+		f.Fatal("no seed scenarios found")
+	}
+	for _, path := range seeds {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+
+	stub := &sim.Result{ThroughputBps: []float64{151e3, 149.5e3}, DelaySec: []float64{0.02, 0.021},
+		CollisionRatio: []float64{0.1, 0.125}, Jain: 0.99, SpatialReuse: 1.5}
+	payload, err := sim.EncodeResult(stub)
+	if err != nil {
+		f.Fatal(err)
+	}
+	want := append(payload, '\n')
+	s := New(Config{Concurrency: 1})
+	f.Cleanup(s.Close)
+	s.runFn = func(sim.Scenario, sim.Options) (*sim.Result, error) { return stub, nil }
+
+	check := func(tb testing.TB, body []byte) {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs", bytes.NewReader(body)))
+		sc, err := sim.ParseScenario(body)
+		if err == nil {
+			err = sc.Validate()
+		}
+		if len(body) > maxBodyBytes || err != nil {
+			if rec.Code != http.StatusBadRequest {
+				tb.Fatalf("status %d for a rejected body (%d bytes, %v), want 400", rec.Code, len(body), err)
+			}
+			return
+		}
+		if rec.Code != http.StatusOK {
+			tb.Fatalf("status %d for a valid scenario, want 200: %s", rec.Code, rec.Body.Bytes())
+		}
+		if !bytes.Equal(rec.Body.Bytes(), want) {
+			tb.Fatalf("body %q, want %q", rec.Body.Bytes(), want)
+		}
+		key, err := sim.ScenarioKey(sc)
+		if err != nil {
+			tb.Fatalf("ScenarioKey of a served scenario: %v", err)
+		}
+		if got := rec.Header().Get("X-Scenario-Key"); got != key.String() {
+			tb.Fatalf("X-Scenario-Key = %s, want %s", got, key)
+		}
+	}
+
+	valid, err := os.ReadFile(filepath.Join("..", "sim", "testdata", "paper-drts-dcts.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, size := range []int{maxBodyBytes, maxBodyBytes + 1} {
+		check(f, append(bytes.Repeat([]byte(" "), size-len(valid)), valid...))
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) { check(t, body) })
 }

@@ -172,7 +172,7 @@ func TestTelemetryMetricsFilter(t *testing.T) {
 	var names []string
 	for _, r := range buf.Records() {
 		switch r.Kind {
-		case telemetry.KindCounter, telemetry.KindGauge, telemetry.KindHist:
+		case telemetry.KindCounter, telemetry.KindHist:
 			names = append(names, r.Name)
 		}
 	}

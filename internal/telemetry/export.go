@@ -28,10 +28,9 @@ const (
 	// KindAgg is a per-tick aggregate over the inner nodes, including
 	// the Jain fairness trajectory.
 	KindAgg = "agg"
-	// KindCounter, KindGauge and KindHist are end-of-run metric records
-	// from the registry.
+	// KindCounter and KindHist are end-of-run metric records from the
+	// registry.
 	KindCounter = "counter"
-	KindGauge   = "gauge"
 	KindHist    = "hist"
 )
 
@@ -93,10 +92,8 @@ type Record struct {
 	ACKTimeouts int64 `json:"ackTimeouts,omitempty"`
 	Drops       int64 `json:"drops,omitempty"`
 
-	// Name identifies metric records (KindCounter/KindGauge/KindHist).
+	// Name identifies metric records (KindCounter/KindHist).
 	Name string `json:"name,omitempty"`
-	// Value carries a gauge value.
-	Value float64 `json:"value,omitempty"`
 	// Count and Sum carry counter values and histogram totals.
 	Count int64   `json:"count,omitempty"`
 	Sum   float64 `json:"sum,omitempty"`

@@ -8,8 +8,7 @@ package telemetry
 //   - agg samples are averaged pointwise over shards (the paper's
 //     "mean over random topologies" presentation, applied to the whole
 //     trajectory instead of just the end point);
-//   - counters are summed, gauges averaged, histograms merged
-//     bucket-by-bucket;
+//   - counters are summed, histograms merged bucket-by-bucket;
 //   - per-node samples are dropped: node i is a different station in
 //     every shard's topology, so a cross-shard series for it has no
 //     meaning.
@@ -49,7 +48,7 @@ func Merge(shards []*Buffer) (*Buffer, error) {
 			switch r.Kind {
 			case KindAgg:
 				aggs[i] = append(aggs[i], r)
-			case KindCounter, KindGauge, KindHist:
+			case KindCounter, KindHist:
 				metrics[i] = append(metrics[i], r)
 			}
 		}
@@ -97,16 +96,11 @@ func Merge(shards []*Buffer) (*Buffer, error) {
 			switch m0.Kind {
 			case KindCounter:
 				m.Count += r.Count
-			case KindGauge:
-				m.Value += r.Value
 			case KindHist:
 				if err := mergeHistRecord(&m, r); err != nil {
 					return nil, fmt.Errorf("telemetry: shard %d metric %q: %w", i, r.Name, err)
 				}
 			}
-		}
-		if m0.Kind == KindGauge {
-			m.Value /= n
 		}
 		if err := out.WriteRecord(m); err != nil {
 			return nil, err

@@ -1,5 +1,5 @@
 // Package telemetry is the simulator's deterministic observability
-// subsystem: a registry of counters, gauges and fixed-bucket histograms
+// subsystem: a registry of counters and fixed-bucket histograms
 // wired into the MAC/PHY hot paths, a sim-clock probe scheduler that
 // samples metrics at a fixed simulated interval, and a streaming
 // self-describing JSONL export. Three properties are the contract:
@@ -55,29 +55,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v
-}
-
-// Gauge is a last-write-wins scalar.
-type Gauge struct {
-	v float64
-}
-
-// Set records the current value.
-//
-//desalint:hotpath
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.v = v
-}
-
-// Value returns the last value set (0 on a nil receiver).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // Histogram is a fixed-bucket distribution (a nil-safe wrapper around

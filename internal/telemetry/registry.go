@@ -11,7 +11,6 @@ type metricKind uint8
 
 const (
 	kindCounter metricKind = iota + 1
-	kindGauge
 	kindHistogram
 )
 
@@ -20,7 +19,6 @@ type entry struct {
 	name string
 	kind metricKind
 	c    *Counter
-	g    *Gauge
 	h    *Histogram
 }
 
@@ -56,23 +54,6 @@ func (r *Registry) Counter(name string) (*Counter, error) {
 	r.byName[name] = len(r.order)
 	r.order = append(r.order, entry{name: name, kind: kindCounter, c: c})
 	return c, nil
-}
-
-// Gauge registers (or returns) the gauge under name.
-func (r *Registry) Gauge(name string) (*Gauge, error) {
-	if r == nil {
-		return nil, nil
-	}
-	if i, ok := r.byName[name]; ok {
-		if r.order[i].kind != kindGauge {
-			return nil, fmt.Errorf("telemetry: metric %q already registered with a different kind", name)
-		}
-		return r.order[i].g, nil
-	}
-	g := &Gauge{}
-	r.byName[name] = len(r.order)
-	r.order = append(r.order, entry{name: name, kind: kindGauge, g: g})
-	return g, nil
 }
 
 // Histogram registers (or returns) the histogram under name. A repeat
@@ -130,9 +111,6 @@ func (r *Registry) WriteMetrics(sink Sink, t des.Time) error {
 		case kindCounter:
 			rec.Kind = KindCounter
 			rec.Count = e.c.Value()
-		case kindGauge:
-			rec.Kind = KindGauge
-			rec.Value = e.g.Value()
 		case kindHistogram:
 			rec.Kind = KindHist
 			h := e.h.Snapshot()

@@ -18,11 +18,6 @@ func TestNilMetricsNoOp(t *testing.T) {
 	if got := c.Value(); got != 0 {
 		t.Errorf("nil counter Value = %d, want 0", got)
 	}
-	var g *Gauge
-	g.Set(3.5)
-	if got := g.Value(); got != 0 {
-		t.Errorf("nil gauge Value = %v, want 0", got)
-	}
 	var h *Histogram
 	h.Observe(1)
 	if got := h.Snapshot(); got != nil {
@@ -34,9 +29,6 @@ func TestNilRegistryLookups(t *testing.T) {
 	var r *Registry
 	if c, err := r.Counter("x"); c != nil || err != nil {
 		t.Errorf("nil registry Counter = (%v, %v), want (nil, nil)", c, err)
-	}
-	if g, err := r.Gauge("x"); g != nil || err != nil {
-		t.Errorf("nil registry Gauge = (%v, %v), want (nil, nil)", g, err)
 	}
 	if h, err := r.Histogram("x", []float64{1}); h != nil || err != nil {
 		t.Errorf("nil registry Histogram = (%v, %v), want (nil, nil)", h, err)
@@ -58,7 +50,7 @@ func TestRegistryOrderAndIdempotence(t *testing.T) {
 	if _, err := r.Histogram("mac/backoff-slots", []float64{1, 2, 4}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Gauge("mac/cw"); err != nil {
+	if _, err := r.Histogram("mac/cw", []float64{31, 63}); err != nil {
 		t.Fatal(err)
 	}
 	c2, err := r.Counter("phy/tx-frames")
@@ -85,14 +77,14 @@ func TestRegistryKindClash(t *testing.T) {
 	if _, err := r.Counter("m"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Gauge("m"); err == nil {
-		t.Error("registering gauge over counter: want error")
-	}
 	if _, err := r.Histogram("m", []float64{1}); err == nil {
 		t.Error("registering histogram over counter: want error")
 	}
 	if _, err := r.Histogram("h", []float64{1, 2}); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := r.Counter("h"); err == nil {
+		t.Error("registering counter over histogram: want error")
 	}
 	if _, err := r.Histogram("h", []float64{1, 3}); err == nil {
 		t.Error("re-registering histogram with different bounds: want error")
@@ -109,8 +101,8 @@ func TestWriteMetricsFilterAndOrder(t *testing.T) {
 	r := NewRegistry()
 	c, _ := r.Counter("a")
 	c.Add(3)
-	g, _ := r.Gauge("b")
-	g.Set(2.5)
+	c2, _ := r.Counter("b")
+	c2.Inc()
 	h, _ := r.Histogram("c", []float64{10, 20})
 	h.Observe(5)
 	h.Observe(25)
@@ -127,7 +119,7 @@ func TestWriteMetricsFilterAndOrder(t *testing.T) {
 	if recs[0].Name != "a" || recs[0].Kind != KindCounter || recs[0].Count != 3 || recs[0].T != 42 {
 		t.Errorf("record 0 = %+v", recs[0])
 	}
-	if recs[1].Name != "b" || recs[1].Kind != KindGauge || recs[1].Value != 2.5 || recs[1].T != 42 {
+	if recs[1].Name != "b" || recs[1].Kind != KindCounter || recs[1].Count != 1 || recs[1].T != 42 {
 		t.Errorf("record 1 = %+v", recs[1])
 	}
 	if recs[2].Name != "c" || recs[2].Kind != KindHist || recs[2].Count != 2 || recs[2].Sum != 30 {
@@ -287,7 +279,7 @@ func shardBuffer(t *testing.T, seed int64, tp, cum, coll, jain float64, count in
 		{Kind: KindAgg, T: 10_000_000, Node: -1, ThroughputBps: tp, CumThroughputBps: cum, CollisionRatio: coll, Jain: jain},
 		{Kind: KindAgg, T: 20_000_000, Node: -1, ThroughputBps: tp * 2, CumThroughputBps: cum * 2, CollisionRatio: coll, Jain: jain},
 		{Kind: KindCounter, T: 20_000_000, Node: 0, Name: "phy/tx-frames", Count: count},
-		{Kind: KindGauge, T: 20_000_000, Node: 0, Name: "mac/cw", Value: float64(count)},
+		{Kind: KindCounter, T: 20_000_000, Node: 0, Name: "phy/rx-frames", Count: 2 * count},
 		{Kind: KindHist, T: 20_000_000, Node: 0, Name: "mac/backoff-slots",
 			Bounds: []float64{1, 2}, Counts: counts, Count: counts[0] + counts[1] + counts[2], Sum: float64(count)},
 	}
@@ -328,8 +320,8 @@ func TestMergeHandValues(t *testing.T) {
 	if c := recs[2]; c.Kind != KindCounter || c.Count != 40 {
 		t.Errorf("merged counter = %+v", c)
 	}
-	if g := recs[3]; g.Kind != KindGauge || g.Value != 20 {
-		t.Errorf("merged gauge = %+v", g)
+	if c := recs[3]; c.Kind != KindCounter || c.Name != "phy/rx-frames" || c.Count != 80 {
+		t.Errorf("merged second counter = %+v", c)
 	}
 	hr := recs[4]
 	if hr.Kind != KindHist || hr.Count != 21 || hr.Sum != 40 {
