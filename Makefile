@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build lint lint-budget lint-extra test bench bench-compare perfbench-check fmt-check scenarios sweep-cached telemetry-smoke countdown-smoke scale-smoke simd-smoke
+.PHONY: all build lint lint-budget lint-extra test bench bench-compare perfbench-check fmt-check scenarios sweep-cached telemetry-smoke countdown-smoke scale-smoke simd-smoke paper-check
 
 all: build lint test
 
@@ -101,6 +101,17 @@ sweep-cached:
 	rm -rf .sweep-cache
 	$(GO) run ./cmd/experiments -run fig6 -topologies 5 -duration 1s -cache .sweep-cache -cache-stats
 	$(GO) run ./cmd/experiments -run fig6 -topologies 5 -duration 1s -cache .sweep-cache -cache-stats
+
+# The paper-scale reproduction as a gate: regenerate every static table
+# and figure (50 topologies per cell, 10 s each; about a minute on 2
+# cores) and byte-compare the output with the committed
+# results_paper_scale.txt. On a mismatch .paper-check.txt stays behind
+# for diffing. A change that moves a static result regenerates the
+# committed file on purpose and says why in CHANGES.md.
+paper-check:
+	$(GO) run ./cmd/experiments -run all -topologies 50 -duration 10s -csv > .paper-check.txt
+	cmp .paper-check.txt results_paper_scale.txt
+	rm -f .paper-check.txt
 
 # Telemetry round trip on the canonical trajectory scenario: two exports
 # of the same run must be byte-identical (the determinism contract), and

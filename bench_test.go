@@ -671,7 +671,11 @@ func BenchmarkModelVsSim(b *testing.B) {
 	var rho float64
 	for i := 0; i < b.N; i++ {
 		base := sim.Scenario{Seed: 1, Duration: sim.Duration(500 * des.Millisecond)}
-		rows, err := experiments.ModelVsSim(sim.Runner{}, base, []int{8}, []float64{30}, 1)
+		cells, err := experiments.Grid(sim.Runner{}, base, core.Schemes(), []int{8}, []float64{30}, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows, err := experiments.ModelVsSim(cells)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -15,6 +15,11 @@
 //	delaycdf   per-packet delay percentile comparison (extension)
 //	all        everything above except the extensions
 //
+// -run takes a comma-separated list. fig6, fig7, collision, fairness
+// and modelvssim read one simulated paper grid, run at most once per
+// invocation; ORTS-OCTS ignores beamwidth, so the grid simulates it
+// once per N and repeats that cell across the beamwidth rows.
+//
 // The simulation sweeps default to the paper's 50 random topologies per
 // cell; use -topologies and -duration to trade fidelity for time. Use
 // -csv to emit machine-readable output alongside the tables.
@@ -37,6 +42,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/cache"
@@ -56,7 +62,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		what         = fs.String("run", "all", "fig5|table1|fig6|fig7|collision|fairness|all")
+		what         = fs.String("run", "all", "comma-separated targets: fig5|table1|fig6|fig7|collision|fairness|all, or the extensions trajectory|loadsweep|mobility|modelvssim|reuse|delaycdf")
 		topos        = fs.Int("topologies", 50, "random topologies per simulation cell")
 		duration     = fs.Duration("duration", 10*time.Second, "simulated time per run")
 		seed         = fs.Int64("seed", 1, "base random seed")
@@ -69,7 +75,6 @@ func run(args []string) error {
 		cacheStats   = fs.Bool("cache-stats", false, "print cache hit/miss/eviction counters on exit (requires -cache)")
 		telPath      = fs.String("telemetry", "telemetry.jsonl", "output file for the trajectory study's JSONL export")
 		telInterval  = fs.Duration("telemetry-interval", 10*time.Millisecond, "sim-time sampling interval for the trajectory study")
-		pruneMargin  = fs.Float64("prune", 0, "pre-sweep pruning margin in (0, 1]: skip grid cells whose Kai-Liew estimate falls below margin x the best at the same N (0 disables)")
 		workers      = fs.Int("workers", 0, "concurrent topologies per simulation cell (0 = GOMAXPROCS; never affects results)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -235,9 +240,19 @@ func run(args []string) error {
 		fmt.Println()
 	}
 
+	// The paper grid is simulated at most once: modelvssim and the
+	// fig6/fig7/collision/fairness tables share its cells.
+	ns, beams := experiments.PaperGrid()
+	grid := sync.OnceValues(func() ([]experiments.GridCell, error) {
+		return experiments.Grid(runner, base, core.Schemes(), ns, beams, *topos)
+	})
+
 	if targets["modelvssim"] {
-		ns, beams := experiments.PaperGrid()
-		rows, err := experiments.ModelVsSim(runner, base, ns, beams, *topos)
+		cells, err := grid()
+		if err != nil {
+			return err
+		}
+		rows, err := experiments.ModelVsSim(cells)
 		if err != nil {
 			return err
 		}
@@ -266,31 +281,11 @@ func run(args []string) error {
 		return nil
 	}
 
-	ns, beams := experiments.PaperGrid()
 	fmt.Printf("running simulation grid: %d N × %d beamwidths × 3 schemes × %d topologies, %v each...\n\n",
 		len(ns), len(beams), *topos, base.Duration)
-	var cells []experiments.GridCell
-	var err error
-	if *pruneMargin > 0 {
-		var verdicts []experiments.PruneVerdict
-		cells, verdicts, err = experiments.RunGridPruned(runner, base, core.Schemes(), ns, beams, *topos, *pruneMargin)
-		if err != nil {
-			return err
-		}
-		skipped := 0
-		for _, v := range verdicts {
-			if v.Skip {
-				skipped++
-				fmt.Printf("pruned %v N=%d θ=%g° (Kai-Liew estimate %.3g below %.2fx density best)\n",
-					v.Scheme, v.N, v.BeamwidthDeg, v.Estimate, *pruneMargin)
-			}
-		}
-		fmt.Printf("pre-sweep pruning: simulated %d of %d cells\n\n", len(cells), len(verdicts))
-	} else {
-		cells, err = experiments.Grid(runner, base, core.Schemes(), ns, beams, *topos)
-		if err != nil {
-			return err
-		}
+	cells, err := grid()
+	if err != nil {
+		return err
 	}
 
 	show := func(key, title string, m experiments.Metric) error {

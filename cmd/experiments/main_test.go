@@ -77,6 +77,27 @@ func TestRunSmallGrid(t *testing.T) {
 	}
 }
 
+// TestGridSimulatedOnce: fig6 and modelvssim share one paper grid, and
+// the grid simulates ORTS-OCTS once per N, so a cold cache ends up with
+// 21 entries (3 N × (2 directional schemes × 3 beamwidths + 1 omni)),
+// one per simulated cell at one topology.
+func TestGridSimulatedOnce(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	_, err := capture(t, func() error {
+		return run([]string{"-run", "fig6,modelvssim", "-topologies", "1", "-duration", "50ms", "-cache", dir})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 21 {
+		t.Errorf("cache holds %d entries, want 21", len(entries))
+	}
+}
+
 func TestRunBadFlags(t *testing.T) {
 	if err := run([]string{"-bogus"}); err == nil {
 		t.Error("unknown flag should fail")

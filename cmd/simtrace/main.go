@@ -137,18 +137,18 @@ func summarizeCmd(args []string, out io.Writer) error {
 	}
 	defer in.Close()
 
+	// Classify the whole first line, however long, then hand it back in
+	// front of the rest of the input.
 	br := bufio.NewReader(in)
-	first, err := br.Peek(4096)
+	first, err := br.ReadBytes('\n')
 	if err != nil && err != io.EOF {
 		return err
 	}
-	if i := bytes.IndexByte(first, '\n'); i >= 0 {
-		first = first[:i]
-	}
+	all := io.MultiReader(bytes.NewReader(first), br)
 	if telemetryHeader(first) {
-		return summarizeTelemetry(br, out, *window, *tol)
+		return summarizeTelemetry(all, out, *window, *tol)
 	}
-	return summarizeTrace(br, out)
+	return summarizeTrace(all, out)
 }
 
 // telemetrySummary is the computed view of one export. The final-record

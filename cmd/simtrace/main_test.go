@@ -17,13 +17,14 @@ import (
 	"repro/internal/trace"
 )
 
-// export runs a small simulation with telemetry and returns the run's
-// result plus the raw JSONL export bytes.
-func export(t *testing.T) (*sim.Result, []byte) {
+// export runs a small simulation with telemetry, its scenario named
+// name, and returns the run's result plus the raw JSONL export bytes.
+func export(t *testing.T, name string) (*sim.Result, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
 	w := telemetry.NewWriter(&buf)
 	res, err := sim.RunScenario(sim.Scenario{
+		Name:         name,
 		Scheme:       "DRTS-DCTS",
 		BeamwidthDeg: 60,
 		Seed:         7,
@@ -44,7 +45,7 @@ func export(t *testing.T) (*sim.Result, []byte) {
 // contract: the aggregates simtrace computes from an export must equal
 // the simulation's own Result with zero tolerance.
 func TestSummarizeMatchesResult(t *testing.T) {
-	res, raw := export(t)
+	res, raw := export(t, "")
 	h, recs, err := telemetry.ReadAll(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -92,8 +93,27 @@ func TestConvergedAt(t *testing.T) {
 }
 
 // TestSummarizeCLI drives the real subcommand against an export file.
+// TestSummarizeLongHeader: summarize classifies the whole first line,
+// so an export whose header is longer than any fixed peek (here, with
+// a 5 000-character scenario name) still reads as telemetry.
+func TestSummarizeLongHeader(t *testing.T) {
+	name := strings.Repeat("n", 5000)
+	_, raw := export(t, name)
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"summarize", path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if want := "scenario " + name + " scheme DRTS-DCTS seed 7"; !strings.Contains(out.String(), want) {
+		t.Errorf("summary lacks the long-named header:\n%.300s", out.String())
+	}
+}
+
 func TestSummarizeCLI(t *testing.T) {
-	_, raw := export(t)
+	_, raw := export(t, "")
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
@@ -122,7 +142,7 @@ func TestSummarizeCLI(t *testing.T) {
 // bytes, the header must survive, and the result must still parse as a
 // valid export.
 func TestFilterPreservesBytes(t *testing.T) {
-	_, raw := export(t)
+	_, raw := export(t, "")
 	var out bytes.Buffer
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
@@ -175,7 +195,7 @@ func filterBytes(t *testing.T, in []byte, args ...string) []byte {
 // it came in with, CRLF terminators and a missing final newline
 // included.
 func TestFilterKeepsLineEndings(t *testing.T) {
-	_, raw := export(t)
+	_, raw := export(t, "")
 	crlf := bytes.ReplaceAll(bytes.Join(bytes.SplitAfter(raw, []byte("\n"))[:3], nil), []byte("\n"), []byte("\r\n"))
 	for _, in := range [][]byte{crlf, bytes.TrimSuffix(crlf, []byte("\r\n"))} {
 		if got := filterBytes(t, in); !bytes.Equal(got, in) {
@@ -254,7 +274,7 @@ func TestSummarizeTraceEvents(t *testing.T) {
 // export from a file. This is the seam `curl ... | simtrace summarize -`
 // relies on.
 func TestSummarizeStdin(t *testing.T) {
-	_, raw := export(t)
+	_, raw := export(t, "")
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)

@@ -105,21 +105,18 @@ func PaperGrid() (ns []int, beamsDeg []float64) {
 }
 
 // Grid evaluates every (scheme, N, beamwidth) combination over the
-// given number of topologies; the base supplies every other field.
-// ORTS-OCTS ignores beamwidth but is run once per beamwidth for table
-// alignment, so its cells at one N are identical.
+// given number of topologies, in (N, beamwidth, scheme) order; the base
+// supplies every other field. ORTS-OCTS never forms a beam, so it runs
+// once per N, at the first beamwidth, and that batch fills its cell at
+// every other beamwidth.
 func Grid(r sim.Runner, base sim.Scenario, schemes []core.Scheme, ns []int, beamsDeg []float64, topologies int) ([]GridCell, error) {
-	return runGrid(r, base, schemes, ns, beamsDeg, topologies, nil)
-}
-
-// runGrid is the grid loop shared by Grid and RunGridPruned: it runs
-// every cell not in skip, in (N, beamwidth, scheme) order.
-func runGrid(r sim.Runner, base sim.Scenario, schemes []core.Scheme, ns []int, beamsDeg []float64, topologies int, skip map[gridKey]bool) ([]GridCell, error) {
 	var cells []GridCell
 	for _, n := range ns {
+		var omni *BatchResult
 		for _, beam := range beamsDeg {
 			for _, s := range schemes {
-				if skip[gridKey{s, n, beam}] {
+				if s == core.ORTSOCTS && omni != nil {
+					cells = append(cells, GridCell{Scheme: s, N: n, BeamwidthDeg: beam, Batch: omni})
 					continue
 				}
 				sc := base
@@ -130,17 +127,14 @@ func runGrid(r sim.Runner, base sim.Scenario, schemes []core.Scheme, ns []int, b
 				if err != nil {
 					return nil, fmt.Errorf("grid cell %v N=%d θ=%v: %w", s, n, beam, err)
 				}
+				if s == core.ORTSOCTS {
+					omni = batch
+				}
 				cells = append(cells, GridCell{Scheme: s, N: n, BeamwidthDeg: beam, Batch: batch})
 			}
 		}
 	}
 	return cells, nil
-}
-
-type gridKey struct {
-	scheme core.Scheme
-	n      int
-	beam   float64
 }
 
 // RunGrid is Grid over base.Scenario() with base.Workers workers. It is

@@ -3,9 +3,11 @@ package experiments
 import (
 	"encoding/json"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/sim"
@@ -145,6 +147,43 @@ func TestRunGrid(t *testing.T) {
 	}
 	if !seen["ORTS-OCTS"] || !seen["DRTS-DCTS"] {
 		t.Error("grid missing schemes")
+	}
+}
+
+// TestGridRunsOmniOncePerN: ORTS-OCTS never forms a beam, so Grid
+// simulates it at the first beamwidth only and repeats that batch at
+// the others. The cache sees one miss per topology, not one per
+// (beamwidth, topology), and a fresh run at the second beamwidth gives
+// the batch Grid repeated.
+func TestGridRunsOmniOncePerN(t *testing.T) {
+	store, err := cache.NewStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := sim.Runner{Options: sim.Options{Cache: store}}
+	base := quickScenario(core.ORTSOCTS, 3, 0)
+	base.Duration = sim.Duration(300 * des.Millisecond)
+	cells, err := Grid(r, base, []core.Scheme{core.ORTSOCTS}, []int{3}, []float64{30, 150}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 2 || cells[0].BeamwidthDeg != 30 || cells[1].BeamwidthDeg != 150 {
+		t.Fatalf("cells = %+v, want ORTS-OCTS at 30° and 150°", cells)
+	}
+	if st := store.Stats(); st.Misses != 2 || st.Hits != 0 {
+		t.Errorf("cache: %d misses, %d hits; want 2 misses (one per topology), 0 hits", st.Misses, st.Hits)
+	}
+	if !reflect.DeepEqual(cells[0].Batch, cells[1].Batch) {
+		t.Errorf("omni cells differ across beamwidths:\n%+v\n%+v", cells[0].Batch, cells[1].Batch)
+	}
+	at150 := base
+	at150.BeamwidthDeg = 150
+	fresh, err := RunBatch(sim.Runner{}, at150, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fresh, cells[1].Batch) {
+		t.Errorf("ORTS-OCTS simulated at 150° = %+v, grid repeated %+v", fresh, cells[1].Batch)
 	}
 }
 
@@ -805,7 +844,11 @@ func TestModelVsSimAgreement(t *testing.T) {
 		t.Skip("short mode")
 	}
 	base := sim.Scenario{Seed: 30, Duration: sim.Duration(des.Second)}
-	rows, err := ModelVsSim(sim.Runner{}, base, []int{8}, []float64{30, 150}, 4)
+	cells, err := Grid(sim.Runner{}, base, core.Schemes(), []int{8}, []float64{30, 150}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := ModelVsSim(cells)
 	if err != nil {
 		t.Fatal(err)
 	}

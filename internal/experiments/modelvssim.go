@@ -10,7 +10,6 @@ import (
 	"repro/internal/des"
 	"repro/internal/mac"
 	"repro/internal/phy"
-	"repro/internal/sim"
 )
 
 // ModelVsSimRow compares the analytical model against the simulator at
@@ -53,40 +52,27 @@ func SimLengths() core.Lengths {
 	}
 }
 
-// ModelVsSim evaluates analytical and simulated normalized throughput on
-// the same parameter grid, using the simulator's real frame timings for
-// the model's packet lengths. This is the paper's Section 4 argument —
-// "simulation results largely agree with what is predicted in the
-// analytical model" — made quantitative.
-func ModelVsSim(r sim.Runner, base sim.Scenario, ns []int, beamsDeg []float64, topologies int) ([]ModelVsSimRow, error) {
+// ModelVsSim pairs each simulated grid cell with the analytical model
+// at the same (scheme, N, beamwidth), using the simulator's real frame
+// timings for the model's packet lengths. This is the paper's Section 4
+// argument — "simulation results largely agree with what is predicted
+// in the analytical model" — made quantitative.
+func ModelVsSim(cells []GridCell) ([]ModelVsSimRow, error) {
 	lengths := SimLengths()
 	dataAir := phy.DefaultParams().Airtime(1460)
-	var rows []ModelVsSimRow
-	for _, n := range ns {
-		for _, beam := range beamsDeg {
-			for _, s := range core.Schemes() {
-				pr := core.Params{N: float64(n), Beamwidth: beam * math.Pi / 180, Lengths: lengths}
-				_, ana, err := core.MaxThroughput(s, pr, 0)
-				if err != nil {
-					return nil, fmt.Errorf("model point %v N=%d θ=%v: %w", s, n, beam, err)
-				}
-				sc := base
-				sc.Scheme = s.String()
-				sc.Topology.N = n
-				sc.BeamwidthDeg = beam
-				batch, err := RunBatch(r, sc, topologies)
-				if err != nil {
-					return nil, fmt.Errorf("sim point %v N=%d θ=%v: %w", s, n, beam, err)
-				}
-				// Mean inner-node goodput (b/s) → packets/s → airtime fraction.
-				pktPerSec := batch.ThroughputBps.Mean / (1460 * 8)
-				sim := pktPerSec * dataAir.Seconds()
-				rows = append(rows, ModelVsSimRow{
-					Scheme: s, N: n, BeamwidthDeg: beam,
-					Analytical: ana, Simulated: sim,
-				})
-			}
+	rows := make([]ModelVsSimRow, 0, len(cells))
+	for _, c := range cells {
+		pr := core.Params{N: float64(c.N), Beamwidth: c.BeamwidthDeg * math.Pi / 180, Lengths: lengths}
+		_, ana, err := core.MaxThroughput(c.Scheme, pr, 0)
+		if err != nil {
+			return nil, fmt.Errorf("model point %v N=%d θ=%v: %w", c.Scheme, c.N, c.BeamwidthDeg, err)
 		}
+		// Mean inner-node goodput (b/s) → packets/s → airtime fraction.
+		pktPerSec := c.Batch.ThroughputBps.Mean / (1460 * 8)
+		rows = append(rows, ModelVsSimRow{
+			Scheme: c.Scheme, N: c.N, BeamwidthDeg: c.BeamwidthDeg,
+			Analytical: ana, Simulated: pktPerSec * dataAir.Seconds(),
+		})
 	}
 	return rows, nil
 }

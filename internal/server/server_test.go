@@ -446,10 +446,15 @@ func TestTelemetryStreaming(t *testing.T) {
 // TestBadRequests covers the admission layer's rejections.
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	trailing, err := os.ReadFile(filepath.Join("..", "sim", "testdata", "bad", "trailing-data.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, body := range map[string]string{
 		"not json":        "{",
 		"unknown field":   `{"scheme":"drts-dcts","beamwidthDeg":60,"seed":1,"duration":"10ms","topology":{"n":2},"bogus":1}`,
 		"validation fail": `{"scheme":"drts-dcts","beamwidthDeg":60,"seed":1,"duration":"10ms","topology":{"n":1}}`,
+		"trailing data":   string(trailing),
 	} {
 		resp := post(t, ts.URL+"/v1/runs", []byte(body))
 		resp.Body.Close()

@@ -410,13 +410,17 @@ func WriteScenario(w io.Writer, sc Scenario) error {
 
 // ParseScenario decodes a scenario from JSON. Unknown fields are
 // rejected so typos in hand-written files fail loudly instead of
-// silently running a different experiment.
+// silently running a different experiment, and so is anything but
+// whitespace after the scenario object.
 func ParseScenario(data []byte) (Scenario, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var sc Scenario
 	if err := dec.Decode(&sc); err != nil {
 		return Scenario{}, fmt.Errorf("sim: parse scenario: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Scenario{}, fmt.Errorf("sim: parse scenario: data after the scenario object")
 	}
 	return sc, nil
 }

@@ -148,6 +148,23 @@ func TestScenarioBadSpecsRejected(t *testing.T) {
 	}
 }
 
+// TestParseScenarioRejectsTrailingData: only whitespace may follow the
+// scenario object. A stray closing brace counts as data, although
+// json.Decoder.More reports no further value for it.
+func TestParseScenarioRejectsTrailingData(t *testing.T) {
+	const spec = `{"scheme":"DRTS-DCTS","beamwidthDeg":60,"seed":1,"duration":"100ms","topology":{"n":5}}`
+	for _, tail := range []string{" this is not json", "}", "]", " {}", `"x"`, "\n0"} {
+		if _, err := ParseScenario([]byte(spec + tail)); err == nil {
+			t.Errorf("trailing %q was accepted", tail)
+		}
+	}
+	for _, tail := range []string{"", "\n", " \r\n\t "} {
+		if _, err := ParseScenario([]byte(spec + tail)); err != nil {
+			t.Errorf("trailing whitespace %q rejected: %v", tail, err)
+		}
+	}
+}
+
 // TestValidateRejectsFastForwardWithNAVOracle pins the surfaced error:
 // files combining the two were always rejected, and the no-op switch
 // keeps that rule. The error must name both JSON field paths so a
