@@ -53,8 +53,9 @@ bench:
 # channel micro-benches (omni, and directional under the NAV oracle),
 # one simulated second dense, sparse and mobile, the
 # analytical Fig. 5 sweep, the result cache cold/warm, telemetry off/on,
-# the 10⁴-node scale trio and the served scenario cold/warm.
-HOTPATH = ^(BenchmarkScheduler|BenchmarkChannelBroadcast|BenchmarkChannelDirectional|BenchmarkSimulationSecond|BenchmarkSimulationSecondSparse|BenchmarkSimulationSecondMobile|BenchmarkFig5|BenchmarkScenarioCache|BenchmarkTelemetryOff|BenchmarkTelemetryOn|BenchmarkBuildLargeN|BenchmarkMobilityChurn|BenchmarkScaleSimulationSecond|BenchmarkServedScenario)$$
+# the 10⁴-node scale trio, the paper-cell Build and the served scenario
+# cold/warm.
+HOTPATH = ^(BenchmarkScheduler|BenchmarkChannelBroadcast|BenchmarkChannelDirectional|BenchmarkSimulationSecond|BenchmarkSimulationSecondSparse|BenchmarkSimulationSecondMobile|BenchmarkFig5|BenchmarkScenarioCache|BenchmarkTelemetryOff|BenchmarkTelemetryOn|BenchmarkBuildLargeN|BenchmarkBuildPaper|BenchmarkMobilityChurn|BenchmarkScaleSimulationSecond|BenchmarkServedScenario)$$
 
 # Paired regression gate: `make bench-compare BASE=<git revision>`.
 # Builds the root package's test binary at BASE (in a temporary git

@@ -547,6 +547,21 @@ func BenchmarkBuildLargeN(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildPaper measures Build alone for the paper's densest cell:
+// the rings topology at N=8 (72 nodes), DRTS-DCTS at 30°. Every
+// paper-grid shard and every executed served run pays this assembly
+// before its first event, so it gates small-network Build cost the way
+// BuildLargeN gates the large one.
+func BenchmarkBuildPaper(b *testing.B) {
+	sc := benchSim(core.DRTSDCTS, 8, 30)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.Build(sc, sim.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // mobilityChurn measures the spatial-index cost of mobility: each
 // iteration teleports a small batch of radios (waypoint-style random
 // repositioning), which moves each between grid cells, and then runs

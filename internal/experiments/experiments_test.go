@@ -870,6 +870,43 @@ func TestModelVsSimAgreement(t *testing.T) {
 	}
 }
 
+// TestReuseStudyRunsOmniOnce: a study over three beamwidths simulates
+// ORTS-OCTS once, so one topology per cell through a fresh cache misses
+// 7 times, not 9, and the three ORTS-OCTS rows are equal.
+func TestReuseStudyRunsOmniOnce(t *testing.T) {
+	store, err := cache.NewStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := quickScenario(core.ORTSOCTS, 0, 0)
+	base.Duration = sim.Duration(50 * des.Millisecond)
+	schemes := []core.Scheme{core.ORTSOCTS, core.DRTSDCTS, core.DRTSOCTS}
+	cells, err := ReuseStudy(sim.Runner{Options: sim.Options{Cache: store}}, base, schemes, 3, []float64{30, 90, 150}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 9 {
+		t.Fatalf("cells = %d, want 9", len(cells))
+	}
+	if st := store.Stats(); st.Misses != 7 || st.Hits != 0 {
+		t.Errorf("cache: %d misses, %d hits; want 7 misses (ORTS-OCTS once, two directional schemes at three beamwidths), 0 hits", st.Misses, st.Hits)
+	}
+	var omni []ReuseCell
+	for _, c := range cells {
+		if c.Scheme == core.ORTSOCTS {
+			omni = append(omni, c)
+		}
+	}
+	if len(omni) != 3 {
+		t.Fatalf("ORTS-OCTS rows = %d, want 3", len(omni))
+	}
+	for _, c := range omni[1:] {
+		if c.Reuse != omni[0].Reuse || c.DataShare != omni[0].DataShare {
+			t.Errorf("ORTS-OCTS at %v° = %+v, at %v° = %+v", c.BeamwidthDeg, c, omni[0].BeamwidthDeg, omni[0])
+		}
+	}
+}
+
 func TestReuseStudy(t *testing.T) {
 	base := quickScenario(core.ORTSOCTS, 0, 0)
 	base.Duration = sim.Duration(300 * des.Millisecond)

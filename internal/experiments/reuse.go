@@ -27,17 +27,26 @@ type ReuseCell struct {
 // ReuseStudy measures the spatial-reuse factor across schemes and
 // beamwidths — the paper's central mechanism quantified directly rather
 // than inferred from throughput. Each cell runs `topologies` shards on r.
+// ORTS-OCTS never forms a beam, so, as in Grid, it runs once, at the
+// first beamwidth, and its results stand for every other θ.
 func ReuseStudy(r sim.Runner, base sim.Scenario, schemes []core.Scheme, n int, beamsDeg []float64, topologies int) ([]ReuseCell, error) {
 	var cells []ReuseCell
+	var omni []*sim.Result
 	for _, beam := range beamsDeg {
 		for _, s := range schemes {
-			sc := base
-			sc.Scheme = s.String()
-			sc.Topology.N = n
-			sc.BeamwidthDeg = beam
-			results, err := r.Run(sc, topologies)
-			if err != nil {
-				return nil, fmt.Errorf("reuse cell %v θ=%v: %w", s, beam, err)
+			results := omni
+			if s != core.ORTSOCTS || omni == nil {
+				sc := base
+				sc.Scheme = s.String()
+				sc.Topology.N = n
+				sc.BeamwidthDeg = beam
+				var err error
+				if results, err = r.Run(sc, topologies); err != nil {
+					return nil, fmt.Errorf("reuse cell %v θ=%v: %w", s, beam, err)
+				}
+				if s == core.ORTSOCTS {
+					omni = results
+				}
 			}
 			var reuse, share stats.Stream
 			for _, res := range results {

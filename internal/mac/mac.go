@@ -170,7 +170,7 @@ func (c Config) Validate() error {
 
 // directional reports whether frames of type ft go out directionally
 // under the configured scheme.
-func (c Config) directional(ft phy.FrameType) bool {
+func (c *Config) directional(ft phy.FrameType) bool {
 	switch c.Scheme {
 	case core.ORTSOCTS:
 		return false
@@ -253,7 +253,7 @@ type Node struct {
 	radio *phy.Radio
 	table *neighbor.Table
 	src   Source
-	cfg   Config
+	cfg   *Config // shared by every node of a network; never written
 
 	st           state
 	cur          Packet
@@ -288,8 +288,13 @@ type Node struct {
 	// respQueue holds the parameters of scheduled SIFS responses in fire
 	// order. Timers all carry the same SIFS delay, so the scheduler fires
 	// them in schedule order and each responseDue event pops the front —
-	// no per-response closure.
+	// no per-response closure. It starts on respBuf, so queueing
+	// allocates nothing while it holds at most two. A response waits only
+	// SIFS, shorter than any frame, and a radio decodes overlapping frames
+	// only when the SINR receiver lets both through, so the queue rarely
+	// holds more than one; a deeper queue moves to the heap.
 	respQueue []respParams
+	respBuf   [2]respParams
 
 	// txType is the frame type currently on the air (valid while the
 	// radio transmits).
@@ -307,21 +312,26 @@ type Node struct {
 var _ phy.Handler = (*Node)(nil)
 
 // New creates a MAC node bound to the given radio, neighbor table and
-// packet source, and installs itself as the radio's handler.
+// packet source, and installs itself as the radio's handler. The node
+// keeps its own copy of cfg.
 func New(sched *des.Scheduler, radio *phy.Radio, table *neighbor.Table, src Source, cfg Config) (*Node, error) {
-	n := new(Node)
-	if err := NewInto(n, sched, radio, table, src, cfg); err != nil {
+	own := &struct {
+		n   Node
+		cfg Config
+	}{cfg: cfg}
+	if err := NewInto(&own.n, sched, radio, table, src, &own.cfg); err != nil {
 		return nil, err
 	}
-	return n, nil
+	return &own.n, nil
 }
 
 // NewInto initializes a caller-allocated Node in place and installs it
-// as the radio's handler. Bulk assembly (sim.Build) carves all N nodes
-// from one backing array and initializes them through here, so MAC
-// construction at large N costs O(1) allocations per node instead of a
-// separate heap object each (DESIGN.md §15).
-func NewInto(n *Node, sched *des.Scheduler, radio *phy.Radio, table *neighbor.Table, src Source, cfg Config) error {
+// as the radio's handler. The node reads cfg for its whole life, so cfg
+// must not change afterwards; the nodes of one network share it. Bulk
+// assembly (sim.Build) carves all N nodes from one backing array and
+// initializes them through here without allocating (DESIGN.md §15). The
+// node holds pointers into itself, so it must not be copied.
+func NewInto(n *Node, sched *des.Scheduler, radio *phy.Radio, table *neighbor.Table, src Source, cfg *Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -334,24 +344,16 @@ func NewInto(n *Node, sched *des.Scheduler, radio *phy.Radio, table *neighbor.Ta
 		return fmt.Errorf("mac: timing outside the countdown envelope PropDelay < Slot <= SyncTime, DIFS > Slot (PropDelay %v, Slot %v, SyncTime %v, DIFS %v)",
 			p.PropDelay, cfg.Slot, p.SyncTime, cfg.DIFS)
 	}
-	ackAir := p.Airtime(cfg.ACKBytes)
-	*n = Node{
-		sched:     sched,
-		radio:     radio,
-		table:     table,
-		src:       src,
-		cfg:       cfg,
-		st:        stIdle,
-		cw:        cfg.CWMin,
-		prop:      p.PropDelay,
-		ctsAir:    p.Airtime(cfg.CTSBytes),
-		ackAir:    ackAir,
-		eifs:      cfg.SIFS + ackAir + cfg.DIFS,
-		respQueue: make([]respParams, 0, 4),
-		// lastData is allocated lazily on first data delivery; most nodes
-		// in a large topology receive from a handful of senders, many from
-		// none at all.
-	}
+	// Clearing the node and setting fields in place spares a copy of the
+	// whole struct through a temporary. lastData stays nil until the first
+	// data delivery: most nodes in a large topology receive from a handful
+	// of senders, many from none at all.
+	*n = Node{}
+	n.sched, n.radio, n.table, n.src, n.cfg = sched, radio, table, src, cfg
+	n.st, n.cw = stIdle, cfg.CWMin
+	n.prop, n.ctsAir, n.ackAir = p.PropDelay, p.Airtime(cfg.CTSBytes), p.Airtime(cfg.ACKBytes)
+	n.eifs = cfg.SIFS + n.ackAir + cfg.DIFS
+	n.respQueue = n.respBuf[:0]
 	radio.SetHandler(n)
 	return nil
 }

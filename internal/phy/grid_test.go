@@ -9,6 +9,7 @@ package phy
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/des"
@@ -71,6 +72,165 @@ func TestGridNeighborsMatchBruteForce(t *testing.T) {
 		if got := ch.InRangePairs(); got != pairs {
 			t.Fatalf("range %v: InRangePairs = %d, brute force %d", rng0, got, pairs)
 		}
+	}
+}
+
+// checkBruteForce fails t unless every radio's neighbors and
+// InRangePairs agree with the brute-force scan.
+func checkBruteForce(t *testing.T, ch *Channel) {
+	t.Helper()
+	pairs := 0
+	for id := 0; id < ch.NumRadios(); id++ {
+		got := ch.Neighbors(NodeID(id))
+		want := brutNeighbors(ch, NodeID(id))
+		if !sameIDs(got, want) {
+			t.Fatalf("node %d at %v: grid %v, brute force %v", id, ch.Radio(NodeID(id)).Pos(), got, want)
+		}
+		pairs += len(want)
+	}
+	if got := ch.InRangePairs(); got != pairs {
+		t.Fatalf("InRangePairs = %d, brute force %d", got, pairs)
+	}
+}
+
+// TestAddRadiosMatchesBruteForce: the batch path (AddRadios, then the
+// first in-range lists built in one pass over the radios in cell order)
+// agrees with a brute-force scan in the geometries that pass could get
+// wrong: a large uniform field, radios exactly on cell boundaries at
+// negative and positive multiples of R, stacks of radios on one point,
+// and a far outlier.
+func TestAddRadiosMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	uniform := make([]geom.Point, 3000)
+	for i := range uniform {
+		uniform[i] = geom.Point{X: rng.Float64()*60 - 30, Y: rng.Float64()*60 - 30}
+	}
+	lattice := func(r float64) []geom.Point {
+		var ps []geom.Point
+		for k := -6; k <= 6; k++ {
+			for m := -3; m <= 3; m++ {
+				x, y := float64(k)*r, float64(m)*r
+				ps = append(ps, geom.Point{X: x, Y: y}, geom.Point{X: x + r/2, Y: y})
+			}
+		}
+		return ps
+	}
+	var stacks []geom.Point
+	for i := 0; i < 40; i++ {
+		p := geom.Point{X: float64(i%4) * 0.9, Y: -float64(i%3) * 0.6}
+		stacks = append(stacks, p, p, geom.Point{X: rng.Float64() * 3, Y: -rng.Float64() * 2})
+	}
+	outlier := append(append([]geom.Point{}, uniform[:300]...), geom.Point{X: 1e9, Y: -1e9}, uniform[300], geom.Point{X: -1e9, Y: 5})
+	cases := []struct {
+		name  string
+		rng   float64
+		field []geom.Point
+	}{
+		{"uniform", 1, uniform},
+		{"boundaries-R1", 1, lattice(1)},
+		{"boundaries-R0.3", 0.3, lattice(0.3)},
+		{"boundaries-R2.5", 2.5, lattice(2.5)},
+		{"duplicates", 1, stacks},
+		{"outlier", 1, outlier},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := DefaultParams()
+			p.Range = tc.rng
+			ch, err := NewChannel(des.New(1), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ch.AddRadios(tc.field)
+			checkBruteForce(t, ch)
+		})
+	}
+}
+
+// TestAddRadiosOnExistingLists: a batch added to a channel whose radios
+// already have lists (a cell it lands in may already hold radios),
+// followed by single AddRadio calls and moves in and out of cells the
+// batch filled, still matches the brute-force scan at every step.
+func TestAddRadiosOnExistingLists(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	field := func(n int) []geom.Point {
+		ps := make([]geom.Point, n)
+		for i := range ps {
+			ps[i] = geom.Point{X: rng.Float64()*8 - 4, Y: rng.Float64()*8 - 4}
+		}
+		return ps
+	}
+	ch, err := NewChannel(des.New(1), DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch.AddRadios(field(150))
+	checkBruteForce(t, ch)
+	ch.AddRadios(field(150))
+	checkBruteForce(t, ch)
+	var h discardHandler
+	for _, p := range field(20) {
+		ch.AddRadio(p, h)
+	}
+	checkBruteForce(t, ch)
+	for round := 0; round < 10; round++ {
+		moved := ch.Radio(NodeID(rng.Intn(ch.NumRadios())))
+		home := moved.Pos()
+		moved.SetPos(geom.Point{X: rng.Float64()*8 - 4, Y: rng.Float64()*8 - 4})
+		checkBruteForce(t, ch)
+		moved.SetPos(home)
+		checkBruteForce(t, ch)
+	}
+}
+
+// TestFirstListsAfterMoves: radios that move after AddRadios and before
+// any list exists get lists for where they are, not for where the batch
+// put them.
+func TestFirstListsAfterMoves(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	ps := make([]geom.Point, 200)
+	for i := range ps {
+		ps[i] = geom.Point{X: rng.Float64() * 6, Y: rng.Float64() * 6}
+	}
+	ch, err := NewChannel(des.New(1), DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch.AddRadios(ps)
+	for i := 0; i < 20; i++ {
+		ch.Radio(NodeID(rng.Intn(len(ps)))).SetPos(geom.Point{X: rng.Float64() * 6, Y: rng.Float64() * 6})
+	}
+	checkBruteForce(t, ch)
+}
+
+// TestFirstListsMemoryLinear: building a network's first lists takes
+// memory in proportion to its radios, not to the area they span: a
+// radio 10⁹ R away costs what a near one does.
+func TestFirstListsMemoryLinear(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	near := make([]geom.Point, 2000)
+	for i := range near {
+		near[i] = geom.Point{X: rng.Float64() * 25, Y: rng.Float64() * 25}
+	}
+	far := append(append([]geom.Point{}, near[:len(near)-1]...), geom.Point{X: 1e9, Y: 1e9})
+	build := func(positions []geom.Point) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ch, err := NewChannel(des.New(1), DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch.AddRadios(positions)
+		ch.InRangePairs()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	nearBytes, farBytes := build(near), build(far)
+	if farBytes > nearBytes+nearBytes/10 {
+		t.Fatalf("first lists with a radio at 1e9 R allocated %d bytes, %d without it", farBytes, nearBytes)
+	}
+	if perRadio := nearBytes / uint64(len(near)); perRadio > 1024 {
+		t.Fatalf("first lists allocated %d bytes per radio", perRadio)
 	}
 }
 

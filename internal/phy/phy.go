@@ -460,7 +460,11 @@ type Channel struct {
 	// A radio's in-range list is current while its rangeGen equals it.
 	placement uint64
 
-	scratch []int32 // counting buffer for buildFirstLists
+	// order is the cell order of a batch that AddRadios put into an
+	// empty channel, kept for the first-list pass to reuse while
+	// placement is still orderAt; that pass drops it.
+	order   []cellEntry
+	orderAt uint64
 
 	// freeDeliveries holds records whose end edge has fired.
 	freeDeliveries []*delivery
@@ -528,28 +532,189 @@ func (c *Channel) inRange(r *Radio) []int32 {
 }
 
 // buildFirstLists builds the in-range list of every radio that has never
-// had one. A counting pass sizes one shared backing exactly, and each
-// list is carved from it as a capped subslice, so the first lists of a
-// whole network cost one allocation (DESIGN.md §15).
+// had one. It walks the radios in cell order (cellOrder, or the order a
+// batch AddRadios left), which carries their positions alongside. In
+// that order the three cells of each row of a radio's 3×3 block are one
+// contiguous run, and the runs' bounds only move forward (blockRows), so
+// the walk makes no map lookup and reads candidate positions
+// sequentially. A first walk counts the lists' total length to size one
+// shared backing exactly, a second fills it, and each list is carved from
+// it as a capped subslice and sorted, so the first lists of a whole
+// network share one allocation (DESIGN.md §15).
 func (c *Channel) buildFirstLists() {
+	order := c.order
+	if order == nil || c.orderAt != c.placement {
+		order = c.cellOrder(0)
+	}
+	c.order = nil
+	r2 := c.params.Range * c.params.Range
 	total := 0
-	for _, r := range c.radios {
-		if r.rangeGen == 0 {
-			c.scratch = c.collect(c.scratch[:0], r)
-			total += len(c.scratch)
+	var rows blockRows
+	for i, e := range order {
+		if e.pending {
+			rows.advance(order, i)
+			for k := range rows.runs {
+				total += countWithin(rows.runs[k], e.pos, r2)
+			}
 		}
 	}
-	back := make([]int32, 0, total)
-	for _, r := range c.radios {
-		if r.rangeGen != 0 {
+	// One slot past the lists takes fillWithin's write after the last one.
+	back := make([]int32, total+1)
+	end := 0
+	rows = blockRows{}
+	for i, e := range order {
+		if !e.pending {
 			continue
 		}
-		start := len(back)
-		back = c.collect(back, r)
-		list := back[start:len(back):len(back)]
+		rows.advance(order, i)
+		start := end
+		for k := range rows.runs {
+			end = fillWithin(back, end, rows.runs[k], e.pos, r2)
+		}
+		list := back[start:end:end]
 		slices.Sort(list)
+		r := c.radios[e.id]
 		r.inRange, r.rangeGen = list, c.placement
 	}
+}
+
+// cellEntry is one radio's place in the cell order.
+type cellEntry struct {
+	pos     geom.Point
+	cell    cellKey
+	id      int32
+	pending bool // the radio has never had an in-range list
+}
+
+// cellOrder returns the radios with IDs from first on, ordered by cell
+// row, then cell column, then ID. A stable least-significant-digit radix
+// sort on the column and then the row, a byte per pass, produces it. It
+// makes one pass per byte of the column and row spreads (two passes for a
+// field under 256 cells across) and takes O(N) time and memory however
+// far apart the radios lie.
+func (c *Channel) cellOrder(first int) []cellEntry {
+	order := make([]cellEntry, len(c.radios)-first)
+	if len(order) == 0 {
+		return order
+	}
+	lo := cellKey{x: math.MaxInt32, y: math.MaxInt32}
+	hi := cellKey{x: math.MinInt32, y: math.MinInt32}
+	for i := range order {
+		r := c.radios[first+i]
+		k := c.cellOf(r.pos)
+		order[i] = cellEntry{pos: r.pos, cell: k, id: int32(r.id), pending: r.rangeGen == 0}
+		lo = cellKey{x: min(lo.x, k.x), y: min(lo.y, k.y)}
+		hi = cellKey{x: max(hi.x, k.x), y: max(hi.y, k.y)}
+	}
+	tmp := make([]cellEntry, len(order))
+	for _, byRow := range [2]bool{false, true} {
+		base, spread := lo.x, uint32(hi.x)-uint32(lo.x)
+		if byRow {
+			base, spread = lo.y, uint32(hi.y)-uint32(lo.y)
+		}
+		for shift := 0; shift < 32 && spread>>shift != 0; shift += 8 {
+			var next [256]int
+			for i := range order {
+				next[order[i].digit(byRow, base, shift)]++
+			}
+			sum := 0
+			for d, n := range next {
+				next[d] = sum
+				sum += n
+			}
+			for i := range order {
+				d := order[i].digit(byRow, base, shift)
+				tmp[next[d]] = order[i]
+				next[d]++
+			}
+			order, tmp = tmp, order
+		}
+	}
+	return order
+}
+
+// digit returns the byte at shift of the entry's column (or row) offset
+// from base.
+func (e *cellEntry) digit(byRow bool, base int32, shift int) uint8 {
+	v := e.cell.x
+	if byRow {
+		v = e.cell.y
+	}
+	return uint8((uint32(v) - uint32(base)) >> shift)
+}
+
+// blockRows holds, for a radio visited in cell order, where the rows of
+// its 3×3 cell block lie in that order: the cells of row y−1+d, columns
+// x−1 to x+1, are entries [lo[d], hi[d]). Visiting radios in cell order
+// moves every bound forward only, so a whole pass moves them O(N) steps.
+type blockRows struct {
+	lo, hi [3]int
+	at     cellKey // the block's centre, once placed
+	placed bool
+
+	// runs holds the radio's candidates in cell order: the block's top
+	// row, its middle row split around the radio itself, and its bottom
+	// row.
+	runs [4][]cellEntry
+}
+
+// advance moves to the radio at cell-order index self: it moves the
+// bounds to the block around the radio's cell, unless the previous radio
+// shared that cell, and sets runs. Coordinates are widened so that the
+// rows and columns next to the int32 extremes do not wrap.
+func (b *blockRows) advance(order []cellEntry, self int) {
+	if k := order[self].cell; !b.placed || k != b.at {
+		b.at, b.placed = k, true
+		x := int64(k.x)
+		for d := range b.lo {
+			y := int64(k.y) + int64(d) - 1
+			b.lo[d] = seekCell(order, b.lo[d], y, x-1)
+			b.hi[d] = seekCell(order, max(b.hi[d], b.lo[d]), y, x+2)
+		}
+	}
+	b.runs[0] = order[b.lo[0]:b.hi[0]]
+	b.runs[1], b.runs[2] = order[b.lo[1]:self], order[self+1:b.hi[1]]
+	b.runs[3] = order[b.lo[2]:b.hi[2]]
+}
+
+// seekCell returns the first index from i on whose cell is not before
+// cell (y, x) in row-major order.
+func seekCell(order []cellEntry, i int, y, x int64) int {
+	for ; i < len(order); i++ {
+		if cy := int64(order[i].cell.y); cy > y || cy == y && int64(order[i].cell.x) >= x {
+			break
+		}
+	}
+	return i
+}
+
+// countWithin returns how many entries of run lie within squared
+// distance r2 of p.
+func countWithin(run []cellEntry, p geom.Point, r2 float64) int {
+	n := 0
+	for i := range run {
+		if run[i].pos.Dist2(p) <= r2 {
+			n++
+		}
+	}
+	return n
+}
+
+// fillWithin writes the IDs of the entries countWithin counts to
+// back[k:] and returns the index after the last. It writes every
+// candidate's ID and moves past only those in range, which spares the
+// loop a branch it would mispredict, so back must have one slot to spare
+// after the last ID.
+func fillWithin(back []int32, k int, run []cellEntry, p geom.Point, r2 float64) int {
+	for i := range run {
+		back[k] = run[i].id
+		in := 0
+		if run[i].pos.Dist2(p) <= r2 {
+			in = 1
+		}
+		k += in
+	}
+	return k
 }
 
 // delivery is one transmission in flight: its frame, stored once, and
@@ -630,7 +795,8 @@ func (c *Channel) AddRadio(pos geom.Point, handler Handler) *Radio {
 	r := &Radio{id: NodeID(len(c.radios)), pos: pos, ch: c, handler: handler}
 	r.txDone.r = r
 	c.radios = append(c.radios, r)
-	c.place(r)
+	k := c.cellOf(pos)
+	c.cells[k] = append(c.cells[k], int32(r.id))
 	c.placement++
 	return r
 }
@@ -638,15 +804,20 @@ func (c *Channel) AddRadio(pos geom.Point, handler Handler) *Radio {
 // AddRadios attaches one handler-less radio per position (IDs assigned
 // densely in slice order) from a single batched backing array — the
 // large-N assembly path, costing one allocation for all the radios
-// instead of one heap object per radio. An empty grid is sized for the
-// batch before the radios go into their cells. Handlers are attached
+// instead of one heap object per radio. The batch goes into its cells in
+// cell order: every cell the batch opens gets a capped subslice of one
+// shared ID backing, sized exactly, and a cell that already holds radios
+// appends the batch's IDs to its own slice. Handlers are attached
 // afterwards via SetHandler, before the first event fires.
 func (c *Channel) AddRadios(positions []geom.Point) {
+	first := len(c.radios)
 	backing := make([]Radio, len(positions))
-	c.radios = slices.Grow(c.radios, len(positions))
-	if len(c.cells) == 0 {
-		c.cells = make(map[cellKey][]int32, len(positions))
-	}
+	// make and copy, not slices.Grow, which allocates twice under -race
+	// and would make Build's allocation count (TestBuildAllocBudget)
+	// depend on the race detector.
+	radios := make([]*Radio, first, first+len(positions))
+	copy(radios, c.radios)
+	c.radios = radios
 	for i, pos := range positions {
 		r := &backing[i]
 		r.id = NodeID(len(c.radios))
@@ -654,15 +825,31 @@ func (c *Channel) AddRadios(positions []geom.Point) {
 		r.ch = c
 		r.txDone.r = r
 		c.radios = append(c.radios, r)
-		c.place(r)
+	}
+	order := c.cellOrder(first)
+	ids := make([]int32, len(order))
+	for i, e := range order {
+		ids[i] = e.id
+	}
+	if len(c.cells) == 0 {
+		c.cells = make(map[cellKey][]int32, len(order))
+	}
+	for i := 0; i < len(order); {
+		k, j := order[i].cell, i+1
+		for j < len(order) && order[j].cell == k {
+			j++
+		}
+		if held, ok := c.cells[k]; ok {
+			c.cells[k] = append(held, ids[i:j]...)
+		} else {
+			c.cells[k] = ids[i:j:j]
+		}
+		i = j
 	}
 	c.placement++
-}
-
-// place puts radio r in the grid cell of its position.
-func (c *Channel) place(r *Radio) {
-	k := c.cellOf(r.pos)
-	c.cells[k] = append(c.cells[k], int32(r.id))
+	if first == 0 {
+		c.order, c.orderAt = order, c.placement
+	}
 }
 
 // SetHandler installs the MAC handler for a radio.

@@ -262,9 +262,16 @@ func Build(sc Scenario, opts Options) (*Sim, error) {
 		macCfg.AdaptiveRTSStaleness = des.Time(sc.Ablations.AdaptiveRTS)
 		macCfg.PiggybackLocation = true
 	}
+	// Every node reads one shared config; the inner nodes read a copy
+	// that also reports each delivery's delay when the scenario samples
+	// delays.
+	innerCfg := &macCfg
 	var delayRes *stats.Reservoir
 	if sc.SampleDelays {
 		delayRes = stats.NewReservoir(4096, sched.Rand())
+		inner := macCfg
+		inner.OnDelivery = func(d des.Time) { delayRes.Add(d.Seconds()) }
+		innerCfg = &inner
 	}
 
 	trafficSpec := sc.resolvedTrafficSpec()
@@ -286,10 +293,10 @@ func Build(sc Scenario, opts Options) (*Sim, error) {
 		tel:       tel,
 	}
 	// Per-node assembly is allocation-lean (DESIGN.md §15): MAC nodes
-	// come from one backing array, and each node's neighbor list is
-	// carved from one shared backing sized exactly (capped subslices whose
-	// ownership transfers to the traffic source), so the loop costs O(1)
-	// allocations per node at any N.
+	// come from one backing array and share their config, and each node's
+	// neighbor list is carved from one shared backing sized exactly
+	// (capped subslices whose ownership transfers to the traffic source),
+	// so the loop's only per-node allocation is the traffic source.
 	nodeBacking := make([]mac.Node, ch.NumRadios())
 	nbBack := make([]phy.NodeID, 0, ch.InRangePairs())
 	for i := 0; i < ch.NumRadios(); i++ {
@@ -305,9 +312,9 @@ func Build(sc Scenario, opts Options) (*Sim, error) {
 				return nil, err
 			}
 		}
-		nodeCfg := macCfg
-		if delayRes != nil && i < topo.InnerCount() {
-			nodeCfg.OnDelivery = func(d des.Time) { delayRes.Add(d.Seconds()) }
+		nodeCfg := &macCfg
+		if i < topo.InnerCount() {
+			nodeCfg = innerCfg
 		}
 		s.Nodes[i] = &nodeBacking[i]
 		if err := mac.NewInto(s.Nodes[i], sched, ch.Radio(id), tables[i], src, nodeCfg); err != nil {

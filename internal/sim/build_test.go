@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -196,5 +197,35 @@ func TestFlowsSourceOnlyTheirDestinations(t *testing.T) {
 	}
 	if res.NodeStats[1].Successes == 0 || res.NodeStats[2].CTSSent == 0 {
 		t.Errorf("flow 1→2 made no progress: %+v / %+v", res.NodeStats[1], res.NodeStats[2])
+	}
+}
+
+// TestBuildAllocBudget pins how many heap allocations Build makes for
+// two committed scenarios, so a change that brings back a per-node (or
+// per-cell) allocation fails here, not only in a benchmark. At 10 240
+// nodes the traffic sources, one per node, are nearly all of them. The
+// budgets are the counts go1.24 makes, with or without -race; map
+// internals differ between Go releases, so another release may need
+// them measured again.
+func TestBuildAllocBudget(t *testing.T) {
+	for _, tc := range []struct {
+		file   string
+		budget float64
+	}{
+		{"scale/uniform-10k.json", 10341},
+		{"paper-drts-dcts.json", 84},
+	} {
+		sc, err := LoadScenario(filepath.Join("testdata", tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := Build(sc, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.budget {
+			t.Errorf("%s: Build made %v allocations, budget %v", tc.file, allocs, tc.budget)
+		}
 	}
 }

@@ -7,9 +7,11 @@ package sim
 // assembly-code edits.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -257,18 +259,56 @@ func buildUniform(rng *rand.Rand, sc Scenario) (*topology.Topology, error) {
 
 // sortInsideOut orders positions by distance from the origin, breaking
 // exact ties on (X, Y) so the order never depends on the incoming
-// permutation.
+// permutation. It deals the positions into n buckets by squared
+// distance, a bucket index that never decreases as d² grows, then sorts
+// each bucket with insideOut: the one total order a single sort would
+// give. Both generators that call it spread d² evenly over the field, so
+// a bucket holds a position or two and the sort makes O(n) comparisons,
+// not O(n log n).
 func sortInsideOut(ps []geom.Point) {
-	sort.Slice(ps, func(i, j int) bool {
-		di, dj := ps[i].Dist2(geom.Point{}), ps[j].Dist2(geom.Point{})
-		if di != dj {
-			return di < dj
+	n := len(ps)
+	hi := 0.0
+	for _, p := range ps {
+		hi = max(hi, p.Dist2(geom.Point{}))
+	}
+	// A scaled d² that is not below n-1, or is NaN (every d² zero or
+	// one infinite), goes to the last bucket.
+	scale := float64(n) / hi
+	bucket := func(p geom.Point) int {
+		if b := p.Dist2(geom.Point{}) * scale; b < float64(n-1) {
+			return int(b)
 		}
-		if ps[i].X != ps[j].X {
-			return ps[i].X < ps[j].X
+		return n - 1
+	}
+	src := slices.Clone(ps)
+	next := make([]int, n+1) // bucket sizes at b+1, then bucket starts at b
+	for _, p := range src {
+		next[bucket(p)+1]++
+	}
+	for b := 1; b <= n; b++ {
+		next[b] += next[b-1]
+	}
+	for _, p := range src {
+		b := bucket(p)
+		ps[next[b]] = p
+		next[b]++
+	}
+	// Each next[b] now ends bucket b, which starts where b-1 ended.
+	for b, lo := 0, 0; b < n; lo, b = next[b], b+1 {
+		if run := ps[lo:next[b]]; len(run) > 1 {
+			slices.SortFunc(run, insideOut)
 		}
-		return ps[i].Y < ps[j].Y
-	})
+	}
+}
+
+// insideOut compares two positions by squared distance from the origin,
+// then X, then Y.
+func insideOut(p, q geom.Point) int {
+	return cmp.Or(
+		cmp.Compare(p.Dist2(geom.Point{}), q.Dist2(geom.Point{})),
+		cmp.Compare(p.X, q.X),
+		cmp.Compare(p.Y, q.Y),
+	)
 }
 
 // buildSaturated is the paper's always-backlogged source. Env neighbor

@@ -152,3 +152,48 @@ func TestUniformTopologyNodeBudget(t *testing.T) {
 		t.Errorf("uniform field has %d nodes, want rings²·n = %d", len(topo.Positions), want)
 	}
 }
+
+// TestSortInsideOutMatchesComparisonSort: the bucketed inside-out sort
+// gives the order one comparison sort on (d², X, Y) gives, for fields
+// with ties in d² (a lattice), repeated points, every point at the
+// origin, and a point far outside the rest.
+func TestSortInsideOutMatchesComparisonSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	uniform := make([]geom.Point, 2000)
+	for i := range uniform {
+		uniform[i] = geom.Polar(geom.Point{}, 9*rng.Float64(), 2*3.14159*rng.Float64())
+	}
+	var lattice []geom.Point
+	for x := -6; x <= 6; x++ {
+		for y := -6; y <= 6; y++ {
+			lattice = append(lattice, geom.Point{X: float64(x) * 0.5, Y: float64(y) * 0.5})
+		}
+	}
+	repeated := append(append([]geom.Point{}, uniform[:50]...), uniform[:50]...)
+	far := append(append([]geom.Point{}, uniform[:100]...), geom.Point{X: 1e12, Y: -3})
+	for _, tc := range []struct {
+		name string
+		ps   []geom.Point
+	}{
+		{"uniform", uniform}, {"lattice", lattice}, {"repeated", repeated},
+		{"origin", make([]geom.Point, 7)}, {"far", far}, {"one", []geom.Point{{X: 1, Y: 2}}}, {"empty", nil},
+	} {
+		got := append([]geom.Point{}, tc.ps...)
+		rng.Shuffle(len(got), func(i, j int) { got[i], got[j] = got[j], got[i] })
+		want := append([]geom.Point{}, got...)
+		sort.Slice(want, func(i, j int) bool {
+			di, dj := want[i].Dist2(geom.Point{}), want[j].Dist2(geom.Point{})
+			if di != dj {
+				return di < dj
+			}
+			if want[i].X != want[j].X {
+				return want[i].X < want[j].X
+			}
+			return want[i].Y < want[j].Y
+		})
+		sortInsideOut(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: bucketed order differs from a comparison sort", tc.name)
+		}
+	}
+}

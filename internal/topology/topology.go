@@ -85,7 +85,7 @@ func Generate(rng *rand.Rand, cfg Config) (*Topology, error) {
 	}
 	for i := 0; i < attempts; i++ {
 		topo := sample(rng, cfg)
-		if topo.CheckConstraints() == nil {
+		if node, _ := topo.firstViolation(); node < 0 {
 			return topo, nil
 		}
 	}
@@ -155,18 +155,32 @@ func (t *Topology) MiddleCount() int {
 
 // CheckConstraints verifies the paper's degree conditions.
 func (t *Topology) CheckConstraints() error {
-	deg := t.Degrees()
+	switch i, deg := t.firstViolation(); {
+	case i < 0:
+		return nil
+	case i < t.InnerCount():
+		return fmt.Errorf("topology: inner node %d has degree %d, want [2, %d]", i, deg, 2*t.N-2)
+	default:
+		return fmt.Errorf("topology: middle node %d has degree %d, want [1, %d]", i, deg, 2*t.N-1)
+	}
+}
+
+// firstViolation returns the first inner or first-ring node whose degree
+// breaks the paper's conditions, with that degree, or node -1. Generate
+// calls it directly, so a rejected draw formats no error.
+func (t *Topology) firstViolation() (node, deg int) {
+	d := t.Degrees()
 	for i := 0; i < t.InnerCount(); i++ {
-		if deg[i] < 2 || deg[i] > 2*t.N-2 {
-			return fmt.Errorf("topology: inner node %d has degree %d, want [2, %d]", i, deg[i], 2*t.N-2)
+		if d[i] < 2 || d[i] > 2*t.N-2 {
+			return i, d[i]
 		}
 	}
 	for i := t.InnerCount(); i < t.InnerCount()+t.MiddleCount(); i++ {
-		if deg[i] < 1 || deg[i] > 2*t.N-1 {
-			return fmt.Errorf("topology: middle node %d has degree %d, want [1, %d]", i, deg[i], 2*t.N-1)
+		if d[i] < 1 || d[i] > 2*t.N-1 {
+			return i, d[i]
 		}
 	}
-	return nil
+	return -1, 0
 }
 
 // RingOf returns which region (0-based ring index) node i was placed in,
