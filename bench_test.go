@@ -329,6 +329,103 @@ func BenchmarkScheduler(b *testing.B) {
 	s.RunAll()
 }
 
+// BenchmarkSchedulerSpread measures the event kernel under the MAC's
+// spread of delays, where BenchmarkScheduler schedules under 1 µs ahead
+// and so never leaves the heap. A fixed population of agents, one timer
+// each, is held at the paper grid's mean pending count (40) and the
+// 10 240-node field's (9000). Each op fires the earliest timer, whose
+// agent re-arms 1 µs, 50 µs, 20 µs × U[0,31], 7 ms or 60 ms ahead, and
+// with probability 0.43 a random agent's pending timer is canceled and
+// re-armed, as a busy edge resets a node's DIFS, backoff or NAV: about
+// 30% of timers are canceled before they fire.
+func BenchmarkSchedulerSpread(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		pending int
+	}{{"pending40", 40}, {"pending9000", 9000}} {
+		b.Run(bc.name, func(b *testing.B) {
+			sp := newSpread(bc.pending)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sp.s.Step()
+			}
+		})
+	}
+}
+
+// spreadDraws is the length of spread's pre-drawn delay and reset
+// tables, so the timed loop draws no random numbers.
+const spreadDraws = 1 << 16
+
+// spread is BenchmarkSchedulerSpread's agent population.
+type spread struct {
+	s      *des.Scheduler
+	agents []spreadAgent
+	timers []des.Timer
+	delays []des.Time // the MAC's delay mix, pre-drawn
+	resets []int32    // agent to reset after a fire, or -1
+	next   int
+}
+
+// spreadAgent is one agent's pointer-shaped Event.
+type spreadAgent struct {
+	sp *spread
+	id int
+}
+
+func (a *spreadAgent) Fire() {
+	sp := a.sp
+	sp.arm(a.id)
+	if j := sp.resets[sp.next&(spreadDraws-1)]; j >= 0 {
+		sp.s.Cancel(sp.timers[j])
+		sp.arm(int(j))
+	}
+}
+
+func newSpread(pending int) *spread {
+	rng := rand.New(rand.NewSource(1))
+	mix := func() des.Time {
+		switch rng.Intn(5) {
+		case 0:
+			return des.Microsecond
+		case 1:
+			return 50 * des.Microsecond
+		case 2:
+			return 20 * des.Microsecond * des.Time(rng.Intn(32))
+		case 3:
+			return 7 * des.Millisecond
+		default:
+			return 60 * des.Millisecond
+		}
+	}
+	sp := &spread{
+		s:      des.New(1),
+		agents: make([]spreadAgent, pending),
+		timers: make([]des.Timer, pending),
+		delays: make([]des.Time, spreadDraws),
+		resets: make([]int32, spreadDraws),
+	}
+	for i := range sp.delays {
+		sp.delays[i] = mix()
+		sp.resets[i] = -1
+		if rng.Float64() < 0.43 {
+			sp.resets[i] = int32(rng.Intn(pending))
+		}
+	}
+	for i := range sp.agents {
+		sp.agents[i] = spreadAgent{sp: sp, id: i}
+		sp.arm(i)
+	}
+	return sp
+}
+
+// arm schedules agent i's next timer from the delay table.
+func (sp *spread) arm(i int) {
+	sp.timers[i] = sp.s.ScheduleEvent(sp.delays[sp.next&(spreadDraws-1)], &sp.agents[i])
+	sp.next++
+}
+
 // channelRing builds a sender at the origin ringed by 32 radios at
 // 0.9 R, the dense neighborhood of the channel benchmarks.
 func channelRing(b *testing.B, p phy.Params) (*des.Scheduler, *phy.Radio) {

@@ -1,23 +1,27 @@
 // Package des is a deterministic discrete-event simulation kernel: a
-// monotonic virtual clock, a typed binary-heap event queue with stable
-// FIFO ordering among simultaneous events, cancellable timers, slotted
-// countdowns that cost one event however many slots they run, and a
-// seeded random stream. It is single-threaded by design — protocol models
-// run as callbacks on the scheduler goroutine, which makes runs exactly
+// monotonic virtual clock, an event queue with stable FIFO ordering
+// among simultaneous events, cancellable timers, slotted countdowns that
+// cost one event however many slots they run, and a seeded random
+// stream. It is single-threaded by design — protocol models run as
+// callbacks on the scheduler goroutine, which makes runs exactly
 // reproducible for a given seed.
 //
 // The event queue is built for the MAC workload: millions of schedules
-// per simulated second, most of them canceled before they fire. Timers
-// are recycled through a free list, the heap stores typed pointers (no
-// interface boxing), and cancellation removes the entry immediately via
-// its heap index — so steady-state scheduling performs no allocation and
-// canceled events leave no garbage behind. Timer handles are small
-// generation-checked values: a handle retained after its timer fired (or
-// was canceled and recycled) safely reports inactive instead of aliasing
-// a later event.
+// per simulated second, many of them canceled before they fire, most due
+// tens of microseconds to milliseconds ahead. It is a calendar in front
+// of a binary heap: the heap orders only the timers due in the current
+// 16 µs bucket, later ones wait unordered in O(1) bucket lists (or one
+// far list beyond the calendar's window), and a bucket enters the heap
+// only when the heap runs dry. Timers are recycled through a free list
+// and cancellation unlinks the entry immediately, so steady-state
+// scheduling performs no allocation and canceled events leave no
+// garbage behind. Timer handles are small generation-checked values: a
+// handle retained after its timer fired (or was canceled and recycled)
+// safely reports inactive instead of aliasing a later event.
 package des
 
 import (
+	"math/bits"
 	"math/rand"
 	"time"
 )
@@ -100,8 +104,27 @@ type timer struct {
 	rootKey uint64
 	ev      Event
 	gen     uint32 // bumped on recycle; stale handles mismatch
-	index   int32  // position in the heap array
+	// index is the position in the heap array, or inRing/inFar for a
+	// parked timer (linked through next and prev).
+	index int32
+	next  *timer
+	prev  *timer
 }
+
+// The calendar: a timer's bucket is at >> bucketShift. The heap holds
+// every timer whose bucket is at most curB; a ring of ringSize bucket
+// lists holds those filed for the next ringSize-1 buckets, and one far
+// list those filed beyond. Both sizes were chosen by measurement
+// (DESIGN.md §7.1).
+const (
+	bucketShift = 14 // 16.384 µs buckets
+	ringSize    = 1024
+	ringMask    = ringSize - 1
+	ringWords   = ringSize / 64
+
+	inRing = -2 // index of a timer in a ring bucket list
+	inFar  = -3 // index of a timer in the far list
+)
 
 // Timer is a cancellable handle for a scheduled event. The zero value is
 // an inert handle: not active, and cancelling it is a no-op. Handles stay
@@ -141,6 +164,21 @@ type Scheduler struct {
 	// SlotsLeft compares a countdown's virtual ticks against it.
 	cur     timer
 	running bool
+
+	// The calendar tier. Every parked timer's bucket is above curB, so
+	// it is due strictly after every timer in the heap. ring[b&ringMask]
+	// lists the timers of bucket b for curB < b < curB+ringSize; occ
+	// marks the non-empty lists and summary the non-zero occ words. far
+	// lists the timers filed beyond the window as it stood then; farMin
+	// is a lower bound of their buckets, and they stay there until curB
+	// reaches it.
+	curB    int64
+	ring    [ringSize]*timer
+	occ     [ringWords]uint64
+	summary uint64
+	far     *timer
+	farMin  int64
+	parked  int // timers in ring and far
 }
 
 // New returns a Scheduler whose random stream is seeded with seed.
@@ -166,7 +204,7 @@ func (s *Scheduler) Executed() uint64 {
 // Pending returns the number of events still queued. Canceled events are
 // removed eagerly and never count.
 func (s *Scheduler) Pending() int {
-	return len(s.heap)
+	return len(s.heap) + s.parked
 }
 
 // alloc takes a recycled timer from the free list or makes a new one.
@@ -203,9 +241,7 @@ func (s *Scheduler) insert(ev Event, at, sched, rootAt Time, rootKey uint64) Tim
 	s.seq++
 	tm.at, tm.sched, tm.seq, tm.ev = at, sched, s.seq, ev
 	tm.rootAt, tm.rootKey = rootAt, rootKey
-	tm.index = int32(len(s.heap))
-	s.heap = append(s.heap, tm)
-	s.siftUp(len(s.heap) - 1)
+	s.file(tm)
 	return Timer{tm: tm, gen: tm.gen, at: at}
 }
 
@@ -338,7 +374,11 @@ func (s *Scheduler) Cancel(t Timer) bool {
 	if tm == nil || tm.gen != t.gen {
 		return false
 	}
-	s.remove(int(tm.index))
+	if tm.index >= 0 {
+		s.remove(int(tm.index))
+	} else {
+		s.unpark(tm)
+	}
 	s.recycle(tm)
 	return true
 }
@@ -347,7 +387,7 @@ func (s *Scheduler) Cancel(t Timer) bool {
 //
 //desalint:hotpath
 func (s *Scheduler) Step() bool {
-	if len(s.heap) == 0 {
+	if len(s.heap) == 0 && !s.advance() {
 		return false
 	}
 	tm := s.popMin()
@@ -373,7 +413,7 @@ func (s *Scheduler) Step() bool {
 //desalint:hotpath
 func (s *Scheduler) Run(until Time) uint64 {
 	start := s.count
-	for len(s.heap) > 0 && s.heap[0].at <= until {
+	for (len(s.heap) > 0 || s.advance()) && s.heap[0].at <= until {
 		s.Step()
 	}
 	if s.now < until {
@@ -391,10 +431,161 @@ func (s *Scheduler) RunAll() uint64 {
 	return s.count - start
 }
 
-// The queue is a hand-rolled binary min-heap over the ordering key.
+// The queue's near tier is a hand-rolled binary min-heap over the
+// ordering key, holding only the timers of buckets up to curB.
 // container/heap would box every *timer through an interface on each
 // Push/Pop; inlining the sifts keeps the hot path monomorphic and
-// allocation-free.
+// allocation-free. Every parked timer is due strictly after every heap
+// timer, so the heap's minimum is the queue's, and events fire in
+// exactly the order one heap over all of them would give.
+
+// file puts tm into the tier its bucket belongs to: the heap at or below
+// curB, a ring list inside the window, the far list beyond it.
+//
+//desalint:hotpath
+func (s *Scheduler) file(tm *timer) {
+	b := int64(tm.at >> bucketShift)
+	switch {
+	case b <= s.curB:
+		s.push(tm)
+		return
+	case b < s.curB+ringSize:
+		slot := int(b & ringMask)
+		if s.ring[slot] == nil {
+			s.occ[slot>>6] |= 1 << (slot & 63)
+			s.summary |= 1 << (slot >> 6)
+		}
+		tm.index = inRing
+		link(&s.ring[slot], tm)
+	default:
+		if s.far == nil || b < s.farMin {
+			s.farMin = b
+		}
+		tm.index = inFar
+		link(&s.far, tm)
+	}
+	s.parked++
+}
+
+// link pushes tm onto the front of the list at head.
+//
+//desalint:hotpath
+func link(head **timer, tm *timer) {
+	tm.prev = nil
+	tm.next = *head
+	if tm.next != nil {
+		tm.next.prev = tm
+	}
+	*head = tm
+}
+
+// unpark unlinks a parked timer from its ring or far list. A canceled
+// far timer may leave farMin below the far list's minimum; it stays a
+// lower bound, which is all advance needs.
+//
+//desalint:hotpath
+func (s *Scheduler) unpark(tm *timer) {
+	s.parked--
+	if tm.next != nil {
+		tm.next.prev = tm.prev
+	}
+	switch {
+	case tm.prev != nil:
+		tm.prev.next = tm.next
+	case tm.index == inFar:
+		s.far = tm.next
+	default:
+		slot := int(tm.at>>bucketShift) & ringMask
+		s.ring[slot] = tm.next
+		if tm.next == nil {
+			s.clearSlot(slot)
+		}
+	}
+}
+
+// clearSlot marks an emptied ring slot in occ, and its word in summary
+// if the word emptied too.
+//
+//desalint:hotpath
+func (s *Scheduler) clearSlot(slot int) {
+	w := slot >> 6
+	s.occ[w] &^= 1 << (slot & 63)
+	if s.occ[w] == 0 {
+		s.summary &^= 1 << w
+	}
+}
+
+// advance moves curB to the earliest parked bucket and loads its timers
+// into the heap, which must be empty. It reports false when nothing is
+// pending. The far list is re-filed when curB reaches farMin: every far
+// timer then inside the new window moves to the ring or the heap, so the
+// list is walked at most once per window however densely timers sit
+// beyond it.
+//
+//desalint:hotpath
+func (s *Scheduler) advance() bool {
+	for len(s.heap) == 0 {
+		if s.parked == 0 {
+			return false
+		}
+		b := s.farMin
+		if s.summary != 0 {
+			start := int(s.curB+1) & ringMask
+			if rb := s.curB + 1 + int64((s.nextSlot(start)-start)&ringMask); s.far == nil || rb < b {
+				b = rb
+			}
+		}
+		s.curB = b
+		if s.far != nil && s.farMin <= b {
+			far := s.far
+			s.far = nil
+			for tm := far; tm != nil; {
+				next := tm.next
+				s.parked--
+				s.file(tm)
+				tm = next
+			}
+		}
+		slot := int(b & ringMask)
+		tm := s.ring[slot]
+		if tm == nil {
+			continue
+		}
+		s.ring[slot] = nil
+		s.clearSlot(slot)
+		for ; tm != nil; tm = tm.next {
+			s.parked--
+			s.push(tm)
+		}
+	}
+	return true
+}
+
+// nextSlot returns the first occupied ring slot at or after start,
+// wrapping around; the ring must not be empty.
+//
+//desalint:hotpath
+func (s *Scheduler) nextSlot(start int) int {
+	w := start >> 6
+	if m := s.occ[w] &^ (1<<(start&63) - 1); m != 0 {
+		return w<<6 | bits.TrailingZeros64(m)
+	}
+	words := s.summary &^ (1<<(w+1) - 1)
+	if words == 0 {
+		words = s.summary
+	}
+	w = bits.TrailingZeros64(words)
+	return w<<6 | bits.TrailingZeros64(s.occ[w])
+}
+
+// push adds tm to the heap.
+//
+//desalint:hotpath
+func (s *Scheduler) push(tm *timer) {
+	tm.index = int32(len(s.heap))
+	s.heap = append(s.heap, tm)
+	s.siftUp(len(s.heap) - 1)
+}
 
 // less orders the heap by due time, then scheduling instant, then chain
 // root. Two events tied on (at, sched) were scheduled the same step

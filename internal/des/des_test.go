@@ -159,22 +159,28 @@ func TestStaleHandleSafety(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocFree: once the free list is warm, scheduling and
-// firing performs no heap allocation.
+// TestSteadyStateAllocFree: once the free list is warm, scheduling,
+// canceling and firing performs no heap allocation, whichever tier a
+// timer lands in: the heap (a few ns ahead), a ring bucket (50 µs, 5 ms)
+// or the far list (100 ms).
 func TestSteadyStateAllocFree(t *testing.T) {
 	s := New(1)
 	fn := func() {}
-	// Warm the free list and heap capacity.
-	for i := 0; i < 64; i++ {
-		s.Schedule(Time(i), fn)
-	}
-	s.RunAll()
-	allocs := testing.AllocsPerRun(100, func() {
+	round := func() {
 		for i := 0; i < 32; i++ {
 			s.Schedule(Time(i%7), fn)
 		}
+		for _, d := range []Time{50 * Microsecond, 5 * Millisecond, 100 * Millisecond} {
+			s.Cancel(s.Schedule(d, fn))
+			s.Schedule(d, fn)
+		}
 		s.RunAll()
-	})
+	}
+	// Warm the free list and heap capacity.
+	for i := 0; i < 4; i++ {
+		round()
+	}
+	allocs := testing.AllocsPerRun(100, round)
 	if allocs != 0 {
 		t.Errorf("steady-state scheduling allocates %v per run, want 0", allocs)
 	}

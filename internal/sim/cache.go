@@ -7,12 +7,7 @@ package sim
 // telemetry attached are NOT cached: replaying a cached result would
 // silently drop their side effects.
 
-import (
-	"encoding/json"
-	"fmt"
-
-	"repro/internal/cache"
-)
+import "repro/internal/cache"
 
 // EngineFingerprint identifies the simulation kernel's behavior for
 // cache addressing. Bump the version suffix whenever any change can
@@ -60,30 +55,6 @@ func ScenarioKey(sc Scenario) (cache.Key, error) {
 		Write("engine", []byte(EngineFingerprint)).
 		Write("options", []byte(optionsFingerprint)).
 		Key(), nil
-}
-
-// EncodeResult renders the canonical byte form of a Result: compact
-// JSON, no trailing newline. These bytes are both the result-cache
-// payload and the wire format cmd/simd serves, so they are a stable
-// contract: JSON float encoding is shortest-form and round-trips
-// bit-exactly, which makes a decoded Result re-encode to the same
-// golden bytes as a fresh run — and a daemon-served body byte-identical
-// to a local `netsim -scenario ... -json` run of the same spec.
-func EncodeResult(r *Result) ([]byte, error) {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return nil, fmt.Errorf("sim: encode result: %w", err)
-	}
-	return b, nil
-}
-
-// DecodeResult parses canonical result bytes back into a Result.
-func DecodeResult(b []byte) (*Result, error) {
-	var r Result
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, fmt.Errorf("sim: decode cached result: %w", err)
-	}
-	return &r, nil
 }
 
 // cacheable reports whether a run of sc under opts may be served from

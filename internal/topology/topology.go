@@ -74,7 +74,8 @@ var ErrExhausted = errors.New("topology: no valid placement found within the att
 //   - each node of the first surrounding ring has between 1 and 2N−1.
 //
 // Outer rings are unconstrained (they only provide background
-// interference).
+// interference). Every draw refills one position buffer and one degree
+// buffer, so a rejected draw allocates nothing.
 func Generate(rng *rand.Rand, cfg Config) (*Topology, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -83,27 +84,28 @@ func Generate(rng *rand.Rand, cfg Config) (*Topology, error) {
 	if attempts <= 0 {
 		attempts = 10000
 	}
+	topo := &Topology{Positions: make([]geom.Point, 0, cfg.TotalNodes()), N: cfg.N, Radius: cfg.Radius, Rings: cfg.Rings}
+	deg := make([]int, cfg.TotalNodes())
 	for i := 0; i < attempts; i++ {
-		topo := sample(rng, cfg)
-		if node, _ := topo.firstViolation(); node < 0 {
+		topo.sample(rng)
+		if node, _ := topo.firstViolation(deg); node < 0 {
 			return topo, nil
 		}
 	}
 	return nil, ErrExhausted
 }
 
-// sample draws one unconstrained placement.
-func sample(rng *rand.Rand, cfg Config) *Topology {
-	positions := make([]geom.Point, 0, cfg.TotalNodes())
-	for ring := 0; ring < cfg.Rings; ring++ {
-		count := (2*ring + 1) * cfg.N
-		rIn := float64(ring) * cfg.Radius
-		rOut := float64(ring+1) * cfg.Radius
+// sample refills t.Positions with one unconstrained placement.
+func (t *Topology) sample(rng *rand.Rand) {
+	t.Positions = t.Positions[:0]
+	for ring := 0; ring < t.Rings; ring++ {
+		count := (2*ring + 1) * t.N
+		rIn := float64(ring) * t.Radius
+		rOut := float64(ring+1) * t.Radius
 		for i := 0; i < count; i++ {
-			positions = append(positions, uniformInAnnulus(rng, rIn, rOut))
+			t.Positions = append(t.Positions, uniformInAnnulus(rng, rIn, rOut))
 		}
 	}
-	return &Topology{Positions: positions, N: cfg.N, Radius: cfg.Radius, Rings: cfg.Rings}
 }
 
 // uniformInAnnulus draws a point uniformly by area from the annulus with
@@ -118,6 +120,14 @@ func uniformInAnnulus(rng *rand.Rand, rIn, rOut float64) geom.Point {
 // Degrees returns each node's neighbor count (nodes within Radius).
 func (t *Topology) Degrees() []int {
 	deg := make([]int, len(t.Positions))
+	t.degreesInto(deg)
+	return deg
+}
+
+// degreesInto overwrites deg (one entry per node) with each node's
+// neighbor count.
+func (t *Topology) degreesInto(deg []int) {
+	clear(deg)
 	r2 := t.Radius * t.Radius
 	for i := 0; i < len(t.Positions); i++ {
 		for j := i + 1; j < len(t.Positions); j++ {
@@ -127,7 +137,6 @@ func (t *Topology) Degrees() []int {
 			}
 		}
 	}
-	return deg
 }
 
 // Neighbors returns the indices of nodes within Radius of node i.
@@ -155,7 +164,7 @@ func (t *Topology) MiddleCount() int {
 
 // CheckConstraints verifies the paper's degree conditions.
 func (t *Topology) CheckConstraints() error {
-	switch i, deg := t.firstViolation(); {
+	switch i, deg := t.firstViolation(make([]int, len(t.Positions))); {
 	case i < 0:
 		return nil
 	case i < t.InnerCount():
@@ -166,10 +175,11 @@ func (t *Topology) CheckConstraints() error {
 }
 
 // firstViolation returns the first inner or first-ring node whose degree
-// breaks the paper's conditions, with that degree, or node -1. Generate
-// calls it directly, so a rejected draw formats no error.
-func (t *Topology) firstViolation() (node, deg int) {
-	d := t.Degrees()
+// breaks the paper's conditions, with that degree, or node -1. It counts
+// degrees into d, one entry per node. Generate calls it directly, so a
+// rejected draw formats no error.
+func (t *Topology) firstViolation(d []int) (node, deg int) {
+	t.degreesInto(d)
 	for i := 0; i < t.InnerCount(); i++ {
 		if d[i] < 2 || d[i] > 2*t.N-2 {
 			return i, d[i]

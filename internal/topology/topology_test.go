@@ -3,6 +3,7 @@ package topology
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
@@ -222,8 +223,9 @@ func TestGenerateAcceptanceRate(t *testing.T) {
 	for _, n := range []int{3, 5, 8} {
 		accepted := 0
 		const trials = 200
+		topo := &Topology{N: n, Radius: 1, Rings: 3}
 		for i := 0; i < trials; i++ {
-			topo := sample(rng, DefaultConfig(n))
+			topo.sample(rng)
 			if topo.CheckConstraints() == nil {
 				accepted++
 			}
@@ -232,5 +234,73 @@ func TestGenerateAcceptanceRate(t *testing.T) {
 			t.Errorf("N=%d: acceptance rate 0/%d — generator impractical", n, trials)
 		}
 		t.Logf("N=%d acceptance: %d/%d", n, accepted, trials)
+	}
+}
+
+// refGenerate is Generate's loop before it reused its buffers: a fresh
+// Topology, position slice and degree slice per draw. It returns the
+// accepted draw and how many draws it took.
+func refGenerate(rng *rand.Rand, cfg Config) (*Topology, int) {
+	for i := 1; ; i++ {
+		positions := make([]geom.Point, 0, cfg.TotalNodes())
+		for ring := 0; ring < cfg.Rings; ring++ {
+			count := (2*ring + 1) * cfg.N
+			rIn := float64(ring) * cfg.Radius
+			rOut := float64(ring+1) * cfg.Radius
+			for j := 0; j < count; j++ {
+				positions = append(positions, uniformInAnnulus(rng, rIn, rOut))
+			}
+		}
+		topo := &Topology{Positions: positions, N: cfg.N, Radius: cfg.Radius, Rings: cfg.Rings}
+		if topo.CheckConstraints() == nil {
+			return topo, i
+		}
+	}
+}
+
+// TestGenerateMatchesFreshDraws: reusing the buffers across rejected
+// draws gives the same Topology, and the same random stream position, as
+// allocating each draw afresh.
+func TestGenerateMatchesFreshDraws(t *testing.T) {
+	for _, n := range []int{3, 5, 8} {
+		for seed := int64(1); seed <= 50; seed++ {
+			rng, refRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			got, err := Generate(rng, DefaultConfig(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := refGenerate(refRng, DefaultConfig(n))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("N=%d seed %d: Generate differs from fresh draws", n, seed)
+			}
+			if rng.Int63() != refRng.Int63() {
+				t.Fatalf("N=%d seed %d: Generate left the random stream elsewhere", n, seed)
+			}
+		}
+	}
+}
+
+// TestGenerateRejectedDrawsAllocNothing: a seed accepted on its first
+// draw and one that needs five or more allocate the same.
+func TestGenerateRejectedDrawsAllocNothing(t *testing.T) {
+	cfg := DefaultConfig(3)
+	oneDraw, manyDraws := int64(-1), int64(-1)
+	for seed := int64(1); oneDraw < 0 || manyDraws < 0; seed++ {
+		switch _, draws := refGenerate(rand.New(rand.NewSource(seed)), cfg); {
+		case draws == 1 && oneDraw < 0:
+			oneDraw = seed
+		case draws >= 5 && manyDraws < 0:
+			manyDraws = seed
+		}
+	}
+	allocs := func(seed int64) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Generate(rand.New(rand.NewSource(seed)), cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, many := allocs(oneDraw), allocs(manyDraws); one != many {
+		t.Errorf("seed %d (1 draw) allocates %v, seed %d (5+ draws) %v; rejected draws must allocate nothing", oneDraw, one, manyDraws, many)
 	}
 }
