@@ -63,11 +63,12 @@ HOTPATH = ^(BenchmarkScheduler|BenchmarkSchedulerSpread|BenchmarkChannelBroadcas
 # worktree) and at the working tree, then runs HOTPATH on both, two
 # rounds each in alternating order (base, head, head, base), on this
 # machine. benchcmp.awk fails the gate when a benchmark both sides
-# define has a best ns/op or best allocs/op over 2x BASE's, or
-# allocates where BASE allocated nothing. Both builds run on one host
-# in one session, so neither the machine nor the Go version moves the
-# verdict; the 2x ceiling leaves room for shared-runner noise. A panic
-# or compile error in either build fails the gate too.
+# define has a best ns/op, best B/op or best allocs/op over 2x BASE's,
+# or allocates bytes or objects where BASE allocated nothing. Both
+# builds run on one host in one session, so neither the machine nor the
+# Go version moves the verdict; the 2x ceiling leaves room for
+# shared-runner noise. A panic or compile error in either build fails
+# the gate too.
 bench-compare:
 	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<git revision>"; exit 2; }
 	@set -e; \

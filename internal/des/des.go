@@ -126,22 +126,24 @@ const (
 	inFar  = -3 // index of a timer in the far list
 )
 
-// Timer is a cancellable handle for a scheduled event. The zero value is
-// an inert handle: not active, and cancelling it is a no-op. Handles stay
-// safe to retain indefinitely — after the event fires (or is canceled)
-// the underlying entry may be recycled for a new event, and the
-// generation check makes the old handle report inactive rather than
-// affect the newcomer.
+// Timer is a cancellable handle for a scheduled event: 16 bytes, a
+// pointer and a generation. The zero value is an inert handle: not
+// active, and cancelling it is a no-op. Handles stay safe to retain
+// indefinitely — after the event fires (or is canceled) the underlying
+// entry may be recycled for a new event, and the generation check makes
+// the old handle report inactive rather than affect the newcomer.
 type Timer struct {
 	tm  *timer
 	gen uint32
-	at  Time
 }
 
-// When returns the simulated time the timer is (or was) due to fire. The
-// zero handle returns 0.
+// When returns the simulated time a pending timer is due to fire, and 0
+// once it has fired or been canceled, and for the zero handle.
 func (t Timer) When() Time {
-	return t.at
+	if !t.Active() {
+		return 0
+	}
+	return t.tm.at
 }
 
 // Active reports whether the timer is still pending: neither fired nor
@@ -242,7 +244,7 @@ func (s *Scheduler) insert(ev Event, at, sched, rootAt Time, rootKey uint64) Tim
 	tm.at, tm.sched, tm.seq, tm.ev = at, sched, s.seq, ev
 	tm.rootAt, tm.rootKey = rootAt, rootKey
 	s.file(tm)
-	return Timer{tm: tm, gen: tm.gen, at: at}
+	return Timer{tm: tm, gen: tm.gen}
 }
 
 // schedule enqueues an ordinary event: scheduled now, due at `at`

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestTimeConversions(t *testing.T) {
@@ -125,6 +126,31 @@ func TestCancelZeroHandle(t *testing.T) {
 	}
 	if tm.When() != 0 {
 		t.Errorf("zero handle When = %v, want 0", tm.When())
+	}
+}
+
+// TestWhenOnlyWhilePending: a handle reports its due time while the
+// timer is pending and 0 once it fired or was canceled, even after the
+// entry is recycled for a timer due at another time. The handle itself
+// is 16 bytes.
+func TestWhenOnlyWhilePending(t *testing.T) {
+	if size := unsafe.Sizeof(Timer{}); size != 16 {
+		t.Errorf("Timer is %d bytes, want 16", size)
+	}
+	s := New(1)
+	fired := s.Schedule(30, func() {})
+	canceled := s.Schedule(40, func() {})
+	if fired.When() != 30 || canceled.When() != 40 {
+		t.Fatalf("pending When = %v and %v, want 30 and 40", fired.When(), canceled.When())
+	}
+	s.Cancel(canceled)
+	s.Run(35)
+	later := s.Schedule(1000, func() {}) // reuses a recycled entry
+	if fired.When() != 0 || canceled.When() != 0 {
+		t.Errorf("done When = %v and %v, want 0", fired.When(), canceled.When())
+	}
+	if later.When() != 1035 {
+		t.Errorf("recycled entry's When = %v, want 1035", later.When())
 	}
 }
 

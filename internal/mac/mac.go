@@ -269,7 +269,9 @@ type Node struct {
 	needEIFS  bool
 
 	// The timers fire typed views of the node (navExpiry and its
-	// siblings), so arming one allocates nothing.
+	// siblings), so arming one allocates nothing. A handle is zeroed when
+	// its timer fires or is canceled, so a non-zero handle is pending and
+	// testing one reads only the node.
 	difsTimer des.Timer
 	countdown des.Timer // the running backoff countdown (des.Countdown)
 	navTimer  des.Timer
@@ -283,7 +285,6 @@ type Node struct {
 	// respPending is set while a SIFS-separated transmission (CTS, DATA
 	// after CTS, ACK) is scheduled or on the air; contention stays frozen.
 	respPending bool
-	respTimer   des.Timer
 
 	// respQueue holds the parameters of scheduled SIFS responses in fire
 	// order. Timers all carry the same SIFS delay, so the scheduler fires
@@ -373,23 +374,43 @@ type (
 // Fire resumes deference.
 //
 //desalint:hotpath
-func (e *navExpiry) Fire() { (*Node)(e).resumeDeference() }
+func (e *navExpiry) Fire() {
+	n := (*Node)(e)
+	n.navTimer = des.Timer{}
+	n.resumeDeference()
+}
 
 // Fire starts the backoff countdown, or transmits.
 //
 //desalint:hotpath
-func (e *difsExpiry) Fire() { (*Node)(e).difsElapsed() }
+func (e *difsExpiry) Fire() {
+	n := (*Node)(e)
+	n.difsTimer = des.Timer{}
+	n.difsElapsed()
+}
 
 // Fire transmits.
 //
 //desalint:hotpath
-func (e *backoffDone) Fire() { (*Node)(e).countdownDone() }
+func (e *backoffDone) Fire() {
+	n := (*Node)(e)
+	n.countdown = des.Timer{}
+	n.countdownDone()
+}
 
 // Fire retries the RTS or drops the packet.
-func (e *ctsTimeout) Fire() { (*Node)(e).onCTSTimeout() }
+func (e *ctsTimeout) Fire() {
+	n := (*Node)(e)
+	n.ctsTo = des.Timer{}
+	n.onCTSTimeout()
+}
 
 // Fire retries the data frame or drops the packet.
-func (e *ackTimeout) Fire() { (*Node)(e).onACKTimeout() }
+func (e *ackTimeout) Fire() {
+	n := (*Node)(e)
+	n.ackTo = des.Timer{}
+	n.onACKTimeout()
+}
 
 // Fire transmits the oldest queued response.
 func (e *responseDue) Fire() { (*Node)(e).fireResponse() }
@@ -461,12 +482,19 @@ func (n *Node) beginAttempt() {
 //
 //desalint:hotpath
 func (n *Node) cancelContention() {
-	if n.countdown.Active() {
+	if n.countdown != (des.Timer{}) {
 		n.backoff = n.sched.SlotsLeft(n.countdown)
 		n.sched.Cancel(n.countdown)
+		n.countdown = des.Timer{}
 	}
-	n.sched.Cancel(n.difsTimer)
-	n.sched.Cancel(n.navTimer)
+	if n.difsTimer != (des.Timer{}) {
+		n.sched.Cancel(n.difsTimer)
+		n.difsTimer = des.Timer{}
+	}
+	if n.navTimer != (des.Timer{}) {
+		n.sched.Cancel(n.navTimer)
+		n.navTimer = des.Timer{}
+	}
 }
 
 // resumeDeference restarts the DIFS wait if the medium is available.
@@ -633,7 +661,7 @@ func (n *Node) scheduleResponse(p respParams) {
 	n.cancelContention()
 	n.respPending = true
 	n.respQueue = append(n.respQueue, p)
-	n.respTimer = n.sched.ScheduleEvent(n.cfg.SIFS, (*responseDue)(n))
+	n.sched.ScheduleEvent(n.cfg.SIFS, (*responseDue)(n))
 }
 
 // fireResponse pops and transmits the oldest queued response.
@@ -748,6 +776,7 @@ func (n *Node) onCTS(f phy.Frame) {
 		return
 	}
 	n.sched.Cancel(n.ctsTo)
+	n.ctsTo = des.Timer{}
 	n.shortRetries = 0 // RTS phase succeeded
 	dataNAV := n.cfg.SIFS + n.ackAir + n.prop
 	n.st = stTxData
@@ -777,6 +806,7 @@ func (n *Node) onACK(f phy.Frame, now des.Time) {
 		return
 	}
 	n.sched.Cancel(n.ackTo)
+	n.ackTo = des.Timer{}
 	n.stats.Successes++
 	n.stats.BitsAcked += int64(n.cur.Bytes) * 8
 	n.stats.DelaySum += now - n.serviceStart

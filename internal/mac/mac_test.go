@@ -324,7 +324,7 @@ func TestKickWakesIdleNode(t *testing.T) {
 	var cbr *traffic.CBR
 	nw := simtest.Build(t, 17, cfg, []simtest.NodeSpec{
 		{Pos: geom.Point{X: 0, Y: 0}, Source: func(t *testing.T, nw *simtest.Net, id phy.NodeID) mac.Source {
-			c, err := traffic.NewCBR(nw.Sched, nw.Sched.Rand(), []phy.NodeID{1}, traffic.CBRConfig{
+			c, err := traffic.NewCBR(nw.Sched, nw.Sched.Rand(), []int32{1}, traffic.CBRConfig{
 				Interval: 50 * des.Millisecond,
 				Bytes:    1460,
 				QueueCap: 64,

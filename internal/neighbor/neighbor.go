@@ -9,6 +9,7 @@ package neighbor
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/des"
@@ -16,25 +17,40 @@ import (
 	"repro/internal/phy"
 )
 
-// Table is one node's view of its neighbors' locations. Records live in
-// two parallel slices sorted by neighbor ID and looked up by binary
-// search: a node's degree is small and read-heavy lookups dominate, so
-// the compact layout beats a per-node map on both memory and locality
-// at large N (DESIGN.md §15).
+// Table is one node's view of its neighbors' locations. Entries live in
+// parallel slices sorted by neighbor ID and looked up by binary search:
+// a node's degree is small and read-heavy lookups dominate, so the
+// compact layout beats a per-node map on both memory and locality at
+// large N (DESIGN.md §15).
+//
+// A ground-truth table's ID list is the PHY's in-range list of its node
+// itself (phy.Channel.InRange), which the table copies before its first
+// write to the IDs, so each neighbor relation is stored once and a
+// table's own bytes are one position per entry.
 type Table struct {
 	self    phy.NodeID
 	selfPos geom.Point
-	ids     []phy.NodeID // ascending
-	recs    []record     // parallel to ids
+	ids     []int32      // ascending
+	pos     []geom.Point // parallel to ids
+	// at is parallel to ids once the table has learned through LearnAt,
+	// and nil before: it holds each entry's observation time, or
+	// staticAt for an entry installed by Learn.
+	at []des.Time
+
+	// shared is set while ids is the PHY's list, not the table's own.
+	shared bool
+
+	// The last BearingFrom answer, keyed by peer and from-position
+	// (valid while memo is set). Every write to the entries clears memo.
+	memo      bool
+	memoPeer  int32
+	memoFrom  geom.Point
+	memoValue float64
 }
 
-// record is one neighbor entry. Static records (installed by Learn)
-// never go stale; timestamped records (LearnAt) age.
-type record struct {
-	pos    geom.Point
-	at     des.Time
-	static bool
-}
+// staticAt marks an entry that never goes stale (installed by Learn).
+// Age reads it as 0, as it would any observation time at or after now.
+const staticAt des.Time = math.MinInt64
 
 // NewTable creates an empty table for the node at selfPos.
 func NewTable(self phy.NodeID, selfPos geom.Point) *Table {
@@ -44,27 +60,55 @@ func NewTable(self phy.NodeID, selfPos geom.Point) *Table {
 // Self returns the owning node's ID.
 func (t *Table) Self() phy.NodeID { return t.self }
 
-// find returns the index of id and whether it is present.
+// find returns the index of id and whether it is present. Node IDs are
+// the PHY's int32 IDs; no other ID is ever present.
 func (t *Table) find(id phy.NodeID) (int, bool) {
-	return slices.BinarySearch(t.ids, id)
+	if id != phy.NodeID(int32(id)) {
+		return 0, false
+	}
+	return slices.BinarySearch(t.ids, int32(id))
 }
 
-// set upserts a record, keeping the ID slice sorted. Sequential bulk
-// loads arrive in ascending order and take the O(1) append path; an
+// ownIDs gives the table its own copy of a shared ID list, with room
+// for one more entry, before the IDs are written.
+func (t *Table) ownIDs() {
+	if t.shared {
+		t.ids = append(make([]int32, 0, len(t.ids)+1), t.ids...)
+		t.shared = false
+	}
+}
+
+// set upserts an entry, keeping the IDs sorted. Sequential bulk loads
+// arrive in ascending order and take the O(1) append path; an
 // out-of-order learn shifts the tail of the (degree-sized) slices.
-func (t *Table) set(id phy.NodeID, r record) {
-	if n := len(t.ids); n == 0 || t.ids[n-1] < id {
-		t.ids = append(t.ids, id)
-		t.recs = append(t.recs, r)
-		return
+func (t *Table) set(id phy.NodeID, p geom.Point, at des.Time) {
+	if id != phy.NodeID(int32(id)) {
+		panic(fmt.Sprintf("neighbor: node ID %d outside the PHY's int32 range", id))
 	}
-	i, ok := t.find(id)
+	t.memo = false
+	if at != staticAt && t.at == nil {
+		t.at = make([]des.Time, len(t.ids), cap(t.pos))
+		for i := range t.at {
+			t.at[i] = staticAt
+		}
+	}
+	i, ok := len(t.ids), false
+	if i > 0 && t.ids[i-1] >= int32(id) {
+		i, ok = t.find(id)
+	}
 	if ok {
-		t.recs[i] = r
+		t.pos[i] = p
+		if t.at != nil {
+			t.at[i] = at
+		}
 		return
 	}
-	t.ids = slices.Insert(t.ids, i, id)
-	t.recs = slices.Insert(t.recs, i, r)
+	t.ownIDs()
+	t.ids = slices.Insert(t.ids, i, int32(id))
+	t.pos = slices.Insert(t.pos, i, p)
+	if t.at != nil {
+		t.at = slices.Insert(t.at, i, at)
+	}
 }
 
 // Learn records (or updates) a neighbor's position as static knowledge
@@ -74,7 +118,7 @@ func (t *Table) Learn(id phy.NodeID, pos geom.Point) {
 	if id == t.self {
 		return
 	}
-	t.set(id, record{pos: pos, static: true})
+	t.set(id, pos, staticAt)
 }
 
 // LearnAt records a neighbor's position observed at simulated time at;
@@ -83,7 +127,7 @@ func (t *Table) LearnAt(id phy.NodeID, pos geom.Point, at des.Time) {
 	if id == t.self {
 		return
 	}
-	t.set(id, record{pos: pos, at: at})
+	t.set(id, pos, at)
 }
 
 // Age returns how stale the record for id is at time now: 0 for static
@@ -94,29 +138,40 @@ func (t *Table) Age(id phy.NodeID, now des.Time) (age des.Time, ok bool) {
 	if !ok {
 		return 0, false
 	}
-	e := &t.recs[i]
-	if e.static {
+	if t.at == nil || t.at[i] == staticAt {
 		return 0, true
 	}
-	age = now - e.at
-	if age < 0 {
-		age = 0
-	}
-	return age, true
+	return max(now-t.at[i], 0), true
 }
 
 // Forget removes a neighbor.
 func (t *Table) Forget(id phy.NodeID) {
-	if i, ok := t.find(id); ok {
-		t.ids = slices.Delete(t.ids, i, i+1)
-		t.recs = slices.Delete(t.recs, i, i+1)
+	i, ok := t.find(id)
+	if !ok {
+		return
+	}
+	t.memo = false
+	t.ownIDs()
+	t.ids = slices.Delete(t.ids, i, i+1)
+	t.pos = slices.Delete(t.pos, i, i+1)
+	if t.at != nil {
+		t.at = slices.Delete(t.at, i, i+1)
 	}
 }
 
-// Clear forgets every neighbor, keeping the record storage for reuse.
+// Clear forgets every neighbor, keeping the table's own storage for
+// reuse. A shared ID list is dropped, not truncated: the PHY's memory is
+// never written.
 func (t *Table) Clear() {
+	t.memo = false
+	if t.shared {
+		t.ids, t.shared = nil, false
+	}
 	t.ids = t.ids[:0]
-	t.recs = t.recs[:0]
+	t.pos = t.pos[:0]
+	if t.at != nil {
+		t.at = t.at[:0]
+	}
 }
 
 // Position returns a neighbor's recorded position.
@@ -125,7 +180,7 @@ func (t *Table) Position(id phy.NodeID) (geom.Point, bool) {
 	if !ok {
 		return geom.Point{}, false
 	}
-	return t.recs[i].pos, true
+	return t.pos[i], true
 }
 
 // ErrUnknown is the error Bearing and BearingFrom return for a neighbor
@@ -143,15 +198,30 @@ func (t *Table) Bearing(id phy.NodeID) (float64, error) {
 // BearingFrom returns the direction from the given (live) position to
 // the recorded position of the neighbor, or ErrUnknown. Mobile nodes
 // know their own position exactly but only a possibly stale snapshot of
-// others'.
+// others'. The table remembers its last answer: a repeated question (an
+// RTS retry, the data frame after the RTS) with the same from-position,
+// bit for bit, and no write in between returns it without a search.
 //
 //desalint:hotpath
 func (t *Table) BearingFrom(from geom.Point, id phy.NodeID) (float64, error) {
+	if t.memo && phy.NodeID(t.memoPeer) == id && samePoint(t.memoFrom, from) {
+		return t.memoValue, nil
+	}
 	i, ok := t.find(id)
 	if !ok {
 		return 0, ErrUnknown
 	}
-	return from.Bearing(t.recs[i].pos), nil
+	b := from.Bearing(t.pos[i])
+	t.memo, t.memoPeer, t.memoFrom, t.memoValue = true, t.ids[i], from, b
+	return b, nil
+}
+
+// samePoint reports whether p and q are the same bit for bit (so 0 and
+// −0 differ, as they may in a bearing).
+//
+//desalint:hotpath
+func samePoint(p, q geom.Point) bool {
+	return math.Float64bits(p.X) == math.Float64bits(q.X) && math.Float64bits(p.Y) == math.Float64bits(q.Y)
 }
 
 // SetSelfPos updates the node's recorded own position.
@@ -159,7 +229,14 @@ func (t *Table) SetSelfPos(p geom.Point) { t.selfPos = p }
 
 // IDs returns a copy of the known neighbor IDs in ascending order.
 func (t *Table) IDs() []phy.NodeID {
-	return slices.Clone(t.ids)
+	if len(t.ids) == 0 {
+		return nil
+	}
+	ids := make([]phy.NodeID, len(t.ids))
+	for i, id := range t.ids {
+		ids[i] = phy.NodeID(id)
+	}
+	return ids
 }
 
 // Len returns the number of known neighbors.
@@ -170,33 +247,25 @@ func (t *Table) Len() int { return len(t.ids) }
 // taken at face value. Tables are indexed by node ID.
 //
 // The assembly is allocation-lean for large N: Table structs come from
-// one backing array, neighbor queries reuse one scratch buffer, and the
-// per-table record slices are carved from two shared backings sized
-// exactly by InRangePairs (capped subslices, so a later Learn
-// reallocates privately instead of stomping a sibling). Append-grown
-// backings would leave up to half their capacity unused, and every
-// table keeps its backing alive.
+// one backing array, each table's IDs are its radio's in-range list
+// (shared, see Table), and the per-table positions are carved from one
+// backing sized exactly by InRangePairs (capped subslices, so a later
+// Learn reallocates privately instead of stomping a sibling).
 func GroundTruth(ch *phy.Channel) []*Table {
 	n := ch.NumRadios()
 	tables := make([]*Table, n)
 	backing := make([]Table, n)
-	idsBack := make([]phy.NodeID, 0, ch.InRangePairs())
-	recBack := make([]record, 0, cap(idsBack))
-	var nbs []phy.NodeID
-	for i := 0; i < n; i++ {
+	posBack := make([]geom.Point, ch.InRangePairs())
+	for i := range backing {
 		id := phy.NodeID(i)
-		nbs = ch.NeighborsAppend(id, nbs[:0])
-		t := &backing[i]
-		t.self = id
-		t.selfPos = ch.Radio(id).Pos()
-		is, rs := len(idsBack), len(recBack)
-		for _, nb := range nbs {
-			idsBack = append(idsBack, nb)
-			recBack = append(recBack, record{pos: ch.Radio(nb).Pos(), static: true})
+		ids := ch.InRange(id)
+		pos := posBack[:len(ids):len(ids)]
+		posBack = posBack[len(ids):]
+		for k, nb := range ids {
+			pos[k] = ch.Radio(phy.NodeID(nb)).Pos()
 		}
-		t.ids = idsBack[is:len(idsBack):len(idsBack)]
-		t.recs = recBack[rs:len(recBack):len(recBack)]
-		tables[i] = t
+		backing[i] = Table{self: id, selfPos: ch.Radio(id).Pos(), ids: ids, pos: pos, shared: true}
+		tables[i] = &backing[i]
 	}
 	return tables
 }

@@ -9,17 +9,19 @@ import (
 )
 
 // beamDiff runs the filtered beam test and the atan2 reference on the
-// same inputs and counts disagreements.
+// same inputs and counts disagreements. Every case is sent by one radio,
+// so the test also runs through the sender's axis memo.
 type beamDiff struct {
 	t     *testing.T
 	ch    Channel // only its half-width cache is used
+	src   Radio   // only its axis memo is used
 	cases int
 	bad   int
 }
 
 func (d *beamDiff) check(m Mode, p, q geom.Point) {
 	d.cases++
-	bt := d.ch.beamTest(m)
+	bt := d.ch.beamTest(&d.src, m)
 	got, want := bt.covers(m, p, q), m.Covers(p.Bearing(q))
 	if got == want {
 		return
@@ -57,7 +59,7 @@ func ulpsFrom(a float64, k int) float64 {
 // NaN. Every decision must be the reference's.
 func TestBeamTestMatchesReference(t *testing.T) {
 	const rounds = 40_000
-	d := &beamDiff{t: t}
+	d := &beamDiff{t: t, src: Radio{axisCos: 1}}
 	rng := rand.New(rand.NewSource(1))
 	twoPi := 2 * math.Pi
 	widths := []float64{
@@ -122,4 +124,26 @@ func TestBeamTestMatchesReference(t *testing.T) {
 		t.Fatalf("%d of %d cases disagree with the reference", d.bad, d.cases)
 	}
 	t.Logf("%d cases, 0 mismatches", d.cases)
+}
+
+// TestBeamAxisMemo: a radio's beam axis is the sine and cosine of the
+// bearing its frame aims at, bit for bit, whether the bearing repeats
+// the last one (the memo answers), alternates with another, or differs
+// from it only in the sign of zero. A new radio aims at 0 without
+// computing anything.
+func TestBeamAxisMemo(t *testing.T) {
+	ch, err := NewChannel(nil, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := ch.AddRadio(geom.Point{}, nil)
+	a, b := 0.7, -2.9
+	negZero := math.Copysign(0, -1)
+	for i, bearing := range []float64{0, a, b, a, a, b, b, a, negZero, 0, negZero, math.Pi, -math.Pi, b} {
+		bt := ch.beamTest(r, Directed(bearing, math.Pi/3))
+		uy, ux := math.Sincos(bearing)
+		if bt.reference || math.Float64bits(bt.ux) != math.Float64bits(ux) || math.Float64bits(bt.uy) != math.Float64bits(uy) {
+			t.Fatalf("call %d, bearing %v: axis (%v, %v), reference %v; want (%v, %v)", i, bearing, bt.ux, bt.uy, bt.reference, ux, uy)
+		}
+	}
 }

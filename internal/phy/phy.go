@@ -257,13 +257,22 @@ type Radio struct {
 
 	// inRange lists the IDs of the other radios within range, ascending,
 	// as of placement generation rangeGen (0: never built). See
-	// Channel.inRange.
+	// Channel.inRange. ownsList is false while inRange is a first list
+	// or a list InRange handed out: others may share it, so it is never
+	// rewritten.
 	inRange  []int32
 	rangeGen uint64
+	ownsList bool
 
 	transmitting bool
 	active       []*signal // signals currently on the air at this radio
 	txDone       txDoneEvent
+
+	// axisOf is the bearing of the last directional frame the radio sent,
+	// and axisSin and axisCos its sine and cosine, so a retry toward the
+	// same bearing skips math.Sincos. A new radio holds Sincos(0).
+	axisOf           float64
+	axisSin, axisCos float64
 }
 
 // ID returns the radio's node ID.
@@ -511,10 +520,10 @@ func (c *Channel) collect(dst []int32, r *Radio) []int32 {
 
 // inRange returns r's in-range list, rebuilding it when placement has
 // changed since it was built. The list is sorted ascending, so delivery
-// order matches a full ID-order scan bit for bit. A rebuild reuses the
-// radio's own capacity; one that outgrows it reallocates that radio's
-// list alone, and the cap on a first list keeps it from writing into a
-// neighbor's.
+// order matches a full ID-order scan bit for bit. A list others may
+// share, a first list or one InRange handed out, is never rewritten: the
+// rebuild after it writes fresh memory, and later rebuilds reuse the
+// radio's own capacity, reallocating when they outgrow it.
 //
 //desalint:hotpath
 func (c *Channel) inRange(r *Radio) []int32 {
@@ -525,9 +534,13 @@ func (c *Channel) inRange(r *Radio) []int32 {
 		c.buildFirstLists()
 		return r.inRange
 	}
-	list := c.collect(r.inRange[:0], r)
+	var list []int32
+	if r.ownsList {
+		list = r.inRange[:0]
+	}
+	list = c.collect(list, r)
 	slices.Sort(list)
-	r.inRange, r.rangeGen = list, c.placement
+	r.inRange, r.rangeGen, r.ownsList = list, c.placement, true
 	return list
 }
 
@@ -574,7 +587,7 @@ func (c *Channel) buildFirstLists() {
 		list := back[start:end:end]
 		slices.Sort(list)
 		r := c.radios[e.id]
-		r.inRange, r.rangeGen = list, c.placement
+		r.inRange, r.rangeGen, r.ownsList = list, c.placement, false
 	}
 }
 
@@ -792,7 +805,7 @@ func (c *Channel) SetMetrics(m Metrics) { c.metrics = m }
 // attachment order. The handler must be non-nil before the first event
 // fires; it may be set later via SetHandler to break construction cycles.
 func (c *Channel) AddRadio(pos geom.Point, handler Handler) *Radio {
-	r := &Radio{id: NodeID(len(c.radios)), pos: pos, ch: c, handler: handler}
+	r := &Radio{id: NodeID(len(c.radios)), pos: pos, ch: c, handler: handler, axisCos: 1}
 	r.txDone.r = r
 	c.radios = append(c.radios, r)
 	k := c.cellOf(pos)
@@ -824,6 +837,7 @@ func (c *Channel) AddRadios(positions []geom.Point) {
 		r.pos = pos
 		r.ch = c
 		r.txDone.r = r
+		r.axisCos = 1
 		c.radios = append(c.radios, r)
 	}
 	order := c.cellOrder(first)
@@ -902,6 +916,22 @@ func (c *Channel) Neighbors(id NodeID) []NodeID {
 	return c.NeighborsAppend(id, nil)
 }
 
+// InRange returns the IDs of the radios within range of id, ascending,
+// or nil for an unknown id. The slice is the radio's own in-range list,
+// shared with every caller, so it must not be written. The channel never
+// rewrites it either: after a placement change the radio's next list is
+// built in fresh memory, so a caller may keep the slice for the life of
+// the run as a snapshot of the geometry it was taken from.
+func (c *Channel) InRange(id NodeID) []int32 {
+	r := c.Radio(id)
+	if r == nil {
+		return nil
+	}
+	list := c.inRange(r)
+	r.ownsList = false
+	return list
+}
+
 // InRangePairs returns the total length of every radio's neighbor list:
 // the number of ordered pairs of radios within range of each other.
 // Bulk assembly sizes its shared neighbor backings with it exactly.
@@ -950,7 +980,7 @@ func (c *Channel) propagate(src *Radio, f Frame, m Mode, airtime des.Time) {
 	d.frame = f
 	var beam beamTest
 	if m.Directional {
-		beam = c.beamTest(m)
+		beam = c.beamTest(src, m)
 	}
 	inBeam := false
 	for _, id := range c.inRange(src) {
@@ -1002,14 +1032,15 @@ type beamTest struct {
 	sin, cos  float64 // of half the beamwidth
 }
 
-// beamTest returns the test for directional mode m. The half-width's
-// sine and cosine are computed once per distinct beamwidth, the axis
-// once per frame. Widths outside (0, 2π) and bearings outside [−2π, 2π]
-// (where the reference's own rounding grows with the bearing) take the
-// reference for every receiver.
+// beamTest returns the test for directional mode m sent by src. The
+// half-width's sine and cosine are computed once per distinct beamwidth,
+// the axis once per distinct bearing in a row from one sender (a retry
+// aims where the last attempt did). Widths outside (0, 2π) and bearings
+// outside [−2π, 2π] (where the reference's own rounding grows with the
+// bearing) take the reference for every receiver.
 //
 //desalint:hotpath
-func (c *Channel) beamTest(m Mode) beamTest {
+func (c *Channel) beamTest(src *Radio, m Mode) beamTest {
 	if !(m.Beamwidth > 0 && m.Beamwidth < 2*math.Pi && math.Abs(m.Bearing) <= 2*math.Pi) {
 		return beamTest{reference: true}
 	}
@@ -1017,8 +1048,11 @@ func (c *Channel) beamTest(m Mode) beamTest {
 		c.halfOf = m.Beamwidth
 		c.halfSin, c.halfCos = math.Sincos(m.Beamwidth / 2)
 	}
-	uy, ux := math.Sincos(m.Bearing)
-	return beamTest{ux: ux, uy: uy, sin: c.halfSin, cos: c.halfCos}
+	if math.Float64bits(m.Bearing) != math.Float64bits(src.axisOf) {
+		src.axisOf = m.Bearing
+		src.axisSin, src.axisCos = math.Sincos(m.Bearing)
+	}
+	return beamTest{ux: src.axisCos, uy: src.axisSin, sin: c.halfSin, cos: c.halfCos}
 }
 
 // covers reports m.Covers(p.Bearing(q)) for the frame b was built for.

@@ -293,20 +293,20 @@ func Build(sc Scenario, opts Options) (*Sim, error) {
 		tel:       tel,
 	}
 	// Per-node assembly is allocation-lean (DESIGN.md §15): MAC nodes
-	// come from one backing array and share their config, and each node's
-	// neighbor list is carved from one shared backing sized exactly
-	// (capped subslices whose ownership transfers to the traffic source),
-	// so the loop's only per-node allocation is the traffic source.
+	// come from one backing array and share their config, the built-in
+	// sources come from one backing per type, and every source draws
+	// from the PHY's in-range list itself, which the ground-truth tables
+	// share too, so under saturated traffic the loop allocates nothing
+	// per node (a CBR node still binds its Kick method value).
 	nodeBacking := make([]mac.Node, ch.NumRadios())
-	nbBack := make([]phy.NodeID, 0, ch.InRangePairs())
+	sources := &sourceSlab{nodes: ch.NumRadios()}
 	for i := 0; i < ch.NumRadios(); i++ {
 		id := phy.NodeID(i)
 		var src mac.Source = traffic.Empty{}
-		start := len(nbBack)
-		nbBack = ch.NeighborsAppend(id, nbBack)
-		if nbs := nbBack[start:len(nbBack):len(nbBack)]; len(nbs) > 0 {
+		if nbs := ch.InRange(id); len(nbs) > 0 {
 			src, err = buildSource(TrafficEnv{
 				Sched: sched, Rand: sched.Rand(), ID: id, Neighbors: nbs, Spec: trafficSpec,
+				sources: sources,
 			})
 			if err != nil {
 				return nil, err

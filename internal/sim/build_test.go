@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/des"
@@ -202,30 +203,44 @@ func TestFlowsSourceOnlyTheirDestinations(t *testing.T) {
 
 // TestBuildAllocBudget pins how many heap allocations Build makes for
 // two committed scenarios, so a change that brings back a per-node (or
-// per-cell) allocation fails here, not only in a benchmark. At 10 240
-// nodes the traffic sources, one per node, are nearly all of them. The
-// budgets are the counts go1.24 makes, with or without -race; map
-// internals differ between Go releases, so another release may need
-// them measured again.
+// per-cell) allocation fails here, not only in a benchmark, and how many
+// bytes it allocates for the 10 240-node field, so a change that stores
+// the neighbor relation again per table or per source fails too: every
+// node's sources, tables and MAC come from shared backings, and the
+// relation is stored once, in the PHY's in-range lists. The counts are
+// the ones go1.24 makes, with or without -race; map internals differ
+// between Go releases, so another release may need them measured again.
+// The bytes budget is go1.24's 12.35 MB plus 5%.
 func TestBuildAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		file   string
 		budget float64
+		bytes  uint64 // 0: not pinned
 	}{
-		{"scale/uniform-10k.json", 10341},
-		{"paper-drts-dcts.json", 84},
+		{"scale/uniform-10k.json", 97, 13_000_000},
+		{"paper-drts-dcts.json", 31, 0},
 	} {
 		sc, err := LoadScenario(filepath.Join("testdata", tc.file))
 		if err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(5, func() {
+		build := func() {
 			if _, err := Build(sc, Options{}); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if allocs > tc.budget {
+		}
+		if allocs := testing.AllocsPerRun(5, build); allocs > tc.budget {
 			t.Errorf("%s: Build made %v allocations, budget %v", tc.file, allocs, tc.budget)
+		}
+		if tc.bytes == 0 {
+			continue
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		build()
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > tc.bytes {
+			t.Errorf("%s: Build allocated %d bytes, budget %d", tc.file, got, tc.bytes)
 		}
 	}
 }

@@ -37,16 +37,40 @@ type TrafficEnv struct {
 	// ID is the node the source is built for (its index in the
 	// topology's positions).
 	ID phy.NodeID
-	// Neighbors are the node's in-range peers (never empty; nodes
-	// without neighbors get an empty source without consulting the
-	// builder). Ownership transfers to the builder: the slice is stable
-	// for the life of the run and never reused by the caller, so a source
-	// may retain it without copying (Build carves one per node from a
-	// shared backing array).
-	Neighbors []phy.NodeID
+	// Neighbors are the node's in-range peers in ascending ID order
+	// (never empty; nodes without neighbors get an empty source without
+	// consulting the builder). The slice is the PHY's in-range list
+	// (phy.Channel.InRange), shared with a ground-truth neighbor table:
+	// it is stable for the life of the run, so a source may retain it
+	// without copying, and it must never be written.
+	Neighbors []int32
 	// Spec is the scenario's traffic section with defaults resolved
 	// (PacketBytes and QueueCap filled in).
 	Spec TrafficSpec
+
+	// sources holds the backings Build carves the built-in sources
+	// from.
+	sources *sourceSlab
+}
+
+// sourceSlab holds one backing array per built-in source type, each
+// allocated on first use with room for every node, so a network's
+// sources cost one allocation instead of one per node (DESIGN.md §15).
+type sourceSlab struct {
+	nodes     int
+	saturated []traffic.Saturated
+	cbr       []traffic.CBR
+}
+
+// carve returns the next unused element of *back, allocating it with
+// room for n elements on first use. Build asks for at most one source
+// per node, so the backing never grows and no element moves.
+func carve[T any](back *[]T, n int) *T {
+	if *back == nil {
+		*back = make([]T, 0, n)
+	}
+	*back = (*back)[:len(*back)+1]
+	return &(*back)[len(*back)-1]
 }
 
 // TrafficBuilder produces one node's packet source. Sources that drive
@@ -312,17 +336,25 @@ func insideOut(p, q geom.Point) int {
 }
 
 // buildSaturated is the paper's always-backlogged source. Env neighbor
-// slices are owned by the builder (see TrafficEnv), so no copy.
+// slices are stable and read-only (see TrafficEnv), so no copy.
 func buildSaturated(env TrafficEnv) (mac.Source, error) {
-	return traffic.NewSaturated(env.Rand, env.Neighbors, env.Spec.PacketBytes)
+	src := carve(&env.sources.saturated, env.sources.nodes)
+	if err := traffic.NewSaturatedInto(src, env.Rand, env.Neighbors, env.Spec.PacketBytes); err != nil {
+		return nil, err
+	}
+	return src, nil
 }
 
 // buildCBR paces arrivals at the spec's offered load.
 func buildCBR(env TrafficEnv) (mac.Source, error) {
 	interval := des.Time(float64(env.Spec.PacketBytes*8) / env.Spec.OfferedLoadBps * float64(des.Second))
-	return traffic.NewCBR(env.Sched, env.Rand, env.Neighbors, traffic.CBRConfig{
+	src := carve(&env.sources.cbr, env.sources.nodes)
+	if err := traffic.NewCBRInto(src, env.Sched, env.Rand, env.Neighbors, traffic.CBRConfig{
 		Interval: interval, Bytes: env.Spec.PacketBytes, QueueCap: env.Spec.QueueCap,
-	})
+	}); err != nil {
+		return nil, err
+	}
+	return src, nil
 }
 
 // buildFlows saturates the node's explicit flows: its source draws
@@ -332,16 +364,17 @@ func buildCBR(env TrafficEnv) (mac.Source, error) {
 // with an in-range peer: a node with none stays silent even if it
 // sources a flow.
 func buildFlows(env TrafficEnv) (mac.Source, error) {
-	var dsts []phy.NodeID
+	var dsts []int32
 	for _, f := range env.Spec.Flows {
 		if phy.NodeID(f.Src) == env.ID {
-			dsts = append(dsts, phy.NodeID(f.Dst))
+			dsts = append(dsts, int32(f.Dst))
 		}
 	}
 	if len(dsts) == 0 {
 		return traffic.Empty{}, nil
 	}
-	return traffic.NewSaturated(env.Rand, dsts, env.Spec.PacketBytes)
+	env.Neighbors = dsts
+	return buildSaturated(env)
 }
 
 // buildNone leaves the node silent.

@@ -163,7 +163,11 @@ func Saturated(dsts ...phy.NodeID) SourceMaker {
 func SaturatedBytes(bytes int, dsts ...phy.NodeID) SourceMaker {
 	return func(t *testing.T, nw *Net, id phy.NodeID) mac.Source {
 		t.Helper()
-		src, err := traffic.NewSaturated(nw.Sched.Rand(), dsts, bytes)
+		ids := make([]int32, len(dsts))
+		for i, d := range dsts {
+			ids[i] = int32(d)
+		}
+		src, err := traffic.NewSaturated(nw.Sched.Rand(), ids, bytes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +180,7 @@ func SaturatedBytes(bytes int, dsts ...phy.NodeID) SourceMaker {
 func SaturatedNeighbors(bytes int) SourceMaker {
 	return func(t *testing.T, nw *Net, id phy.NodeID) mac.Source {
 		t.Helper()
-		nbs := nw.Ch.Neighbors(id)
+		nbs := nw.Ch.InRange(id)
 		if len(nbs) == 0 {
 			return traffic.Empty{}
 		}

@@ -31,7 +31,7 @@ func (Empty) Dequeue(now des.Time) (mac.Packet, bool) { return mac.Packet{}, fal
 // mac.Source.
 type Saturated struct {
 	rng       *rand.Rand
-	neighbors []phy.NodeID
+	neighbors []int32
 	bytes     int
 	seq       int64
 }
@@ -39,24 +39,36 @@ type Saturated struct {
 var _ mac.Source = (*Saturated)(nil)
 
 // NewSaturated builds a saturated source choosing destinations uniformly
-// from neighbors, which must be non-empty. The source takes ownership of
-// the slice and never writes it; the caller must not modify it
-// afterwards. Bulk assembly (sim.Build) carves per-node neighbor slices
-// from one shared backing array and hands them over here.
-func NewSaturated(rng *rand.Rand, neighbors []phy.NodeID, bytes int) (*Saturated, error) {
+// from neighbors, which must be non-empty. The source keeps the slice
+// and never writes it; the caller must not modify it afterwards, so it
+// may be a list others share, such as the PHY's in-range list
+// (phy.Channel.InRange).
+func NewSaturated(rng *rand.Rand, neighbors []int32, bytes int) (*Saturated, error) {
+	s := new(Saturated)
+	if err := NewSaturatedInto(s, rng, neighbors, bytes); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// NewSaturatedInto initializes a caller-allocated Saturated in place, as
+// NewSaturated does, so bulk assembly (sim.Build) can carve every node's
+// source from one backing array.
+func NewSaturatedInto(s *Saturated, rng *rand.Rand, neighbors []int32, bytes int) error {
 	if len(neighbors) == 0 {
-		return nil, fmt.Errorf("traffic: saturated source needs at least one neighbor")
+		return fmt.Errorf("traffic: saturated source needs at least one neighbor")
 	}
 	if bytes <= 0 {
-		return nil, fmt.Errorf("traffic: packet size must be positive, got %d", bytes)
+		return fmt.Errorf("traffic: packet size must be positive, got %d", bytes)
 	}
-	return &Saturated{rng: rng, neighbors: neighbors, bytes: bytes}, nil
+	*s = Saturated{rng: rng, neighbors: neighbors, bytes: bytes}
+	return nil
 }
 
 // Dequeue always returns a packet (the queue never empties).
 func (s *Saturated) Dequeue(now des.Time) (mac.Packet, bool) {
 	s.seq++
-	dst := s.neighbors[s.rng.Intn(len(s.neighbors))]
+	dst := phy.NodeID(s.neighbors[s.rng.Intn(len(s.neighbors))])
 	return mac.Packet{Dst: dst, Bytes: s.bytes, Enqueued: now, Seq: s.seq}, true
 }
 
@@ -69,13 +81,17 @@ func (s *Saturated) Generated() int64 { return s.seq }
 type CBR struct {
 	sched     *des.Scheduler
 	rng       *rand.Rand
-	neighbors []phy.NodeID
+	neighbors []int32
 
 	interval des.Time
 	bytes    int
 	queueCap int
 
+	// The backlog is queue[head:]. Dequeue advances head, and an arrival
+	// that finds the slice full moves the backlog to the front, so the
+	// storage is reused and never grows past twice queueCap.
 	queue   []mac.Packet
+	head    int
 	seq     int64
 	dropped int64
 	kick    func()
@@ -97,20 +113,40 @@ type CBRConfig struct {
 
 // NewCBR builds a paced source. Call Start to begin arrivals and SetKick
 // to connect the owning MAC node's Kick method. Like NewSaturated, the
-// source takes ownership of the non-empty neighbors slice, and the
-// caller must not modify it afterwards.
-func NewCBR(sched *des.Scheduler, rng *rand.Rand, neighbors []phy.NodeID, cfg CBRConfig) (*CBR, error) {
+// source keeps the non-empty neighbors slice and never writes it.
+func NewCBR(sched *des.Scheduler, rng *rand.Rand, neighbors []int32, cfg CBRConfig) (*CBR, error) {
+	c := new(CBR)
+	if err := NewCBRInto(c, sched, rng, neighbors, cfg); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// NewCBRInto initializes a caller-allocated CBR in place, as NewCBR
+// does. The source schedules a view of itself, so it must not be copied
+// afterwards.
+func NewCBRInto(c *CBR, sched *des.Scheduler, rng *rand.Rand, neighbors []int32, cfg CBRConfig) error {
 	if len(neighbors) == 0 {
-		return nil, fmt.Errorf("traffic: CBR source needs at least one neighbor")
+		return fmt.Errorf("traffic: CBR source needs at least one neighbor")
 	}
 	if cfg.Interval <= 0 || cfg.Bytes <= 0 || cfg.QueueCap <= 0 {
-		return nil, fmt.Errorf("traffic: invalid CBR config %+v", cfg)
+		return fmt.Errorf("traffic: invalid CBR config %+v", cfg)
 	}
-	return &CBR{
+	*c = CBR{
 		sched: sched, rng: rng, neighbors: neighbors,
 		interval: cfg.Interval, bytes: cfg.Bytes, queueCap: cfg.QueueCap,
-	}, nil
+	}
+	return nil
 }
+
+// arrival is the source's arrival event, a view of the source itself, so
+// scheduling the next arrival allocates nothing.
+type arrival CBR
+
+// Fire enqueues one packet and schedules the next arrival.
+//
+//desalint:hotpath
+func (e *arrival) Fire() { (*CBR)(e).arrive() }
 
 // SetKick registers the callback invoked when a packet arrives at an
 // empty queue (typically the MAC node's Kick).
@@ -118,38 +154,46 @@ func (c *CBR) SetKick(fn func()) { c.kick = fn }
 
 // Start schedules the first arrival one interval from now.
 func (c *CBR) Start() {
-	c.sched.Schedule(c.interval, c.arrive)
+	c.sched.ScheduleEvent(c.interval, (*arrival)(c))
 }
 
 // Stop halts future arrivals (already-queued packets still drain).
 func (c *CBR) Stop() { c.stopped = true }
 
+//desalint:hotpath
 func (c *CBR) arrive() {
 	if c.stopped {
 		return
 	}
-	if len(c.queue) >= c.queueCap {
+	if c.Backlog() >= c.queueCap {
 		c.dropped++
 	} else {
+		if len(c.queue) == cap(c.queue) && c.head > 0 {
+			c.queue = c.queue[:copy(c.queue, c.queue[c.head:])]
+			c.head = 0
+		}
 		c.seq++
-		dst := c.neighbors[c.rng.Intn(len(c.neighbors))]
+		dst := phy.NodeID(c.neighbors[c.rng.Intn(len(c.neighbors))])
 		c.queue = append(c.queue, mac.Packet{
 			Dst: dst, Bytes: c.bytes, Enqueued: c.sched.Now(), Seq: c.seq,
 		})
-		if len(c.queue) == 1 && c.kick != nil {
+		if c.Backlog() == 1 && c.kick != nil {
 			c.kick()
 		}
 	}
-	c.sched.Schedule(c.interval, c.arrive)
+	c.sched.ScheduleEvent(c.interval, (*arrival)(c))
 }
 
 // Dequeue pops the oldest queued packet.
 func (c *CBR) Dequeue(now des.Time) (mac.Packet, bool) {
-	if len(c.queue) == 0 {
+	if c.head == len(c.queue) {
 		return mac.Packet{}, false
 	}
-	p := c.queue[0]
-	c.queue = c.queue[1:]
+	p := c.queue[c.head]
+	c.head++
+	if c.head == len(c.queue) {
+		c.queue, c.head = c.queue[:0], 0
+	}
 	return p, true
 }
 
@@ -157,4 +201,4 @@ func (c *CBR) Dequeue(now des.Time) (mac.Packet, bool) {
 func (c *CBR) Dropped() int64 { return c.dropped }
 
 // Backlog returns the current queue length.
-func (c *CBR) Backlog() int { return len(c.queue) }
+func (c *CBR) Backlog() int { return len(c.queue) - c.head }

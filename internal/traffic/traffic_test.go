@@ -10,7 +10,7 @@ import (
 
 func TestSaturatedAlwaysBacklogged(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	s, err := NewSaturated(rng, []phy.NodeID{1, 2, 3}, 1460)
+	s, err := NewSaturated(rng, []int32{1, 2, 3}, 1460)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,14 +50,14 @@ func TestSaturatedValidation(t *testing.T) {
 	if _, err := NewSaturated(rng, nil, 100); err == nil {
 		t.Error("empty neighbor list should be rejected")
 	}
-	if _, err := NewSaturated(rng, []phy.NodeID{1}, 0); err == nil {
+	if _, err := NewSaturated(rng, []int32{1}, 0); err == nil {
 		t.Error("zero packet size should be rejected")
 	}
 }
 
 func TestCBRArrivalsAndKick(t *testing.T) {
 	sched := des.New(2)
-	c, err := NewCBR(sched, sched.Rand(), []phy.NodeID{7}, CBRConfig{
+	c, err := NewCBR(sched, sched.Rand(), []int32{7}, CBRConfig{
 		Interval: 10 * des.Millisecond,
 		Bytes:    500,
 		QueueCap: 100,
@@ -99,7 +99,7 @@ func TestCBRArrivalsAndKick(t *testing.T) {
 
 func TestCBRQueueCapDrops(t *testing.T) {
 	sched := des.New(2)
-	c, err := NewCBR(sched, sched.Rand(), []phy.NodeID{1}, CBRConfig{
+	c, err := NewCBR(sched, sched.Rand(), []int32{1}, CBRConfig{
 		Interval: des.Millisecond,
 		Bytes:    100,
 		QueueCap: 5,
@@ -119,7 +119,7 @@ func TestCBRQueueCapDrops(t *testing.T) {
 
 func TestCBRStop(t *testing.T) {
 	sched := des.New(2)
-	c, err := NewCBR(sched, sched.Rand(), []phy.NodeID{1}, CBRConfig{
+	c, err := NewCBR(sched, sched.Rand(), []int32{1}, CBRConfig{
 		Interval: des.Millisecond,
 		Bytes:    100,
 		QueueCap: 100,
@@ -148,7 +148,7 @@ func TestCBRValidation(t *testing.T) {
 		{Interval: des.Millisecond, Bytes: 0, QueueCap: 10},
 		{Interval: des.Millisecond, Bytes: 100, QueueCap: 0},
 	} {
-		if _, err := NewCBR(sched, sched.Rand(), []phy.NodeID{1}, cfg); err == nil {
+		if _, err := NewCBR(sched, sched.Rand(), []int32{1}, cfg); err == nil {
 			t.Errorf("config %+v should be rejected", cfg)
 		}
 	}
@@ -156,7 +156,7 @@ func TestCBRValidation(t *testing.T) {
 
 func TestCBREmptyDequeue(t *testing.T) {
 	sched := des.New(2)
-	c, err := NewCBR(sched, sched.Rand(), []phy.NodeID{1}, CBRConfig{
+	c, err := NewCBR(sched, sched.Rand(), []int32{1}, CBRConfig{
 		Interval: des.Millisecond, Bytes: 100, QueueCap: 10,
 	})
 	if err != nil {
@@ -164,5 +164,55 @@ func TestCBREmptyDequeue(t *testing.T) {
 	}
 	if _, ok := c.Dequeue(0); ok {
 		t.Error("empty queue should return ok=false")
+	}
+}
+
+// TestCBRQueueReusesStorage: arrivals and dequeues interleaved at random
+// keep FIFO order through the queue's compaction and drops, and once the
+// queue's storage has grown, arrivals, their scheduling and the drains
+// allocate nothing.
+func TestCBRQueueReusesStorage(t *testing.T) {
+	sched := des.New(3)
+	c, err := NewCBR(sched, sched.Rand(), []int32{4, 9}, CBRConfig{
+		Interval: des.Millisecond, Bytes: 100, QueueCap: 6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	rng := rand.New(rand.NewSource(3))
+	var last int64
+	drain := func(k int) {
+		for ; k > 0; k-- {
+			p, ok := c.Dequeue(sched.Now())
+			if !ok {
+				return
+			}
+			if p.Seq <= last {
+				t.Fatalf("dequeued seq %d after %d", p.Seq, last)
+			}
+			last = p.Seq
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		sched.Run(sched.Now() + des.Time(rng.Intn(4))*des.Millisecond)
+		drain(rng.Intn(5))
+		if b := c.Backlog(); b < 0 || b > 6 {
+			t.Fatalf("backlog %d outside [0, 6]", b)
+		}
+	}
+	drain(1 << 30)
+	if c.Dropped() == 0 || last != c.seq {
+		t.Fatalf("dropped %d, last dequeued seq %d of %d accepted", c.Dropped(), last, c.seq)
+	}
+	if cap(c.queue) > 2*6 {
+		t.Fatalf("queue storage grew to %d packets for a cap of 6", cap(c.queue))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		sched.Run(sched.Now() + 10*des.Millisecond)
+		drain(1 << 30)
+	})
+	if allocs != 0 {
+		t.Fatalf("10 arrivals and a drain made %v allocations, want 0", allocs)
 	}
 }
