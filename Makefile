@@ -117,15 +117,21 @@ paper-check:
 	rm -f .paper-check.txt
 
 # Telemetry round trip on the canonical trajectory scenario: two exports
-# of the same run must be byte-identical (the determinism contract), and
-# simtrace must be able to summarize and filter the artifact.
+# of the same run must be byte-identical (the determinism contract), a
+# merged 3-topology export must not depend on the worker count, simtrace
+# must be able to summarize and filter the artifact, and an export sent
+# to stdout must pipe straight into `simtrace summarize -`.
 telemetry-smoke:
 	$(GO) run ./cmd/netsim -scenario internal/sim/testdata/telemetry-trajectory.json -telemetry .telemetry-a.jsonl
 	$(GO) run ./cmd/netsim -scenario internal/sim/testdata/telemetry-trajectory.json -telemetry .telemetry-b.jsonl
 	cmp .telemetry-a.jsonl .telemetry-b.jsonl
+	$(GO) run ./cmd/netsim -scenario internal/sim/testdata/telemetry-trajectory.json -topologies 3 -workers 1 -telemetry .telemetry-w1.jsonl
+	$(GO) run ./cmd/netsim -scenario internal/sim/testdata/telemetry-trajectory.json -topologies 3 -workers 3 -telemetry .telemetry-w3.jsonl
+	cmp .telemetry-w1.jsonl .telemetry-w3.jsonl
 	$(GO) run ./cmd/simtrace summarize .telemetry-a.jsonl
 	$(GO) run ./cmd/simtrace filter -kind agg .telemetry-a.jsonl > /dev/null
-	rm -f .telemetry-a.jsonl .telemetry-b.jsonl
+	$(GO) run ./cmd/netsim -scheme drts-dcts -n 5 -beam 60 -duration 100ms -telemetry - | $(GO) run ./cmd/simtrace summarize -
+	rm -f .telemetry-a.jsonl .telemetry-b.jsonl .telemetry-w1.jsonl .telemetry-w3.jsonl
 
 # Exact-countdown check: the canonical result bytes of two committed
 # scenarios must equal the expected files recorded with the slot-by-slot

@@ -540,8 +540,8 @@ func BenchmarkSimulationSecond(b *testing.B) {
 }
 
 // BenchmarkTelemetryOff re-measures the standard simulated second with
-// the telemetry subsystem compiled in but disabled — the nil-receiver
-// fast path. Disabled telemetry must cost nothing: read it against
+// the telemetry subsystem compiled in but disabled — the MAC's
+// histograms are nil and Observe returns at once. Disabled telemetry must cost nothing: read it against
 // BenchmarkSimulationSecond (same ns/op envelope, no extra
 // allocations).
 func BenchmarkTelemetryOff(b *testing.B) {
@@ -556,8 +556,8 @@ func BenchmarkTelemetryOff(b *testing.B) {
 
 // BenchmarkTelemetryOn measures the same second with 10ms sampling and
 // every catalog metric live, streaming into a discard sink — the full
-// observability cost (registry updates on the MAC/PHY hot paths plus the
-// probe's per-tick record construction).
+// observability cost (histogram observations on the MAC hot paths plus
+// the collector's per-tick record construction).
 func BenchmarkTelemetryOn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchSim(core.DRTSDCTS, 5, 90)

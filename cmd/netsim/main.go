@@ -13,11 +13,16 @@
 //	netsim -scheme drts-dcts -n 5 -beam 60 -dump-scenario > run.json
 //	netsim -scenario run.json
 //	netsim -scheme drts-dcts -n 5 -beam 60 -telemetry run.jsonl -telemetry-interval 10ms
+//	netsim -scheme drts-dcts -n 5 -beam 60 -duration 100ms -telemetry - | simtrace summarize -
+//
+// With -telemetry - the export owns stdout and the text report goes to
+// stderr, so the stream pipes straight into simtrace.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -113,6 +118,15 @@ func run(args []string) (err error) {
 	if *jsonOut && *topos > 1 {
 		return fmt.Errorf("-json reports a single run; it cannot aggregate -topologies %d", *topos)
 	}
+	// stdout carries one artifact: an export to stdout moves the text
+	// report to stderr, and leaves no room for -json.
+	var report io.Writer = os.Stdout
+	if *telPath == "-" {
+		if *jsonOut {
+			return fmt.Errorf("-json and -telemetry - both write to stdout; send the export to a file")
+		}
+		report = os.Stderr
+	}
 
 	// The export streams to the named file, which is created only once
 	// the flags are known to be valid, so a rejected invocation leaves an
@@ -155,11 +169,11 @@ func run(args []string) (err error) {
 			return err
 		}
 		b := experiments.AggregateBatch(results)
-		fmt.Printf("%s N=%d θ=%g° over %d topologies (%v each):\n", scheme, sc.Topology.N, sc.BeamwidthDeg, b.Runs, dur)
-		fmt.Printf("  throughput  %s Kb/s per inner node\n", b.ThroughputBps.Scale(1e-3))
-		fmt.Printf("  delay       %s ms\n", b.DelaySec.Scale(1e3))
-		fmt.Printf("  collisions  %s\n", b.CollisionRatio)
-		fmt.Printf("  fairness    %s (Jain)\n", b.Jain)
+		fmt.Fprintf(report, "%s N=%d θ=%g° over %d topologies (%v each):\n", scheme, sc.Topology.N, sc.BeamwidthDeg, b.Runs, dur)
+		fmt.Fprintf(report, "  throughput  %s Kb/s per inner node\n", b.ThroughputBps.Scale(1e-3))
+		fmt.Fprintf(report, "  delay       %s ms\n", b.DelaySec.Scale(1e3))
+		fmt.Fprintf(report, "  collisions  %s\n", b.CollisionRatio)
+		fmt.Fprintf(report, "  fairness    %s (Jain)\n", b.Jain)
 		return nil
 	}
 
@@ -190,23 +204,23 @@ func run(args []string) (err error) {
 		}
 		return nil
 	}
-	fmt.Printf("%s N=%d θ=%g° seed=%d (%v):\n", scheme, sc.Topology.N, sc.BeamwidthDeg, sc.Seed, dur)
-	fmt.Printf("  mean inner throughput  %.1f Kb/s\n", res.MeanThroughputBps()/1000)
-	fmt.Printf("  mean delay             %.2f ms\n", res.MeanDelaySec()*1000)
-	fmt.Printf("  mean collision ratio   %.3f\n", res.MeanCollisionRatio())
-	fmt.Printf("  Jain fairness          %.3f\n", res.Jain)
+	fmt.Fprintf(report, "%s N=%d θ=%g° seed=%d (%v):\n", scheme, sc.Topology.N, sc.BeamwidthDeg, sc.Seed, dur)
+	fmt.Fprintf(report, "  mean inner throughput  %.1f Kb/s\n", res.MeanThroughputBps()/1000)
+	fmt.Fprintf(report, "  mean delay             %.2f ms\n", res.MeanDelaySec()*1000)
+	fmt.Fprintf(report, "  mean collision ratio   %.3f\n", res.MeanCollisionRatio())
+	fmt.Fprintf(report, "  Jain fairness          %.3f\n", res.Jain)
 	if *verbose {
-		fmt.Println("  per inner node:")
+		fmt.Fprintln(report, "  per inner node:")
 		for i := range res.ThroughputBps {
 			st := res.NodeStats[i]
-			fmt.Printf("    node %2d: %8.1f Kb/s  delay %7.2f ms  coll %.3f  rts %d succ %d drop %d\n",
+			fmt.Fprintf(report, "    node %2d: %8.1f Kb/s  delay %7.2f ms  coll %.3f  rts %d succ %d drop %d\n",
 				i, res.ThroughputBps[i]/1000, res.DelaySec[i]*1000, res.CollisionRatio[i],
 				st.RTSSent, st.Successes, st.Drops)
 		}
 	}
 	if rec != nil {
-		fmt.Printf("  last %d of %d trace events:\n", len(rec.Events()), rec.Total())
-		if err := rec.WriteText(os.Stdout); err != nil {
+		fmt.Fprintf(report, "  last %d of %d trace events:\n", len(rec.Events()), rec.Total())
+		if err := rec.WriteText(report); err != nil {
 			return err
 		}
 	}

@@ -1,28 +1,50 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
+// capture runs fn and returns what it wrote to stdout.
 func capture(t *testing.T, fn func() error) (string, error) {
 	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
+	stdout, _, err := captureStreams(t, fn)
+	return stdout, err
+}
+
+// captureStreams runs fn with stdout and stderr redirected to pipes and
+// returns what each received. The pipes drain while fn runs, so output
+// larger than a pipe buffer cannot block it.
+func captureStreams(t *testing.T, fn func() error) (stdout, stderr string, err error) {
+	t.Helper()
+	redirect := func(f **os.File) (restore func() string) {
+		r, w, perr := os.Pipe()
+		if perr != nil {
+			t.Fatal(perr)
+		}
+		old := *f
+		*f = w
+		got := make(chan string)
+		go func() {
+			b, _ := io.ReadAll(r)
+			got <- string(b)
+		}()
+		return func() string {
+			w.Close()
+			*f = old
+			return <-got
+		}
 	}
-	os.Stdout = w
-	errRun := fn()
-	w.Close()
-	os.Stdout = old
-	out := make([]byte, 1<<20)
-	n, _ := r.Read(out)
-	return string(out[:n]), errRun
+	restoreOut := redirect(&os.Stdout)
+	restoreErr := redirect(&os.Stderr)
+	err = fn()
+	return restoreOut(), restoreErr(), err
 }
 
 func TestRunSingleTopology(t *testing.T) {
@@ -236,5 +258,42 @@ func TestRejectedRunKeepsTelemetryFile(t *testing.T) {
 		if b, err := os.ReadFile(path); err != nil || string(b) != "kept\n" {
 			t.Errorf("%v: export file now %q (err %v), want it untouched", args, b, err)
 		}
+	}
+}
+
+// TestTelemetryToStdout: with -telemetry - stdout carries the export and
+// nothing else, so `netsim ... -telemetry - | simtrace summarize -`
+// parses it, and the text report goes to stderr, for a single run and
+// for -topologies. -json cannot share stdout with the export.
+func TestTelemetryToStdout(t *testing.T) {
+	base := []string{"-scheme", "drts-dcts", "-n", "5", "-beam", "60", "-duration", "100ms", "-telemetry", "-"}
+	for _, tc := range []struct {
+		name   string
+		extra  []string
+		report string
+	}{
+		{"single", nil, "DRTS-DCTS N=5 θ=60° seed=1"},
+		{"topologies", []string{"-topologies", "2"}, "over 2 topologies"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := append(append([]string{}, base...), tc.extra...)
+			stdout, stderr, err := captureStreams(t, func() error { return run(args) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, recs, err := telemetry.ReadAll(strings.NewReader(stdout))
+			if err != nil {
+				t.Fatalf("stdout is not one telemetry export: %v", err)
+			}
+			if h.Scheme != "DRTS-DCTS" || len(recs) == 0 {
+				t.Errorf("export header %+v with %d records", h, len(recs))
+			}
+			if !strings.Contains(stderr, tc.report) {
+				t.Errorf("stderr lacks the report line %q:\n%s", tc.report, stderr)
+			}
+		})
+	}
+	if err := run(append(append([]string{}, base...), "-json")); err == nil {
+		t.Error("-json with -telemetry -: want an error (both write to stdout)")
 	}
 }

@@ -60,6 +60,7 @@ var SimPackages = []string{
 	"repro/internal/experiments",
 	"repro/internal/sim",
 	"repro/internal/cache",
+	"repro/internal/stats",
 	"repro/internal/telemetry",
 	"repro/internal/core",
 	"repro/cmd",

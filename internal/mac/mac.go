@@ -24,27 +24,27 @@ import (
 	"repro/internal/geom"
 	"repro/internal/neighbor"
 	"repro/internal/phy"
-	"repro/internal/telemetry"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
-// Metrics holds optional telemetry instruments for MAC-level
-// distributions. Every field may be nil — observations on nil
-// instruments are no-ops, so instrumented code records unconditionally
-// and a run without telemetry pays only a nil check (the disabled path
-// is bench-gated to zero extra allocations).
+// Metrics holds optional telemetry histograms for MAC-level
+// distributions. Every field may be nil — Observe on a nil histogram is
+// a no-op, so instrumented code records unconditionally and a run
+// without telemetry pays only a nil check (the disabled path is
+// bench-gated to zero extra allocations).
 type Metrics struct {
 	// Backoff observes the slot count of every backoff draw.
-	Backoff *telemetry.Histogram
+	Backoff *stats.Histogram
 	// CW observes the contention window (slots) at every backoff draw,
 	// capturing the binary-exponential-backoff pressure trajectory.
-	CW *telemetry.Histogram
+	CW *stats.Histogram
 	// HandshakeUs observes the MAC service time of every acknowledged
 	// packet (dequeue to ACK), in microseconds.
-	HandshakeUs *telemetry.Histogram
+	HandshakeUs *stats.Histogram
 	// NAVUs observes every NAV duration adopted through virtual carrier
 	// sensing (overheard frames and oracle NAV hints), in microseconds.
-	NAVUs *telemetry.Histogram
+	NAVUs *stats.Histogram
 }
 
 // Packet is one MAC service data unit waiting for transmission.
@@ -57,8 +57,8 @@ type Packet struct {
 
 // Source supplies packets to a Node. Dequeue returns the next packet, or
 // ok=false when the queue is empty. A source that becomes non-empty while
-// the node is idle must call the node's Kick method (sources receive it
-// via SetNotify).
+// the node is idle must call the node's Kick method (traffic.CBR
+// receives the node via SetKick).
 type Source interface {
 	Dequeue(now des.Time) (p Packet, ok bool)
 }

@@ -20,23 +20,7 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/geom"
-	"repro/internal/telemetry"
 )
-
-// Metrics holds optional telemetry counters for channel-level frame
-// accounting. Every field may be nil — counting on a nil instrument is
-// a no-op, so the instrumented hot path pays only a nil check when
-// telemetry is disabled.
-type Metrics struct {
-	// TxFrames counts every frame put on the air, network-wide.
-	TxFrames *telemetry.Counter
-	// RxFrames counts every frame successfully decoded by some radio
-	// (one transmission can be decoded by many receivers).
-	RxFrames *telemetry.Counter
-	// RxErrors counts garbled receptions (collision damage observed at a
-	// radio).
-	RxErrors *telemetry.Counter
-}
 
 // NodeID identifies a radio in the network. IDs are dense and start at 0.
 type NodeID int
@@ -345,7 +329,6 @@ func (r *Radio) Transmit(f Frame, m Mode) (des.Time, error) {
 	airtime := c.params.Airtime(f.Bytes)
 	c.txTime[f.Type] += airtime
 	c.txCount[f.Type]++
-	c.metrics.TxFrames.Inc()
 	c.propagate(r, f, m, airtime)
 	c.sched.ScheduleEvent(airtime, &r.txDone)
 	return airtime, nil
@@ -433,10 +416,10 @@ func (r *Radio) signalEnd(sig *signal) {
 	case sig.missed:
 		// The radio never perceived this signal; nothing to report.
 	case sig.corrupted:
-		r.ch.metrics.RxErrors.Inc()
+		r.ch.rxErrors++
 		r.handler.OnFrameError()
 	default:
-		r.ch.metrics.RxFrames.Inc()
+		r.ch.rxFrames++
 		r.handler.OnFrame(*sig.frame)
 	}
 	if len(r.active) == 0 && !r.transmitting {
@@ -457,13 +440,16 @@ func (r *Radio) signalEnd(sig *signal) {
 // one of its eight neighbors. AddRadio and AddRadios put each radio in
 // its cell, and SetPos moves it between cells.
 type Channel struct {
-	sched   *des.Scheduler
-	params  Params
-	radios  []*Radio
-	metrics Metrics
+	sched  *des.Scheduler
+	params Params
+	radios []*Radio
 
 	txTime  [numFrameTypes]des.Time
 	txCount [numFrameTypes]int64
+	// rxFrames and rxErrors count receptions network-wide: frames
+	// decoded, and frames a radio perceived but lost to collision damage
+	// (one transmission can reach many radios either way).
+	rxFrames, rxErrors int64
 
 	// placement counts placement changes (AddRadio, AddRadios, SetPos).
 	// A radio's in-range list is current while its rangeGen equals it.
@@ -797,10 +783,6 @@ func NewChannel(sched *des.Scheduler, params Params) (*Channel, error) {
 // Params returns the channel configuration.
 func (c *Channel) Params() Params { return c.params }
 
-// SetMetrics installs telemetry counters for the channel's frame
-// accounting. The zero Metrics value (all nil) disables them.
-func (c *Channel) SetMetrics(m Metrics) { c.metrics = m }
-
 // AddRadio attaches a new radio at pos. IDs are assigned densely in
 // attachment order. The handler must be non-nil before the first event
 // fires; it may be set later via SetHandler to break construction cycles.
@@ -898,6 +880,22 @@ func (c *Channel) TxCount(ft FrameType) int64 {
 	}
 	return c.txCount[ft]
 }
+
+// TotalTxCount sums TxCount over every frame type.
+func (c *Channel) TotalTxCount() int64 {
+	var total int64
+	for _, n := range c.txCount {
+		total += n
+	}
+	return total
+}
+
+// RxFrames returns how many receptions were decoded, network-wide.
+func (c *Channel) RxFrames() int64 { return c.rxFrames }
+
+// RxErrors returns how many receptions were garbled by collision
+// damage, network-wide.
+func (c *Channel) RxErrors() int64 { return c.rxErrors }
 
 // TotalTxAirtime sums TxAirtime over every frame type.
 func (c *Channel) TotalTxAirtime() des.Time {

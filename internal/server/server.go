@@ -171,14 +171,6 @@ func (s *Server) Stats() Stats {
 // errBusy is the admission-rejected sentinel mapped to 429.
 var errBusy = fmt.Errorf("server: execution queue is full")
 
-// cacheableScenario mirrors internal/sim's bypass rule: telemetry-
-// enabled scenarios are never served from or stored to the result
-// cache, because the export side effect cannot be replayed from a
-// cached Result.
-func cacheableScenario(sc sim.Scenario) bool {
-	return !sc.Telemetry.Enabled()
-}
-
 // runOnce executes sc on the bounded pool and returns the canonical
 // result bytes. It is the only path that consumes a worker slot for a
 // result request.
@@ -232,7 +224,7 @@ func (s *Server) handlePostRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	cacheable := cacheableScenario(sc)
+	cacheable := sc.Cacheable()
 	payload, source, shared, err := s.sf.do(key, func() ([]byte, string, error) {
 		if cacheable && s.cfg.Cache != nil {
 			if p, ok := s.cfg.Cache.Get(key); ok {

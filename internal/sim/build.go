@@ -244,18 +244,17 @@ func Build(sc Scenario, opts Options) (*Sim, error) {
 			telBuf = telemetry.NewBuffer()
 			sink = telBuf
 		}
-		tel, err = newTelemetryCollector(sc, sink, topo.InnerCount())
+		tel, err = newTelemetryCollector(sc, sink, ch, topo.InnerCount())
 		if err != nil {
 			return nil, err
 		}
-		ch.SetMetrics(tel.phyMetrics)
 	}
 
 	macCfg := mac.DefaultConfig(scheme, sc.BeamwidthDeg*math.Pi/180)
 	macCfg.DisableEIFS = sc.Ablations.DisableEIFS
 	macCfg.Tracer = tracer
 	if tel != nil {
-		macCfg.Metrics = tel.macMetrics
+		macCfg.Metrics = tel.macMetrics()
 	}
 	macCfg.BasicAccess = sc.Ablations.BasicAccess
 	if sc.Ablations.AdaptiveRTS > 0 {
@@ -296,8 +295,8 @@ func Build(sc Scenario, opts Options) (*Sim, error) {
 	// come from one backing array and share their config, the built-in
 	// sources come from one backing per type, and every source draws
 	// from the PHY's in-range list itself, which the ground-truth tables
-	// share too, so under saturated traffic the loop allocates nothing
-	// per node (a CBR node still binds its Kick method value).
+	// share too, so the loop allocates nothing per node: a self-driven
+	// source gets its node as a traffic.Kicker, not a bound method value.
 	nodeBacking := make([]mac.Node, ch.NumRadios())
 	sources := &sourceSlab{nodes: ch.NumRadios()}
 	for i := 0; i < ch.NumRadios(); i++ {
@@ -321,7 +320,10 @@ func Build(sc Scenario, opts Options) (*Sim, error) {
 			return nil, err
 		}
 		if sd, ok := src.(SelfDriven); ok {
-			sd.SetKick(s.Nodes[i].Kick)
+			sd.SetKick(s.Nodes[i])
+			if s.starters == nil {
+				s.starters = make([]SelfDriven, 0, ch.NumRadios()-i)
+			}
 			s.starters = append(s.starters, sd)
 		}
 	}
@@ -362,7 +364,7 @@ func (s *Sim) Run() (*Result, error) {
 	}
 	s.Sched.Run(start + duration)
 	if s.tel != nil {
-		if err := s.tel.finish(s); err != nil {
+		if err := s.tel.finish(); err != nil {
 			return nil, err
 		}
 	}

@@ -202,27 +202,39 @@ func TestFlowsSourceOnlyTheirDestinations(t *testing.T) {
 }
 
 // TestBuildAllocBudget pins how many heap allocations Build makes for
-// two committed scenarios, so a change that brings back a per-node (or
-// per-cell) allocation fails here, not only in a benchmark, and how many
-// bytes it allocates for the 10 240-node field, so a change that stores
-// the neighbor relation again per table or per source fails too: every
-// node's sources, tables and MAC come from shared backings, and the
-// relation is stored once, in the PHY's in-range lists. The counts are
+// two committed scenarios, with their saturated traffic and with CBR, so
+// a change that brings back a per-node (or per-cell) allocation fails
+// here, not only in a benchmark, and how many bytes it allocates for the
+// 10 240-node field, so a change that stores the neighbor relation again
+// per table or per source fails too: every node's sources, tables and
+// MAC come from shared backings, and the relation is stored once, in
+// the PHY's in-range lists. The counts are
 // the ones go1.24 makes, with or without -race; map internals differ
 // between Go releases, so another release may need them measured again.
 // The bytes budget is go1.24's 12.35 MB plus 5%.
 func TestBuildAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		file   string
+		cbr    bool // paced CBR sources instead of the file's saturated ones
 		budget float64
 		bytes  uint64 // 0: not pinned
 	}{
-		{"scale/uniform-10k.json", 97, 13_000_000},
-		{"paper-drts-dcts.json", 31, 0},
+		{"scale/uniform-10k.json", false, 82, 13_000_000},
+		{"paper-drts-dcts.json", false, 31, 0},
+		// CBR sources come from one backing too and wake their node
+		// through an interface, so they cost what saturated ones do plus
+		// the list of sources Run starts.
+		{"scale/uniform-10k.json", true, 82 + 2, 0},
+		{"paper-drts-dcts.json", true, 31 + 2, 0},
 	} {
 		sc, err := LoadScenario(filepath.Join("testdata", tc.file))
 		if err != nil {
 			t.Fatal(err)
+		}
+		name := tc.file
+		if tc.cbr {
+			sc.Traffic.Kind, sc.Traffic.OfferedLoadBps = "cbr", 100_000
+			name += " (cbr)"
 		}
 		build := func() {
 			if _, err := Build(sc, Options{}); err != nil {
@@ -230,7 +242,7 @@ func TestBuildAllocBudget(t *testing.T) {
 			}
 		}
 		if allocs := testing.AllocsPerRun(5, build); allocs > tc.budget {
-			t.Errorf("%s: Build made %v allocations, budget %v", tc.file, allocs, tc.budget)
+			t.Errorf("%s: Build made %v allocations, budget %v", name, allocs, tc.budget)
 		}
 		if tc.bytes == 0 {
 			continue
@@ -240,7 +252,7 @@ func TestBuildAllocBudget(t *testing.T) {
 		build()
 		runtime.ReadMemStats(&after)
 		if got := after.TotalAlloc - before.TotalAlloc; got > tc.bytes {
-			t.Errorf("%s: Build allocated %d bytes, budget %d", tc.file, got, tc.bytes)
+			t.Errorf("%s: Build allocated %d bytes, budget %d", name, got, tc.bytes)
 		}
 	}
 }

@@ -57,12 +57,16 @@ func ScenarioKey(sc Scenario) (cache.Key, error) {
 		Key(), nil
 }
 
-// cacheable reports whether a run of sc under opts may be served from
-// or stored to the cache. Telemetry-enabled scenarios bypass the cache
-// entirely: the streaming export is a side effect a cached Result
-// cannot replay, exactly like a Tracer.
+// Cacheable reports whether a run of sc may be served from or stored to
+// a result cache, here and in internal/server. Telemetry-enabled
+// scenarios bypass the cache entirely: the streaming export is a side
+// effect a cached Result cannot replay, exactly like a Tracer.
+func (sc Scenario) Cacheable() bool { return !sc.Telemetry.Enabled() }
+
+// cacheable reports whether a run of sc under opts may use opts.Cache:
+// the scenario must be cacheable and no Tracer attached.
 func cacheable(sc Scenario, opts Options) bool {
-	return opts.Cache != nil && opts.Tracer == nil && !sc.Telemetry.Enabled()
+	return opts.Cache != nil && opts.Tracer == nil && sc.Cacheable()
 }
 
 // runCached serves sc from the cache when possible, otherwise runs it

@@ -75,14 +75,15 @@ func carve[T any](back *[]T, n int) *T {
 
 // TrafficBuilder produces one node's packet source. Sources that drive
 // themselves from the scheduler should implement SelfDriven; Build wires
-// the owning node's Kick and starts them after all nodes started.
+// the owning node and Run starts them after all nodes started.
 type TrafficBuilder func(env TrafficEnv) (mac.Source, error)
 
 // SelfDriven is implemented by traffic sources that schedule their own
-// arrivals (for example traffic.CBR). Build connects the MAC node's
-// Kick callback and calls Start once the network is assembled.
+// arrivals (for example traffic.CBR). Build connects the owning MAC
+// node, which the source kicks when a packet arrives at its empty
+// queue, and Run calls Start once the network is assembled.
 type SelfDriven interface {
-	SetKick(func())
+	SetKick(traffic.Kicker)
 	Start()
 }
 

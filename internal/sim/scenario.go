@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -151,8 +152,8 @@ type TelemetrySpec struct {
 	// Interval is the sim-time sampling period; a positive value enables
 	// telemetry, zero disables it.
 	Interval Duration `json:"interval,omitempty"`
-	// Metrics restricts the registered instruments to the named subset
-	// (see TelemetryMetricNames for the catalog); empty registers all.
+	// Metrics restricts the exported metrics to the named subset (see
+	// TelemetryMetricNames for the catalog); empty exports all.
 	Metrics []string `json:"metrics,omitempty"`
 	// MaxNodes bounds per-node series cardinality: when positive and
 	// below the inner-node count, only a deterministic sample of that
@@ -380,8 +381,8 @@ func (sc Scenario) validateTelemetry() error {
 		return fmt.Errorf("sim: telemetry.maxNodes: set but telemetry.interval is zero (telemetry disabled)")
 	}
 	for _, name := range sc.Telemetry.Metrics {
-		if !knownTelemetryMetric(name) {
-			return fmt.Errorf("sim: telemetry.metrics: unknown metric %q (registered: %v)", name, TelemetryMetricNames())
+		if names := TelemetryMetricNames(); !slices.Contains(names, name) {
+			return fmt.Errorf("sim: telemetry.metrics: unknown metric %q (registered: %v)", name, names)
 		}
 	}
 	return nil

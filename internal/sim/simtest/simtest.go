@@ -71,8 +71,8 @@ type NodeSpec struct {
 }
 
 // kicker is the self-driven half of sources like traffic.CBR; Build
-// wires the owning node's Kick automatically.
-type kicker interface{ SetKick(func()) }
+// wires the owning node automatically.
+type kicker interface{ SetKick(traffic.Kicker) }
 
 // Build assembles the network in one call. Nodes are not started: call
 // StartAll (or Start for a subset) before Run, mirroring whatever start
@@ -114,7 +114,7 @@ func Build(t *testing.T, seed int64, cfg mac.Config, specs []NodeSpec) *Net {
 		}
 		nw.Nodes[i] = n
 		if k, ok := src.(kicker); ok {
-			k.SetKick(n.Kick)
+			k.SetKick(n)
 		}
 	}
 	return nw

@@ -1,8 +1,9 @@
 package sim
 
 // Telemetry assembly: the canonical metric catalog, the wiring of
-// instruments into the MAC/PHY configs, and the collector that samples
-// per-node and aggregate series on the simulation clock.
+// histograms into the MAC config, and the collector that samples
+// per-node and aggregate series on the simulation clock and writes the
+// end-of-run metric records.
 //
 // The collector's end-of-run sample computes every aggregate with the
 // exact same expressions (and the same node iteration order) as the
@@ -14,6 +15,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/des"
 	"repro/internal/mac"
@@ -28,8 +30,8 @@ import (
 const telemetrySampleSeed = 0x7e1e6e7a
 
 // Canonical metric names. The catalog is the validation contract for
-// Scenario.Telemetry.Metrics and the registration-order contract for
-// exports (metric records always appear in catalog order).
+// Scenario.Telemetry.Metrics and the order contract for exports (metric
+// records always appear in catalog order).
 const (
 	// MetricBackoffSlots observes every backoff draw, in slots.
 	MetricBackoffSlots = "mac/backoff-slots"
@@ -49,22 +51,24 @@ const (
 	MetricRxErrors = "phy/rx-errors"
 )
 
-// telemetryMetricDef describes one catalog entry. Histogram bounds are
+// telemetryMetricDef describes one catalog entry: a histogram the MAC
+// fills, or a count the channel already keeps. Histogram bounds are
 // part of the export contract: changing them changes golden bytes.
 type telemetryMetricDef struct {
 	name   string
-	bounds []float64 // nil for counters
+	bounds []float64                // histograms only
+	count  func(*phy.Channel) int64 // counters only: the channel's running count
 }
 
-// telemetryCatalog lists every metric in registration (= export) order.
+// telemetryCatalog lists every metric in export order.
 var telemetryCatalog = []telemetryMetricDef{
-	{MetricBackoffSlots, []float64{0, 1, 3, 7, 15, 31, 63, 127, 255, 511, 1023}},
-	{MetricCW, []float64{31, 63, 127, 255, 511, 1023}},
-	{MetricHandshakeUs, []float64{1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000, 200_000, 500_000, 1_000_000}},
-	{MetricNAVUs, []float64{100, 200, 500, 1_000, 2_000, 5_000, 10_000, 20_000}},
-	{MetricTxFrames, nil},
-	{MetricRxFrames, nil},
-	{MetricRxErrors, nil},
+	{name: MetricBackoffSlots, bounds: []float64{0, 1, 3, 7, 15, 31, 63, 127, 255, 511, 1023}},
+	{name: MetricCW, bounds: []float64{31, 63, 127, 255, 511, 1023}},
+	{name: MetricHandshakeUs, bounds: []float64{1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000, 200_000, 500_000, 1_000_000}},
+	{name: MetricNAVUs, bounds: []float64{100, 200, 500, 1_000, 2_000, 5_000, 10_000, 20_000}},
+	{name: MetricTxFrames, count: (*phy.Channel).TotalTxCount},
+	{name: MetricRxFrames, count: (*phy.Channel).RxFrames},
+	{name: MetricRxErrors, count: (*phy.Channel).RxErrors},
 }
 
 // TelemetryMetricNames returns the canonical metric catalog in export
@@ -77,34 +81,28 @@ func TelemetryMetricNames() []string {
 	return names
 }
 
-// knownTelemetryMetric reports whether name is in the catalog.
-func knownTelemetryMetric(name string) bool {
-	for _, d := range telemetryCatalog {
-		if d.name == name {
-			return true
-		}
-	}
-	return false
+// telemetryMetric is one metric a run exports.
+type telemetryMetric struct {
+	telemetryMetricDef
+	hist *stats.Histogram // histograms: the instrument wired into the MAC
+	base int64            // counters: the channel's count when the collector was created
 }
 
-// telemetryCollector owns a run's registry, instruments and series
-// state. Its probe runs as a scheduler event and must only read
-// simulation state — never draw randomness — so enabling telemetry
-// leaves results bit-identical (pinned by the goldens).
+// telemetryCollector owns a run's metrics and series state. It is the
+// des.Event of its own sample ticks, which must only read simulation
+// state — never draw randomness — so enabling telemetry leaves results
+// bit-identical (pinned by the goldens).
 type telemetryCollector struct {
+	s        *Sim
 	sink     telemetry.Sink
-	reg      *telemetry.Registry
 	interval des.Time
 	start    des.Time
-	sampler  *telemetry.Sampler
 
-	// Wired into the MAC/PHY configs at Build time; fields stay nil for
-	// metrics excluded by the scenario's filter.
-	macMetrics mac.Metrics
-	phyMetrics phy.Metrics
+	metrics []telemetryMetric // exported metrics, in catalog order
 
 	// prevBits/prevT hold the previous sample's cumulative acknowledged
-	// bits per inner node, for the instantaneous (per-window) series.
+	// bits per inner node and its time, for the instantaneous
+	// (per-window) series.
 	prevBits []int64
 	prevT    des.Time
 	cums     []float64 // scratch: per-inner-node cumulative throughput
@@ -118,13 +116,15 @@ type telemetryCollector struct {
 	err error // first sink error; surfaced by finish
 }
 
-// newTelemetryCollector builds the registry for sc's metric selection
-// and prepares instruments for Build to wire into the layers.
-func newTelemetryCollector(sc Scenario, sink telemetry.Sink, innerCount int) (*telemetryCollector, error) {
+// newTelemetryCollector prepares sc's metric selection: it builds the
+// histograms for Build to wire into the MAC and records the channel's
+// counts as the counters' bases, so they leave out what went on the air
+// before (a HELLO bootstrap has already run on ch by now).
+func newTelemetryCollector(sc Scenario, sink telemetry.Sink, ch *phy.Channel, innerCount int) (*telemetryCollector, error) {
 	c := &telemetryCollector{
 		sink:     sink,
-		reg:      telemetry.NewRegistry(),
 		interval: des.Time(sc.Telemetry.Interval),
+		metrics:  make([]telemetryMetric, 0, len(telemetryCatalog)),
 		prevBits: make([]int64, innerCount),
 		cums:     make([]float64, innerCount),
 	}
@@ -146,54 +146,51 @@ func newTelemetryCollector(sc Scenario, sink telemetry.Sink, innerCount int) (*t
 		}
 		c.nSampled = k
 	}
-	var keep map[string]bool
-	if len(sc.Telemetry.Metrics) > 0 {
-		keep = make(map[string]bool, len(sc.Telemetry.Metrics))
-		for _, n := range sc.Telemetry.Metrics {
-			keep[n] = true
-		}
-	}
 	for _, d := range telemetryCatalog {
-		if keep != nil && !keep[d.name] {
-			continue // instrument stays nil: zero cost, nothing exported
+		if len(sc.Telemetry.Metrics) > 0 && !slices.Contains(sc.Telemetry.Metrics, d.name) {
+			continue // left out: nothing wired, nothing exported
 		}
-		var err error
-		if d.bounds == nil {
-			var ctr *telemetry.Counter
-			if ctr, err = c.reg.Counter(d.name); err == nil {
-				switch d.name {
-				case MetricTxFrames:
-					c.phyMetrics.TxFrames = ctr
-				case MetricRxFrames:
-					c.phyMetrics.RxFrames = ctr
-				case MetricRxErrors:
-					c.phyMetrics.RxErrors = ctr
-				}
-			}
+		m := telemetryMetric{telemetryMetricDef: d}
+		if d.count != nil {
+			m.base = d.count(ch)
 		} else {
-			var h *telemetry.Histogram
-			if h, err = c.reg.Histogram(d.name, d.bounds); err == nil {
-				switch d.name {
-				case MetricBackoffSlots:
-					c.macMetrics.Backoff = h
-				case MetricCW:
-					c.macMetrics.CW = h
-				case MetricHandshakeUs:
-					c.macMetrics.HandshakeUs = h
-				case MetricNAVUs:
-					c.macMetrics.NAVUs = h
-				}
+			h, err := stats.NewHistogram(d.bounds)
+			if err != nil {
+				return nil, fmt.Errorf("sim: telemetry metric %q: %w", d.name, err)
 			}
+			m.hist = h
 		}
-		if err != nil {
-			return nil, err
-		}
+		c.metrics = append(c.metrics, m)
 	}
 	return c, nil
 }
 
-// header renders the export header for a run of s.
-func (c *telemetryCollector) header(s *Sim, duration des.Time) telemetry.Header {
+// macMetrics returns the histograms for Build to put in the MAC config;
+// one the scenario's filter leaves out stays nil.
+func (c *telemetryCollector) macMetrics() mac.Metrics {
+	hist := func(name string) *stats.Histogram {
+		for _, m := range c.metrics {
+			if m.name == name {
+				return m.hist
+			}
+		}
+		return nil
+	}
+	return mac.Metrics{
+		Backoff:     hist(MetricBackoffSlots),
+		CW:          hist(MetricCW),
+		HandshakeUs: hist(MetricHandshakeUs),
+		NAVUs:       hist(MetricNAVUs),
+	}
+}
+
+// header renders the export header for the run.
+func (c *telemetryCollector) header(duration des.Time) telemetry.Header {
+	s := c.s
+	names := make([]string, len(c.metrics))
+	for i, m := range c.metrics {
+		names[i] = m.name
+	}
 	return telemetry.Header{
 		Format:       telemetry.FormatV1,
 		Scenario:     s.Scenario.Name,
@@ -203,29 +200,31 @@ func (c *telemetryCollector) header(s *Sim, duration des.Time) telemetry.Header 
 		InnerNodes:   s.Topology.InnerCount(),
 		IntervalNs:   int64(c.interval),
 		DurationNs:   int64(duration),
-		Metrics:      c.reg.Names(),
+		Metrics:      names,
 		SampledNodes: c.nSampled,
 	}
 }
 
-// startSampling writes the header and schedules the probe. Called by
-// Run at measurement start (after any bootstrap), so tick times align
-// with the measured window.
+// startSampling writes the header and schedules the first tick one
+// interval from now. Called by Run at measurement start (after any
+// bootstrap), so tick times align with the measured window.
 func (c *telemetryCollector) startSampling(s *Sim, duration des.Time) error {
-	if err := c.sink.WriteHeader(c.header(s, duration)); err != nil {
+	c.s = s
+	if err := c.sink.WriteHeader(c.header(duration)); err != nil {
 		return err
 	}
 	c.start = s.Sched.Now()
 	c.prevT = c.start
-	sampler, err := telemetry.NewSampler(s.Sched, c.interval, func(now des.Time) {
-		c.sample(s, now)
-	})
-	if err != nil {
-		return err
-	}
-	c.sampler = sampler
-	sampler.Start()
+	s.Sched.ScheduleEvent(c.interval, c)
 	return nil
+}
+
+// Fire takes one sample and schedules the next tick. The tick left
+// pending at the end of a run is harmless: the scheduler never reaches
+// it.
+func (c *telemetryCollector) Fire() {
+	c.sample(c.s.Sched.Now())
+	c.s.Sched.ScheduleEvent(c.interval, c)
 }
 
 // sample emits one per-node record per exported inner node (all of
@@ -235,7 +234,7 @@ func (c *telemetryCollector) startSampling(s *Sim, duration des.Time) error {
 // cumulative throughput is BitsAcked divided by elapsed seconds, the
 // aggregate is the plain mean in node-index order, and fairness is
 // stats.JainIndex over the cumulative series.
-func (c *telemetryCollector) sample(s *Sim, now des.Time) {
+func (c *telemetryCollector) sample(now des.Time) {
 	if c.err != nil {
 		return // sink already failed; stop producing
 	}
@@ -244,7 +243,7 @@ func (c *telemetryCollector) sample(s *Sim, now des.Time) {
 	t := int64(elapsed)
 	var instSum, cumSum, collSum float64
 	for i := range c.cums {
-		st := s.Nodes[i].Stats()
+		st := c.s.Nodes[i].Stats()
 		cum := float64(st.BitsAcked) / elapsed.Seconds()
 		inst := float64(st.BitsAcked-c.prevBits[i]) / window.Seconds()
 		coll := st.CollisionRatio()
@@ -275,17 +274,32 @@ func (c *telemetryCollector) sample(s *Sim, now des.Time) {
 	c.prevT = now
 }
 
-// finish flushes the final sample (the end-of-run state, whatever the
-// duration's remainder modulo the interval) and the metric records, and
-// surfaces any sink error encountered along the way.
-func (c *telemetryCollector) finish(s *Sim) error {
-	c.sampler.Flush()
+// finish takes the final sample if the last tick came earlier (the
+// duration need not be a multiple of the interval, and the end-of-run
+// state is what reproduces the Result's aggregates), writes one record
+// per exported metric in catalog order, and surfaces any sink error
+// met along the way.
+func (c *telemetryCollector) finish() error {
+	if now := c.s.Sched.Now(); now > c.prevT {
+		c.sample(now)
+	}
 	if c.err != nil {
 		return fmt.Errorf("sim: telemetry export: %w", c.err)
 	}
-	t := des.Time(c.sampler.LastSample() - c.start)
-	if err := c.reg.WriteMetrics(c.sink, t); err != nil {
-		return fmt.Errorf("sim: telemetry export: %w", err)
+	t := int64(c.prevT - c.start)
+	for _, m := range c.metrics {
+		rec := telemetry.Record{T: t, Node: -1, Name: m.name}
+		if m.hist == nil {
+			rec.Kind = telemetry.KindCounter
+			rec.Count = m.count(c.s.Channel) - m.base
+		} else {
+			rec.Kind = telemetry.KindHist
+			rec.Count, rec.Sum = m.hist.Count(), m.hist.Sum()
+			rec.Bounds, rec.Counts = m.hist.Bounds(), m.hist.Counts()
+		}
+		if err := c.sink.WriteRecord(rec); err != nil {
+			return fmt.Errorf("sim: telemetry export: %w", err)
+		}
 	}
 	return nil
 }

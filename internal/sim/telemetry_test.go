@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/des"
+	"repro/internal/phy"
 	"repro/internal/telemetry"
 )
 
@@ -160,8 +162,83 @@ func TestTelemetrySampleCount(t *testing.T) {
 	}
 }
 
+// TestTelemetryFinalSample pins where the series ends: a duration that
+// is not a multiple of the interval gets one more sample at the end of
+// the run, one that is gets none on top of its last tick, and the metric
+// records carry the final sample's time.
+func TestTelemetryFinalSample(t *testing.T) {
+	ms := int64(des.Millisecond)
+	for _, tc := range []struct {
+		duration Duration
+		want     []int64
+	}{
+		{Duration(35 * ms), []int64{10 * ms, 20 * ms, 30 * ms, 35 * ms}},
+		{Duration(30 * ms), []int64{10 * ms, 20 * ms, 30 * ms}},
+	} {
+		sc := telemetryScenario(t)
+		sc.Duration = tc.duration
+		buf := telemetry.NewBuffer()
+		if _, err := RunScenario(sc, Options{Telemetry: buf}); err != nil {
+			t.Fatal(err)
+		}
+		var aggs []int64
+		last := tc.want[len(tc.want)-1]
+		for _, r := range buf.Records() {
+			switch r.Kind {
+			case telemetry.KindAgg:
+				aggs = append(aggs, r.T)
+			case telemetry.KindCounter, telemetry.KindHist:
+				if r.T != last {
+					t.Errorf("duration %v: metric %s at t=%d, want %d", tc.duration, r.Name, r.T, last)
+				}
+			}
+		}
+		if !reflect.DeepEqual(aggs, tc.want) {
+			t.Errorf("duration %v: aggregate samples at %v, want %v", tc.duration, aggs, tc.want)
+		}
+	}
+}
+
+// TestTelemetryCountsExcludeBootstrap: the phy/* counters count from the
+// start of measurement. A HELLO bootstrap puts its beacons on the air
+// inside Build; the export leaves them out, and phy/rx-errors equals the
+// garbled receptions the MAC nodes saw during the run.
+func TestTelemetryCountsExcludeBootstrap(t *testing.T) {
+	sc := telemetryScenario(t)
+	sc.Ablations.HelloBootstrap = true
+	s, err := Build(sc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hellos := s.Channel.TxCount(phy.Hello)
+	if hellos == 0 || s.Channel.TotalTxCount() != hellos {
+		t.Fatalf("before Run: %d HELLOs of %d frames on the air, want only (and some) HELLOs",
+			hellos, s.Channel.TotalTxCount())
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make(map[string]int64)
+	for _, r := range s.Telemetry.Records() {
+		if r.Kind == telemetry.KindCounter {
+			counts[r.Name] = r.Count
+		}
+	}
+	if want := s.Channel.TotalTxCount() - hellos; counts[MetricTxFrames] != want {
+		t.Errorf("phy/tx-frames = %d, want the %d frames sent after the bootstrap", counts[MetricTxFrames], want)
+	}
+	var frameErrors int64
+	for _, st := range res.NodeStats {
+		frameErrors += st.FrameErrors
+	}
+	if counts[MetricRxErrors] != frameErrors {
+		t.Errorf("phy/rx-errors = %d, want Σ FrameErrors = %d", counts[MetricRxErrors], frameErrors)
+	}
+}
+
 // TestTelemetryMetricsFilter restricts the catalog and checks that only
-// the selected instruments are registered and exported.
+// the selected metrics are wired and exported.
 func TestTelemetryMetricsFilter(t *testing.T) {
 	sc := telemetryScenario(t)
 	sc.Telemetry.Metrics = []string{MetricTxFrames, MetricCW}
@@ -266,7 +343,7 @@ func TestTelemetryBypassesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := telemetryScenario(t)
-	if cacheable(sc, Options{Cache: store}) {
+	if sc.Cacheable() || cacheable(sc, Options{Cache: store}) {
 		t.Error("telemetry-enabled scenario reported cacheable")
 	}
 	// Behavior check: two runs with the same cache both stream records.

@@ -4,7 +4,8 @@ package stats
 // bucket layout is immutable after construction, which is what makes
 // histograms mergeable across simulation shards: two histograms built
 // from the same bounds combine by summing counts, with no rebinning and
-// therefore no information loss beyond the shared bucket resolution.
+// therefore no information loss beyond the shared bucket resolution
+// (telemetry.Merge sums the exported records that way).
 //
 // Bucket i (0 ≤ i < len(bounds)) counts observations x with
 // x ≤ bounds[i] and x > bounds[i-1]; one extra overflow bucket counts
@@ -50,7 +51,15 @@ func NewHistogram(bounds []float64) (*Histogram, error) {
 
 // Observe records one observation. NaN observations are counted in the
 // overflow bucket so they remain visible rather than silently dropped.
+// On a nil histogram it does nothing, so instrumented code (the MAC's
+// telemetry) records unconditionally and a run without telemetry pays
+// one nil check.
+//
+//desalint:hotpath
 func (h *Histogram) Observe(x float64) {
+	if h == nil {
+		return
+	}
 	i := sort.SearchFloat64s(h.bounds, x)
 	// SearchFloat64s finds the first bound >= x, which is exactly the
 	// inclusive-upper-bound bucket; NaN compares false and lands at
@@ -83,26 +92,6 @@ func (h *Histogram) Bounds() []float64 {
 // the overflow bucket.
 func (h *Histogram) Counts() []int64 {
 	return append([]int64(nil), h.counts...)
-}
-
-// Merge adds o's counts into h. The two histograms must share an
-// identical bucket layout; merging is how per-shard telemetry series
-// combine into one network-wide distribution.
-func (h *Histogram) Merge(o *Histogram) error {
-	if len(h.bounds) != len(o.bounds) {
-		return fmt.Errorf("stats: cannot merge histograms with %d and %d buckets", len(h.bounds), len(o.bounds))
-	}
-	for i := range h.bounds {
-		if h.bounds[i] != o.bounds[i] {
-			return fmt.Errorf("stats: cannot merge histograms: bound %d differs (%v vs %v)", i, h.bounds[i], o.bounds[i])
-		}
-	}
-	for i := range h.counts {
-		h.counts[i] += o.counts[i]
-	}
-	h.n += o.n
-	h.sum += o.sum
-	return nil
 }
 
 // Quantile estimates the q-th quantile (0 ≤ q ≤ 1) assuming a uniform

@@ -62,43 +62,14 @@ func TestHistogramSumMean(t *testing.T) {
 	}
 }
 
-// TestHistogramMerge pins the merge against hand-computed sums, and
-// checks that mismatched layouts are rejected.
-func TestHistogramMerge(t *testing.T) {
-	bounds := []float64{1, 2, 4}
-	a, _ := NewHistogram(bounds)
-	b, _ := NewHistogram(bounds)
-	for _, x := range []float64{0.5, 1.5, 3} {
-		a.Observe(x)
-	}
-	for _, x := range []float64{0.5, 5, 6} {
-		b.Observe(x)
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{2, 1, 1, 2}
-	if got := a.Counts(); !reflect.DeepEqual(got, want) {
-		t.Errorf("merged counts = %v, want %v", got, want)
-	}
-	if a.Count() != 6 {
-		t.Errorf("merged count = %d, want 6", a.Count())
-	}
-	if a.Sum() != 0.5+1.5+3+0.5+5+6 {
-		t.Errorf("merged sum = %v", a.Sum())
-	}
-	// b is unchanged by the merge.
-	if b.Count() != 3 {
-		t.Errorf("merge mutated its argument: %v", b.Counts())
-	}
-
-	other, _ := NewHistogram([]float64{1, 2})
-	if err := a.Merge(other); err == nil {
-		t.Error("merge accepted a different bucket count")
-	}
-	shifted, _ := NewHistogram([]float64{1, 2, 5})
-	if err := a.Merge(shifted); err == nil {
-		t.Error("merge accepted different bounds")
+// TestNilHistogramObserveNoOp: Observe on a nil histogram must do
+// nothing, because the MAC records into every telemetry instrument
+// unconditionally and a run without telemetry leaves them nil.
+func TestNilHistogramObserveNoOp(t *testing.T) {
+	var h *Histogram
+	h.Observe(1) // must not panic
+	if allocs := testing.AllocsPerRun(100, func() { h.Observe(2) }); allocs != 0 {
+		t.Errorf("nil Observe allocated %v times per call", allocs)
 	}
 }
 

@@ -1,3 +1,17 @@
+// Package telemetry is the simulator's export format for sampled
+// series: a self-describing JSONL stream of a header and records, the
+// sinks that write it (buffered, per-line streaming, in memory), the
+// reader, and the merge of per-shard exports. The simulator owns what
+// is sampled and when (internal/sim's collector); this package only
+// carries it. Two properties are the contract:
+//
+//   - Deterministic. Two runs of the same scenario produce
+//     byte-identical exports: records are written in the order the
+//     simulation produces them, floats in their shortest round-trip
+//     form, and Merge folds shards in shard order.
+//   - Streaming. Records are written as they are produced; a long run
+//     never buffers its full series (the in-memory Buffer sink exists
+//     for tests and for shard merging, where the series is bounded).
 package telemetry
 
 // The export format is self-describing JSONL: the first line is a
@@ -28,8 +42,8 @@ const (
 	// KindAgg is a per-tick aggregate over the inner nodes, including
 	// the Jain fairness trajectory.
 	KindAgg = "agg"
-	// KindCounter and KindHist are end-of-run metric records from the
-	// registry.
+	// KindCounter and KindHist are end-of-run metric records, one per
+	// metric the run exports.
 	KindCounter = "counter"
 	KindHist    = "hist"
 )
@@ -53,7 +67,7 @@ type Header struct {
 	// simulated time, both in nanoseconds.
 	IntervalNs int64 `json:"intervalNs"`
 	DurationNs int64 `json:"durationNs"`
-	// Metrics lists the registered metric names in registration order.
+	// Metrics lists the exported metric names in export order.
 	Metrics []string `json:"metrics,omitempty"`
 	// SampledNodes is the number of inner nodes emitting per-node
 	// records when the scenario bounds series cardinality

@@ -7,176 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/des"
 )
-
-func TestNilMetricsNoOp(t *testing.T) {
-	var c *Counter
-	c.Inc()
-	c.Add(7)
-	if got := c.Value(); got != 0 {
-		t.Errorf("nil counter Value = %d, want 0", got)
-	}
-	var h *Histogram
-	h.Observe(1)
-	if got := h.Snapshot(); got != nil {
-		t.Errorf("nil histogram Snapshot = %v, want nil", got)
-	}
-}
-
-func TestNilRegistryLookups(t *testing.T) {
-	var r *Registry
-	if c, err := r.Counter("x"); c != nil || err != nil {
-		t.Errorf("nil registry Counter = (%v, %v), want (nil, nil)", c, err)
-	}
-	if h, err := r.Histogram("x", []float64{1}); h != nil || err != nil {
-		t.Errorf("nil registry Histogram = (%v, %v), want (nil, nil)", h, err)
-	}
-	if names := r.Names(); names != nil {
-		t.Errorf("nil registry Names = %v, want nil", names)
-	}
-	if err := r.WriteMetrics(Discard{}, 0); err != nil {
-		t.Errorf("nil registry WriteMetrics error: %v", err)
-	}
-}
-
-func TestRegistryOrderAndIdempotence(t *testing.T) {
-	r := NewRegistry()
-	c1, err := r.Counter("phy/tx-frames")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Histogram("mac/backoff-slots", []float64{1, 2, 4}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Histogram("mac/cw", []float64{31, 63}); err != nil {
-		t.Fatal(err)
-	}
-	c2, err := r.Counter("phy/tx-frames")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 != c2 {
-		t.Error("re-registering a counter returned a different pointer")
-	}
-	want := []string{"phy/tx-frames", "mac/backoff-slots", "mac/cw"}
-	got := r.Names()
-	if len(got) != len(want) {
-		t.Fatalf("Names = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Names = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestRegistryKindClash(t *testing.T) {
-	r := NewRegistry()
-	if _, err := r.Counter("m"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Histogram("m", []float64{1}); err == nil {
-		t.Error("registering histogram over counter: want error")
-	}
-	if _, err := r.Histogram("h", []float64{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Counter("h"); err == nil {
-		t.Error("registering counter over histogram: want error")
-	}
-	if _, err := r.Histogram("h", []float64{1, 3}); err == nil {
-		t.Error("re-registering histogram with different bounds: want error")
-	}
-	if _, err := r.Histogram("h", []float64{1, 2}); err != nil {
-		t.Errorf("re-registering histogram with same bounds: %v", err)
-	}
-	if _, err := r.Histogram("bad", nil); err == nil {
-		t.Error("histogram with no bounds: want error")
-	}
-}
-
-func TestWriteMetricsFilterAndOrder(t *testing.T) {
-	r := NewRegistry()
-	c, _ := r.Counter("a")
-	c.Add(3)
-	c2, _ := r.Counter("b")
-	c2.Inc()
-	h, _ := r.Histogram("c", []float64{10, 20})
-	h.Observe(5)
-	h.Observe(25)
-
-	buf := NewBuffer()
-	// Output follows registration order, one record per metric.
-	if err := r.WriteMetrics(buf, 42); err != nil {
-		t.Fatal(err)
-	}
-	recs := buf.Records()
-	if len(recs) != 3 {
-		t.Fatalf("got %d records, want 3", len(recs))
-	}
-	if recs[0].Name != "a" || recs[0].Kind != KindCounter || recs[0].Count != 3 || recs[0].T != 42 {
-		t.Errorf("record 0 = %+v", recs[0])
-	}
-	if recs[1].Name != "b" || recs[1].Kind != KindCounter || recs[1].Count != 1 || recs[1].T != 42 {
-		t.Errorf("record 1 = %+v", recs[1])
-	}
-	if recs[2].Name != "c" || recs[2].Kind != KindHist || recs[2].Count != 2 || recs[2].Sum != 30 {
-		t.Errorf("record 2 = %+v", recs[2])
-	}
-	if len(recs[2].Bounds) != 2 || len(recs[2].Counts) != 3 {
-		t.Errorf("record 2 layout = %d bounds / %d counts", len(recs[2].Bounds), len(recs[2].Counts))
-	}
-	if recs[2].Counts[0] != 1 || recs[2].Counts[1] != 0 || recs[2].Counts[2] != 1 {
-		t.Errorf("record 2 counts = %v", recs[2].Counts)
-	}
-}
-
-func TestSamplerTicksAndFlush(t *testing.T) {
-	sched := des.New(1)
-	var ticks []des.Time
-	s, err := NewSampler(sched, 10*des.Millisecond, func(now des.Time) {
-		ticks = append(ticks, now)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	s.Start() // second Start is a no-op
-	sched.Run(35 * des.Millisecond)
-	s.Flush()
-	want := []des.Time{10 * des.Millisecond, 20 * des.Millisecond, 30 * des.Millisecond, 35 * des.Millisecond}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks = %v, want %v", ticks, want)
-	}
-	for i := range want {
-		if ticks[i] != want[i] {
-			t.Fatalf("ticks = %v, want %v", ticks, want)
-		}
-	}
-	// Flush at a tick boundary must not double-sample.
-	s.Flush()
-	if len(ticks) != len(want) {
-		t.Errorf("second Flush added a sample: %v", ticks)
-	}
-	if s.LastSample() != 35*des.Millisecond {
-		t.Errorf("LastSample = %v", s.LastSample())
-	}
-}
-
-func TestSamplerValidation(t *testing.T) {
-	sched := des.New(1)
-	if _, err := NewSampler(nil, des.Millisecond, func(des.Time) {}); err == nil {
-		t.Error("nil scheduler: want error")
-	}
-	if _, err := NewSampler(sched, des.Millisecond, nil); err == nil {
-		t.Error("nil probe: want error")
-	}
-	if _, err := NewSampler(sched, 0, func(des.Time) {}); err == nil {
-		t.Error("zero interval: want error")
-	}
-}
 
 func sampleExport() (*Buffer, error) {
 	b := NewBuffer()

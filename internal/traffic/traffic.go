@@ -94,8 +94,14 @@ type CBR struct {
 	head    int
 	seq     int64
 	dropped int64
-	kick    func()
+	kick    Kicker
 	stopped bool
+}
+
+// Kicker is woken when a packet arrives at an empty queue: the owning
+// MAC node, whose Kick re-checks its source.
+type Kicker interface {
+	Kick()
 }
 
 var _ mac.Source = (*CBR)(nil)
@@ -112,8 +118,8 @@ type CBRConfig struct {
 }
 
 // NewCBR builds a paced source. Call Start to begin arrivals and SetKick
-// to connect the owning MAC node's Kick method. Like NewSaturated, the
-// source keeps the non-empty neighbors slice and never writes it.
+// to connect the owning MAC node. Like NewSaturated, the source keeps
+// the non-empty neighbors slice and never writes it.
 func NewCBR(sched *des.Scheduler, rng *rand.Rand, neighbors []int32, cfg CBRConfig) (*CBR, error) {
 	c := new(CBR)
 	if err := NewCBRInto(c, sched, rng, neighbors, cfg); err != nil {
@@ -148,9 +154,10 @@ type arrival CBR
 //desalint:hotpath
 func (e *arrival) Fire() { (*CBR)(e).arrive() }
 
-// SetKick registers the callback invoked when a packet arrives at an
-// empty queue (typically the MAC node's Kick).
-func (c *CBR) SetKick(fn func()) { c.kick = fn }
+// SetKick registers the node woken when a packet arrives at an empty
+// queue (typically the owning *mac.Node). Passing the node, not its
+// bound Kick method, costs no allocation.
+func (c *CBR) SetKick(k Kicker) { c.kick = k }
 
 // Start schedules the first arrival one interval from now.
 func (c *CBR) Start() {
@@ -178,7 +185,7 @@ func (c *CBR) arrive() {
 			Dst: dst, Bytes: c.bytes, Enqueued: c.sched.Now(), Seq: c.seq,
 		})
 		if c.Backlog() == 1 && c.kick != nil {
-			c.kick()
+			c.kick.Kick()
 		}
 	}
 	c.sched.ScheduleEvent(c.interval, (*arrival)(c))

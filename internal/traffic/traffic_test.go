@@ -55,6 +55,11 @@ func TestSaturatedValidation(t *testing.T) {
 	}
 }
 
+// kickCount counts the wake-ups a source sends its node.
+type kickCount int
+
+func (k *kickCount) Kick() { *k++ }
+
 func TestCBRArrivalsAndKick(t *testing.T) {
 	sched := des.New(2)
 	c, err := NewCBR(sched, sched.Rand(), []int32{7}, CBRConfig{
@@ -65,8 +70,8 @@ func TestCBRArrivalsAndKick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kicks := 0
-	c.SetKick(func() { kicks++ })
+	var kicks kickCount
+	c.SetKick(&kicks)
 	c.Start()
 	sched.Run(105 * des.Millisecond)
 	if got := c.Backlog(); got != 10 {
