@@ -166,7 +166,9 @@ scale-smoke:
 # `netsim -scenario ... -json` run (the service's correctness gate: all
 # three serve paths — fresh run, cache hit, coalesced — must produce
 # identical bytes). A repeat POST must be a cache hit with the stats
-# counters to prove it, a telemetry stream must pipe straight into
+# counters to prove it, also for a scenario with a telemetry section
+# posted without ?telemetry=1 (no sink, so its result is cached like any
+# other), a telemetry stream must pipe straight into
 # `simtrace summarize -`, and SIGTERM must drain and exit 0.
 simd-smoke:
 	@set -e; \
@@ -187,11 +189,16 @@ simd-smoke:
 	cmp .simd-smoke/local.json .simd-smoke/served1.json; \
 	curl -sf -X POST --data-binary @internal/sim/testdata/paper-drts-dcts.json "http://$$addr/v1/runs" > .simd-smoke/served2.json; \
 	cmp .simd-smoke/local.json .simd-smoke/served2.json; \
-	echo "served bytes match local run (fresh and cached)"; \
+	.simd-smoke/netsim -scenario internal/sim/testdata/telemetry-trajectory.json -json > .simd-smoke/local-tel.json; \
+	curl -sf -X POST --data-binary @internal/sim/testdata/telemetry-trajectory.json "http://$$addr/v1/runs" > .simd-smoke/served-tel1.json; \
+	cmp .simd-smoke/local-tel.json .simd-smoke/served-tel1.json; \
+	curl -sf -X POST --data-binary @internal/sim/testdata/telemetry-trajectory.json "http://$$addr/v1/runs" > .simd-smoke/served-tel2.json; \
+	cmp .simd-smoke/local-tel.json .simd-smoke/served-tel2.json; \
+	echo "served bytes match local run (fresh and cached, with and without a telemetry section)"; \
 	curl -sf "http://$$addr/v1/stats" > .simd-smoke/stats.json; \
-	grep -q '"cacheMisses":1' .simd-smoke/stats.json || { echo "stats lack the first-run miss:"; cat .simd-smoke/stats.json; exit 1; }; \
-	grep -q '"cacheHits":1' .simd-smoke/stats.json || { echo "stats lack the repeat-POST hit:"; cat .simd-smoke/stats.json; exit 1; }; \
-	grep -q '"executed":1' .simd-smoke/stats.json || { echo "stats show re-execution on the repeat POST:"; cat .simd-smoke/stats.json; exit 1; }; \
+	grep -q '"cacheMisses":2' .simd-smoke/stats.json || { echo "stats lack the two first-run misses:"; cat .simd-smoke/stats.json; exit 1; }; \
+	grep -q '"cacheHits":2' .simd-smoke/stats.json || { echo "stats lack the two repeat-POST hits:"; cat .simd-smoke/stats.json; exit 1; }; \
+	grep -q '"executed":2' .simd-smoke/stats.json || { echo "stats show re-execution on a repeat POST:"; cat .simd-smoke/stats.json; exit 1; }; \
 	curl -sf -X POST --data-binary @internal/sim/testdata/telemetry-trajectory.json "http://$$addr/v1/runs?telemetry=1" | .simd-smoke/simtrace summarize -; \
 	kill -TERM $$pid; wait $$pid; \
 	trap - EXIT; \

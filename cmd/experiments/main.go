@@ -259,6 +259,11 @@ func run(args []string) error {
 		if err := experiments.WriteModelVsSim(os.Stdout, rows); err != nil {
 			return err
 		}
+		if *jsonOut {
+			if err := experiments.WriteModelVsSimJSON(os.Stdout, rows); err != nil {
+				return err
+			}
+		}
 		fmt.Println()
 	}
 

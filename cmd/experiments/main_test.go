@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -95,6 +96,31 @@ func TestGridSimulatedOnce(t *testing.T) {
 	}
 	if len(entries) != 21 {
 		t.Errorf("cache holds %d entries, want 21", len(entries))
+	}
+}
+
+// TestModelVsSimJSON: -json adds the model-vs-sim JSON document, one
+// row per grid cell, after its table.
+func TestModelVsSimJSON(t *testing.T) {
+	out, err := capture(t, func() error {
+		return run([]string{"-run", "modelvssim", "-topologies", "1", "-duration", "20ms", "-json"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := strings.Index(out, "\n{")
+	if i < 0 {
+		t.Fatalf("no JSON document in the output:\n%s", out)
+	}
+	var doc struct {
+		Rows     []json.RawMessage `json:"rows"`
+		Spearman *float64          `json:"spearmanRank"`
+	}
+	if err := json.NewDecoder(strings.NewReader(out[i:])).Decode(&doc); err != nil {
+		t.Fatalf("model-vs-sim JSON: %v", err)
+	}
+	if len(doc.Rows) != 27 || doc.Spearman == nil {
+		t.Errorf("model-vs-sim JSON has %d rows (want 27) and spearmanRank %v", len(doc.Rows), doc.Spearman)
 	}
 }
 

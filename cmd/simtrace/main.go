@@ -1,6 +1,5 @@
-// Command simtrace analyzes the JSONL artifacts a simulation run leaves
-// behind: telemetry exports (repro-telemetry/v1, see internal/telemetry)
-// and protocol trace event streams (internal/trace WriteJSONL).
+// Command simtrace analyzes the telemetry exports a simulation run
+// leaves behind (repro-telemetry/v1 JSONL, see internal/telemetry).
 //
 //	simtrace summarize run.jsonl
 //	simtrace summarize -window 5 -tol 0.02 run.jsonl
@@ -17,12 +16,12 @@
 // aggregates — bit-identical to the experiment's own output, because
 // the final record carries the very floats the simulator computed — and
 // detects warm-up convergence with a sliding-window test over the
-// cumulative-throughput trajectory. On a trace event stream it reports
-// event counts by kind and node.
+// cumulative-throughput trajectory.
 //
 // filter passes through the lines matching the node/kind/time-window
 // predicates, preserving the original bytes, line endings included (a
 // filtered telemetry file keeps its header and remains a valid export).
+// It reads any JSONL whose records carry "kind", "t" and "node" fields.
 // Only the first non-empty line can be a header: one whose "format" is
 // a non-empty string. Every later line is a record.
 package main
@@ -35,7 +34,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"time"
 
 	"repro/internal/telemetry"
@@ -77,8 +75,7 @@ func open(fs *flag.FlagSet) (io.ReadCloser, error) {
 	}
 }
 
-// probe is the minimal shape shared by telemetry records and trace
-// events — enough to filter any record line.
+// probe is the minimal shape of a record line: enough to filter it.
 type probe struct {
 	Kind string `json:"kind"`
 	T    int64  `json:"t"`
@@ -136,19 +133,47 @@ func summarizeCmd(args []string, out io.Writer) error {
 		return err
 	}
 	defer in.Close()
-
-	// Classify the whole first line, however long, then hand it back in
-	// front of the rest of the input.
-	br := bufio.NewReader(in)
-	first, err := br.ReadBytes('\n')
-	if err != nil && err != io.EOF {
+	h, recs, err := telemetry.ReadAll(in)
+	if err != nil {
 		return err
 	}
-	all := io.MultiReader(bytes.NewReader(first), br)
-	if telemetryHeader(first) {
-		return summarizeTelemetry(all, out, *window, *tol)
+	s, err := summarize(h, recs, *window, *tol)
+	if err != nil {
+		return err
 	}
-	return summarizeTrace(all, out)
+	name := h.Scenario
+	if name == "" {
+		name = "(unnamed)"
+	}
+	fmt.Fprintf(out, "telemetry export %s: scenario %s scheme %s seed %d\n", h.Format, name, h.Scheme, h.Seed)
+	fmt.Fprintf(out, "  %d nodes (%d measured), interval %v, duration %v",
+		h.Nodes, h.InnerNodes, time.Duration(h.IntervalNs), time.Duration(h.DurationNs))
+	if h.Shards > 1 {
+		fmt.Fprintf(out, ", %d shards merged", h.Shards)
+	}
+	fmt.Fprintf(out, "\n  %d aggregate samples\n", s.Samples)
+	fmt.Fprintf(out, "  mean inner throughput  %v bps\n", s.MeanCumThroughputBps)
+	fmt.Fprintf(out, "  mean collision ratio   %v\n", s.MeanCollisionRatio)
+	fmt.Fprintf(out, "  Jain fairness          %v\n", s.Jain)
+	if s.ConvergedAt >= 0 {
+		fmt.Fprintf(out, "  warm-up converged at   %v (window %d, tol %g)\n",
+			time.Duration(s.ConvergedAt), s.Window, s.Tol)
+	} else {
+		fmt.Fprintf(out, "  warm-up NOT converged  (window %d, tol %g)\n", s.Window, s.Tol)
+	}
+	for _, m := range s.Metrics {
+		switch m.Kind {
+		case telemetry.KindCounter:
+			fmt.Fprintf(out, "  counter %-18s %d\n", m.Name, m.Count)
+		case telemetry.KindHist:
+			mean := 0.0
+			if m.Count > 0 {
+				mean = m.Sum / float64(m.Count)
+			}
+			fmt.Fprintf(out, "  hist    %-18s n=%d mean=%.1f\n", m.Name, m.Count, mean)
+		}
+	}
+	return nil
 }
 
 // telemetrySummary is the computed view of one export. The final-record
@@ -237,110 +262,12 @@ func abs(x float64) float64 {
 	return x
 }
 
-func summarizeTelemetry(r io.Reader, out io.Writer, window int, tol float64) error {
-	h, recs, err := telemetry.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	s, err := summarize(h, recs, window, tol)
-	if err != nil {
-		return err
-	}
-	name := h.Scenario
-	if name == "" {
-		name = "(unnamed)"
-	}
-	fmt.Fprintf(out, "telemetry export %s: scenario %s scheme %s seed %d\n", h.Format, name, h.Scheme, h.Seed)
-	fmt.Fprintf(out, "  %d nodes (%d measured), interval %v, duration %v",
-		h.Nodes, h.InnerNodes, time.Duration(h.IntervalNs), time.Duration(h.DurationNs))
-	if h.Shards > 1 {
-		fmt.Fprintf(out, ", %d shards merged", h.Shards)
-	}
-	fmt.Fprintf(out, "\n  %d aggregate samples\n", s.Samples)
-	fmt.Fprintf(out, "  mean inner throughput  %v bps\n", s.MeanCumThroughputBps)
-	fmt.Fprintf(out, "  mean collision ratio   %v\n", s.MeanCollisionRatio)
-	fmt.Fprintf(out, "  Jain fairness          %v\n", s.Jain)
-	if s.ConvergedAt >= 0 {
-		fmt.Fprintf(out, "  warm-up converged at   %v (window %d, tol %g)\n",
-			time.Duration(s.ConvergedAt), s.Window, s.Tol)
-	} else {
-		fmt.Fprintf(out, "  warm-up NOT converged  (window %d, tol %g)\n", s.Window, s.Tol)
-	}
-	for _, m := range s.Metrics {
-		switch m.Kind {
-		case telemetry.KindCounter:
-			fmt.Fprintf(out, "  counter %-18s %d\n", m.Name, m.Count)
-		case telemetry.KindHist:
-			mean := 0.0
-			if m.Count > 0 {
-				mean = m.Sum / float64(m.Count)
-			}
-			fmt.Fprintf(out, "  hist    %-18s n=%d mean=%.1f\n", m.Name, m.Count, mean)
-		}
-	}
-	return nil
-}
-
-func summarizeTrace(r io.Reader, out io.Writer) error {
-	byKind := make(map[string]int)
-	byNode := make(map[int]int)
-	var total int
-	var minT, maxT int64
-	err := scanLines(r, func(line []byte, n int) error {
-		var p probe
-		if err := json.Unmarshal(line, &p); err != nil {
-			return fmt.Errorf("parse line %d: %w", n, err)
-		}
-		if p.Kind == "" {
-			return fmt.Errorf("line %d: no event kind", n)
-		}
-		if total == 0 || p.T < minT {
-			minT = p.T
-		}
-		if p.T > maxT {
-			maxT = p.T
-		}
-		total++
-		byKind[p.Kind]++
-		if p.Node != nil {
-			byNode[*p.Node]++
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if total == 0 {
-		return fmt.Errorf("no events")
-	}
-	fmt.Fprintf(out, "trace: %d events, t=%v..%v\n", total, time.Duration(minT), time.Duration(maxT))
-	kinds := make([]string, 0, len(byKind))
-	for k := range byKind {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	fmt.Fprintln(out, "  by kind:")
-	for _, k := range kinds {
-		fmt.Fprintf(out, "    %-10s %d\n", k, byKind[k])
-	}
-	nodes := make([]int, 0, len(byNode))
-	for n := range byNode {
-		nodes = append(nodes, n)
-	}
-	sort.Ints(nodes)
-	fmt.Fprintln(out, "  by node:")
-	for _, n := range nodes {
-		fmt.Fprintf(out, "    node %3d   %d\n", n, byNode[n])
-	}
-	return nil
-}
-
 // ---- filter ----
 
 func filterCmd(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("simtrace filter", flag.ContinueOnError)
 	node := fs.Int("node", -1, "keep only records of this node (-1 = all)")
-	kind := fs.String("kind", "", "keep only records of this kind (telemetry: node/agg/counter/hist; trace: tx/rx/...)")
+	kind := fs.String("kind", "", "keep only records of this kind (node/agg/counter/hist)")
 	from := fs.Duration("from", 0, "keep only records at or after this sim time")
 	to := fs.Duration("to", 0, "keep only records at or before this sim time (0 = unbounded)")
 	if err := fs.Parse(args); err != nil {

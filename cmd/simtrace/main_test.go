@@ -11,10 +11,8 @@ import (
 	"time"
 
 	"repro/internal/des"
-	"repro/internal/phy"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // export runs a small simulation with telemetry, its scenario named
@@ -92,10 +90,9 @@ func TestConvergedAt(t *testing.T) {
 	}
 }
 
-// TestSummarizeCLI drives the real subcommand against an export file.
-// TestSummarizeLongHeader: summarize classifies the whole first line,
-// so an export whose header is longer than any fixed peek (here, with
-// a 5 000-character scenario name) still reads as telemetry.
+// TestSummarizeLongHeader: an export whose header is longer than any
+// fixed peek (here, with a 5 000-character scenario name) still reads
+// as telemetry.
 func TestSummarizeLongHeader(t *testing.T) {
 	name := strings.Repeat("n", 5000)
 	_, raw := export(t, name)
@@ -112,6 +109,7 @@ func TestSummarizeLongHeader(t *testing.T) {
 	}
 }
 
+// TestSummarizeCLI drives the real subcommand against an export file.
 func TestSummarizeCLI(t *testing.T) {
 	_, raw := export(t, "")
 	path := filepath.Join(t.TempDir(), "run.jsonl")
@@ -233,42 +231,6 @@ func TestFilterHeaderIsFirstLineOnly(t *testing.T) {
 	}
 }
 
-// TestSummarizeTraceEvents: the summarize subcommand also reads protocol
-// trace JSONL (no telemetry header).
-func TestSummarizeTraceEvents(t *testing.T) {
-	rec := trace.NewRecorder(64)
-	rec.Record(trace.Event{At: 1000, Node: 0, Kind: trace.TxStart, Frame: phy.RTS, Peer: 1})
-	rec.Record(trace.Event{At: 2000, Node: 1, Kind: trace.RxFrame, Frame: phy.RTS, Peer: 0})
-	rec.Record(trace.Event{At: 3000, Node: 0, Kind: trace.Backoff, Peer: -1, Note: "cw=31"})
-	var raw bytes.Buffer
-	if err := rec.WriteJSONL(&raw); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	if err := os.WriteFile(path, raw.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := run([]string{"summarize", path}, &out); err != nil {
-		t.Fatal(err)
-	}
-	text := out.String()
-	for _, want := range []string{"trace: 3 events", "tx", "backoff", "node   0   2", "node   1   1"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("trace summary missing %q:\n%s", want, text)
-		}
-	}
-
-	out.Reset()
-	if err := run([]string{"filter", "-node", "0", path}, &out); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
-	if len(lines) != 2 {
-		t.Errorf("trace filter kept %d lines, want 2:\n%s", len(lines), out.String())
-	}
-}
-
 // TestSummarizeStdin pipes a recorded export through stdin (the "-"
 // input path): the output must be byte-identical to reading the same
 // export from a file. This is the seam `curl ... | simtrace summarize -`
@@ -361,9 +323,9 @@ func TestRunBadInput(t *testing.T) {
 // passes whatever the predicates; no later line is a header. An input
 // that telemetry.ReadAll accepts still reads back after filtering.
 // Plain `go test` runs the seeds: the experiments package's telemetry
-// golden (also with CRLF endings), a trace event stream and a header
-// followed by records carrying a "format" field, under a few flag
-// sets. Explore further with the command below; as for
+// golden (also with CRLF endings), a headerless stream of protocol
+// trace events and a header followed by records carrying a "format"
+// field, under a few flag sets. Explore further with the command below; as for
 // FuzzTelemetryReadAll, the 17 KB golden seed needs a short
 // minimization time or the workers stall.
 //
@@ -373,21 +335,16 @@ func FuzzSimtraceFilter(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	rec := trace.NewRecorder(8)
-	rec.Record(trace.Event{At: 1000, Node: 0, Kind: trace.TxStart, Frame: phy.RTS, Peer: 1})
-	rec.Record(trace.Event{At: 2000, Node: 1, Kind: trace.RxFrame, Frame: phy.RTS, Peer: 0})
-	rec.Record(trace.Event{At: 3000, Node: 0, Kind: trace.Backoff, Peer: -1, Note: "cw=31"})
-	var events bytes.Buffer
-	if err := rec.WriteJSONL(&events); err != nil {
-		f.Fatal(err)
-	}
+	events := []byte(`{"t":1000,"node":0,"kind":"tx","frame":"RTS","peer":1}` + "\n" +
+		`{"t":2000,"node":1,"kind":"rx","frame":"RTS","peer":0}` + "\n" +
+		`{"t":3000,"node":0,"kind":"backoff","peer":-1,"note":"cw=31"}` + "\n")
 	ms := int64(des.Millisecond)
 	f.Add(golden, -1, "", int64(0), int64(0))
 	f.Add(golden, 1, "node", 100*ms, 200*ms)
 	f.Add(golden, -1, "agg", int64(0), int64(0))
 	f.Add(golden, 2, "hist", int64(0), 50*ms)
-	f.Add(events.Bytes(), 0, "", int64(0), int64(0))
-	f.Add(events.Bytes(), -1, "tx", int64(1500), int64(0))
+	f.Add(events, 0, "", int64(0), int64(0))
+	f.Add(events, -1, "tx", int64(1500), int64(0))
 	f.Add([]byte{}, -1, "", int64(0), int64(0))
 	f.Add(bytes.ReplaceAll(golden, []byte("\n"), []byte("\r\n")), -1, "agg", int64(0), int64(0))
 	formats := []byte(`{"format":"repro-telemetry/v1","nodes":3}` + "\n" +

@@ -1,7 +1,7 @@
 // Command topogen generates node placements — the paper's concentric-ring
-// topologies or any other registered generator — and emits them as JSON
-// (one document per topology), for inspection or for feeding external
-// tools.
+// topologies or any other topology kind internal/sim knows — and emits
+// them as JSON (one document per topology), for inspection or for
+// feeding external tools.
 //
 // Examples:
 //

@@ -101,7 +101,7 @@ func Fig5Table(ns []float64) ([]Fig5Row, error) { return experiments.Fig5(ns) }
 // src→dst demand of traffic kind "flows", as indices into
 // TopologySpec.Positions; a Point is a position in units of the
 // transmission range. See internal/sim for the field documentation and
-// the registered topology, traffic and scheme names.
+// the topology, traffic and scheme names it accepts.
 type (
 	Scenario      = sim.Scenario
 	TopologySpec  = sim.TopologySpec

@@ -197,10 +197,11 @@ func jsonFieldName(f *types.Var, tag string) (name string, omitted bool) {
 // buildPathReads computes the union of field reads reachable from the
 // build/run roots: every function named Build or Run, plus every
 // function taking or receiving a Scenario, minus the serialization
-// plumbing. Traversal follows same-package call edges transitively
-// (registered component builders take the Scenario as a parameter, so
-// they are roots in their own right even when invoked through function
-// values the call graph cannot see).
+// plumbing. Traversal follows same-package call edges transitively, so
+// it reaches the topology generators and traffic sources, which
+// GenerateTopology and Build call directly. A call through a function
+// value is no edge: a part invoked that way would be read only if it
+// took the Scenario itself.
 func buildPathReads(pkg *framework.Package) map[fieldKey]token.Pos {
 	sums := framework.Summaries(pkg)
 	var roots []*types.Func

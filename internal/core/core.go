@@ -79,16 +79,18 @@ func AllSchemes() []Scheme {
 // "DRTSOCTS", "drts/octs", " ORTS_OCTS ", ...) to its Scheme value.
 // Case is ignored, surrounding whitespace is trimmed, and the
 // separators "-", "_", "/" and " " are interchangeable (including
-// absent) — every spelling the docs and CLI flags use parses.
+// absent) — every spelling the docs and CLI flags use parses. The
+// beam-mode names "omni" and "directional" stand for ORTS-OCTS and
+// DRTS-DCTS.
 func ParseScheme(s string) (Scheme, error) {
 	norm := strings.ToUpper(strings.TrimSpace(s))
 	for _, sep := range []string{"-", "_", "/", " "} {
 		norm = strings.ReplaceAll(norm, sep, "")
 	}
 	switch norm {
-	case "ORTSOCTS":
+	case "ORTSOCTS", "OMNI":
 		return ORTSOCTS, nil
-	case "DRTSDCTS":
+	case "DRTSDCTS", "DIRECTIONAL":
 		return DRTSDCTS, nil
 	case "DRTSOCTS":
 		return DRTSOCTS, nil

@@ -402,6 +402,12 @@ func TestParseScheme(t *testing.T) {
 		{"\tORTS_OCTS\n", ORTSOCTS, false},
 		{"orts_dcts", ORTSDCTS, false},
 		{"o-r-t-s_o_c_t_s", ORTSOCTS, false},
+		// The beam-mode aliases.
+		{"omni", ORTSOCTS, false},
+		{"OMNI", ORTSOCTS, false},
+		{"Om-Ni", ORTSOCTS, false},
+		{"directional", DRTSDCTS, false},
+		{" Directional ", DRTSDCTS, false},
 		{"bogus", 0, true},
 		{"", 0, true},
 		{"   ", 0, true},

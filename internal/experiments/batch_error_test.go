@@ -1,47 +1,31 @@
 package experiments
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/topology"
 )
 
-// A topology kind that fails for every shard whose derived seed is
-// divisible by 4, injected through topology.kind so RunBatch's
-// error path can be pinned without touching production generators.
-func init() {
-	sim.RegisterTopology("failing-batch", func(rng *rand.Rand, sc sim.Scenario) (*topology.Topology, error) {
-		if sc.Seed%4 == 0 {
-			return nil, errInjected(sc.Seed)
-		}
-		return topology.Generate(rng, topology.DefaultConfig(sc.Topology.N))
-	})
-}
-
-type errInjected int64
-
-func (e errInjected) Error() string { return "injected topology failure" }
-
-// TestRunBatchDeterministicError pins the error contract: quickScenario's
-// base seed is 7, so shards 1 and 5 (seeds 8 and 12) hit the injected
-// failure; the reported error must always come from shard 1, whichever
-// goroutine fails first.
+// TestRunBatchDeterministicError pins the error contract: in a cell
+// whose every shard fails, the reported error is shard 0's, whichever
+// goroutine fails first. A grid of N=2 on one ring fails every shard:
+// the lattice keeps only the origin. (sim's TestRunnerLowestShardErrorWins
+// pins the lowest-index rule when only some shards fail.)
 func TestRunBatchDeterministicError(t *testing.T) {
-	sc := quickScenario(core.DRTSDCTS, 3, 60)
-	sc.Topology.Kind = "failing-batch"
+	sc := quickScenario(core.DRTSDCTS, 2, 60)
+	sc.Topology.Kind = "grid"
+	sc.Topology.Rings = 1
 	var first string
 	for trial := 0; trial < 10; trial++ {
-		_, err := RunBatch(sim.Runner{}, sc, 8)
+		_, err := RunBatch(sim.Runner{Workers: 4}, sc, 8)
 		if err == nil {
-			t.Fatal("want error from injected failing topology")
+			t.Fatal("want error from a grid too small for n=2")
 		}
 		msg := err.Error()
-		if !strings.Contains(msg, "shard 1 (seed 8)") {
-			t.Fatalf("trial %d: error does not name the lowest failing shard: %v", trial, err)
+		if !strings.Contains(msg, "shard 0 (seed 7)") || !strings.Contains(msg, "grid topology produced 1 nodes, fewer than n=2") {
+			t.Fatalf("trial %d: error does not report shard 0's failure: %v", trial, err)
 		}
 		if first == "" {
 			first = msg
@@ -51,13 +35,15 @@ func TestRunBatchDeterministicError(t *testing.T) {
 	}
 }
 
-// TestRunBatchSucceedsWithInjectedKind: shards that miss the failing
-// seeds run the normal generator, so a batch that avoids them works.
+// TestRunBatchSucceedsWithInjectedKind: the kind named through
+// topology.kind that fails every shard above runs every shard once its
+// field holds N nodes (N=3 on the default 3 rings), so a batch of a
+// non-default kind that avoids the failure works.
 func TestRunBatchSucceedsWithInjectedKind(t *testing.T) {
 	sc := quickScenario(core.DRTSDCTS, 3, 60)
-	sc.Topology.Kind = "failing-batch"
-	sc.Seed = 9 // shard seeds 9..11: none divisible by 4
-	b, err := RunBatch(sim.Runner{}, sc, 3)
+	sc.Topology.Kind = "grid"
+	sc.Seed = 9
+	b, err := RunBatch(sim.Runner{Workers: 4}, sc, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

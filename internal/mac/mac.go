@@ -100,14 +100,11 @@ type Config struct {
 	// from Ko et al.'s second scheme (discussed in the paper's related
 	// work): the RTS is sent directionally only while the destination's
 	// recorded location is fresher than this threshold, and falls back to
-	// omni-directional otherwise. Combine with PiggybackLocation so
-	// responses refresh the table.
+	// omni-directional otherwise. It also attaches the sender's current
+	// position to every frame and lets receivers update their neighbor
+	// tables from it — the location service many directional MAC designs
+	// assume — so responses refresh the table.
 	AdaptiveRTSStaleness des.Time
-
-	// PiggybackLocation attaches the sender's current position to every
-	// frame and lets receivers update their neighbor tables from it —
-	// the location service many directional MAC designs assume.
-	PiggybackLocation bool
 
 	// Tracer, when non-nil, receives structured protocol events
 	// (transmissions, timeouts, backoff draws, ...). Nil disables
@@ -597,7 +594,7 @@ func (n *Node) sendDataDirect() {
 		return
 	}
 	f := phy.Frame{Type: phy.Data, Src: n.ID(), Dst: n.cur.Dst, Bytes: n.cur.Bytes, NAV: nav, Seq: n.cur.Seq}
-	if n.cfg.PiggybackLocation {
+	if n.cfg.AdaptiveRTSStaleness > 0 {
 		f.Payload = n.radio.Pos()
 	}
 	if _, err := n.radio.Transmit(f, mode); err != nil {
@@ -623,7 +620,7 @@ func (n *Node) sendRTS() {
 	}
 	n.seq++
 	f := phy.Frame{Type: phy.RTS, Src: n.ID(), Dst: n.cur.Dst, Bytes: n.cfg.RTSBytes, NAV: nav, Seq: n.seq}
-	if n.cfg.PiggybackLocation {
+	if n.cfg.AdaptiveRTSStaleness > 0 {
 		f.Payload = n.radio.Pos()
 	}
 	if _, err := n.radio.Transmit(f, mode); err != nil {
@@ -703,7 +700,7 @@ func (n *Node) fireResponse() {
 // respond transmits a SIFS response frame; on radio conflict the response
 // is silently abandoned (the peer's timeout recovers).
 func (n *Node) respond(f phy.Frame, ft phy.FrameType, dst phy.NodeID) bool {
-	if n.cfg.PiggybackLocation {
+	if n.cfg.AdaptiveRTSStaleness > 0 {
 		f.Payload = n.radio.Pos()
 	}
 	mode, err := n.mode(ft, dst)
@@ -725,7 +722,7 @@ func (n *Node) respond(f phy.Frame, ft phy.FrameType, dst phy.NodeID) bool {
 func (n *Node) OnFrame(f phy.Frame) {
 	n.needEIFS = false // correct reception terminates EIFS deference
 	now := n.sched.Now()
-	if n.cfg.PiggybackLocation {
+	if n.cfg.AdaptiveRTSStaleness > 0 {
 		if pos, ok := f.Payload.(geom.Point); ok {
 			n.table.LearnAt(f.Src, pos, now)
 		}

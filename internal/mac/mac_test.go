@@ -464,7 +464,6 @@ func TestAdaptiveRTSRecoversFromStaleBearing(t *testing.T) {
 		cfg := mac.DefaultConfig(core.DRTSDCTS, math.Pi/6) // narrow 30° beam
 		if adaptive {
 			cfg.AdaptiveRTSStaleness = 100 * des.Millisecond
-			cfg.PiggybackLocation = true
 		}
 		// The destination actually sits north; the sender's table says east.
 		senderTable := neighbor.NewTable(0, geom.Point{})
@@ -500,7 +499,6 @@ func TestAdaptiveRTSRecoversFromStaleBearing(t *testing.T) {
 func TestPiggybackKeepsDirectionalFresh(t *testing.T) {
 	cfg := mac.DefaultConfig(core.DRTSDCTS, math.Pi/6)
 	cfg.AdaptiveRTSStaleness = des.Second
-	cfg.PiggybackLocation = true
 	nw := simtest.Build(t, 9, cfg, []simtest.NodeSpec{
 		{Pos: geom.Point{X: 0, Y: 0}, Source: simtest.SaturatedBytes(1460, 1)},
 		{Pos: geom.Point{X: 0.5, Y: 0}, Source: simtest.Responder()},

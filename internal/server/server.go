@@ -17,10 +17,12 @@
 //
 // Telemetry streaming (`POST /v1/runs?telemetry=1`) deliberately
 // bypasses the result cache: the export is a per-record side effect a
-// cached Result cannot replay (the same rule that makes telemetry-
-// enabled runs uncacheable in internal/sim), so each streaming request
-// executes its own run and forwards records to the client as they are
-// sampled.
+// cached Result cannot replay (the same rule that keeps runs with a
+// telemetry sink out of the cache in internal/sim), so each streaming
+// request executes its own run and forwards records to the client as
+// they are sampled. A plain POST of a scenario with a telemetry section
+// attaches no sink; its Result is the same without one, so it is cached
+// like any other.
 //
 // Determinism scoping: this package is serving infrastructure, not
 // simulation code — it runs *around* simulations, never inside them —
@@ -224,9 +226,8 @@ func (s *Server) handlePostRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	cacheable := sc.Cacheable()
 	payload, source, shared, err := s.sf.do(key, func() ([]byte, string, error) {
-		if cacheable && s.cfg.Cache != nil {
+		if s.cfg.Cache != nil {
 			if p, ok := s.cfg.Cache.Get(key); ok {
 				s.counters.hits.add(1)
 				return p, serveHit, nil
@@ -237,7 +238,7 @@ func (s *Server) handlePostRun(w http.ResponseWriter, r *http.Request) {
 			return nil, "", err
 		}
 		s.counters.misses.add(1)
-		if cacheable && s.cfg.Cache != nil {
+		if s.cfg.Cache != nil {
 			_ = s.cfg.Cache.Put(key, p) // best effort; the result stands
 		}
 		return p, serveRun, nil

@@ -443,6 +443,30 @@ func TestTelemetryStreaming(t *testing.T) {
 	}
 }
 
+// TestTelemetryScenarioCached: a plain POST of a scenario with a
+// telemetry section attaches no sink, and the section leaves the Result
+// unchanged, so the repeat POST is a cache hit serving the same bytes.
+func TestTelemetryScenarioCached(t *testing.T) {
+	s, ts := newTestServer(t, Config{Cache: newStore(t)})
+	sc, err := sim.LoadScenario(filepath.Join("..", "sim", "testdata", "telemetry-trajectory.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := localBody(t, sc)
+	for i, wantSrc := range []string{serveRun, serveHit} {
+		resp := post(t, ts.URL+"/v1/runs", scenarioBody(t, sc))
+		if src := resp.Header.Get("X-Simd-Source"); src != wantSrc {
+			t.Errorf("POST %d source = %q, want %q", i, src, wantSrc)
+		}
+		if got := readBody(t, resp); !bytes.Equal(got, want) {
+			t.Errorf("POST %d body differs from local run", i)
+		}
+	}
+	if st := s.Stats(); st.Executed != 1 || st.CacheHits != 1 || st.CacheMisses != 1 {
+		t.Errorf("stats = %+v, want 1 miss, 1 hit, 1 executed", st)
+	}
+}
+
 // TestBadRequests covers the admission layer's rejections.
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})

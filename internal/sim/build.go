@@ -6,10 +6,11 @@ package sim
 // determinism contract: every random draw comes from either the topology
 // stream (seeded Seed) or the protocol stream (seeded Seed^0x5eed) in a
 // fixed sequence, so identical scenarios produce bit-identical results.
-// The kernel-determinism goldens in internal/experiments pin this.
+// Observers that draw (the delay reservoir, the telemetry node sample)
+// have streams of their own. The kernel-determinism goldens in
+// internal/experiments pin this.
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -26,6 +27,10 @@ import (
 	"repro/internal/traffic"
 )
 
+// delaySampleSeed salts the scenario seed for the delay reservoir's
+// stream, as telemetrySampleSeed does for the telemetry node sample.
+const delaySampleSeed = 0xde1a7
+
 // Options carries the runtime (non-serializable) hooks a caller may
 // attach alongside a declarative Scenario.
 type Options struct {
@@ -38,10 +43,10 @@ type Options struct {
 	// effects are not part of the content address.
 	Cache *cache.Store
 	// Telemetry receives the streaming export of a run whose scenario
-	// enables telemetry (ignored otherwise). When nil, Build provides an
-	// in-memory Buffer exposed as Sim.Telemetry. Telemetry-enabled runs
-	// bypass the cache — like Tracer, the sink's side effects cannot be
-	// replayed from a cached result.
+	// enables telemetry (ignored otherwise); without a sink the run
+	// samples nothing. A run with a sink bypasses the cache — like
+	// Tracer, the sink's side effects cannot be replayed from a cached
+	// result.
 	Telemetry telemetry.Sink
 	// Workers is ignored: every run executes on one scheduler. It stays
 	// so that callers written against the retired partitioned kernel
@@ -66,11 +71,8 @@ type Sim struct {
 	// Recorder is the trace ring when the scenario asked for one
 	// (trace kind "recorder" and no Options.Tracer override).
 	Recorder *trace.Recorder
-	// Telemetry is the in-memory export buffer when the scenario enables
-	// telemetry and no Options.Telemetry sink was supplied.
-	Telemetry *telemetry.Buffer
 
-	starters []SelfDriven
+	starters []selfDriven
 	delayRes *stats.Reservoir
 	tel      *telemetryCollector
 }
@@ -152,9 +154,7 @@ func mean(xs []float64) float64 {
 // 1460-byte packets, a 64-packet CBR queue.
 func (sc Scenario) resolvedTrafficSpec() TrafficSpec {
 	spec := sc.Traffic
-	if spec.Kind == "" {
-		spec.Kind = "saturated"
-	}
+	_, spec.Kind = sc.kinds()
 	if spec.PacketBytes == 0 {
 		spec.PacketBytes = traffic.PaperPacketBytes
 	}
@@ -162,25 +162,6 @@ func (sc Scenario) resolvedTrafficSpec() TrafficSpec {
 		spec.QueueCap = 64
 	}
 	return spec
-}
-
-// GenerateTopology resolves the scenario's topology section through the
-// registry: the generator named by Kind draws from rng (seed it from
-// Scenario.Seed for the canonical placement).
-func GenerateTopology(rng *rand.Rand, sc Scenario) (*topology.Topology, error) {
-	kind := sc.Topology.Kind
-	if kind == "" {
-		kind = "rings"
-	}
-	builder, ok := lookupTopology(kind)
-	if !ok {
-		return nil, fmt.Errorf("sim: topology.kind: unknown topology kind %q (registered: %v)", kind, TopologyKinds())
-	}
-	topo, err := builder(rng, sc)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	return topo, nil
 }
 
 // Build assembles the scenario into a runnable simulation. The returned
@@ -237,14 +218,8 @@ func Build(sc Scenario, opts Options) (*Sim, error) {
 	}
 
 	var tel *telemetryCollector
-	var telBuf *telemetry.Buffer
-	if sc.Telemetry.Enabled() {
-		sink := opts.Telemetry
-		if sink == nil {
-			telBuf = telemetry.NewBuffer()
-			sink = telBuf
-		}
-		tel, err = newTelemetryCollector(sc, sink, ch, topo.InnerCount())
+	if sc.Telemetry.Enabled() && opts.Telemetry != nil {
+		tel, err = newTelemetryCollector(sc, opts.Telemetry, ch, topo.InnerCount())
 		if err != nil {
 			return nil, err
 		}
@@ -257,39 +232,32 @@ func Build(sc Scenario, opts Options) (*Sim, error) {
 		macCfg.Metrics = tel.macMetrics()
 	}
 	macCfg.BasicAccess = sc.Ablations.BasicAccess
-	if sc.Ablations.AdaptiveRTS > 0 {
-		macCfg.AdaptiveRTSStaleness = des.Time(sc.Ablations.AdaptiveRTS)
-		macCfg.PiggybackLocation = true
-	}
+	macCfg.AdaptiveRTSStaleness = des.Time(sc.Ablations.AdaptiveRTS)
 	// Every node reads one shared config; the inner nodes read a copy
 	// that also reports each delivery's delay when the scenario samples
-	// delays.
+	// delays. The reservoir draws from a stream of its own: once it is
+	// full, every delivery draws, and a draw from the protocol stream
+	// would move every later backoff.
 	innerCfg := &macCfg
 	var delayRes *stats.Reservoir
 	if sc.SampleDelays {
-		delayRes = stats.NewReservoir(4096, sched.Rand())
+		delayRes = stats.NewReservoir(4096, rand.New(rand.NewSource(sc.Seed^delaySampleSeed)))
 		inner := macCfg
 		inner.OnDelivery = func(d des.Time) { delayRes.Add(d.Seconds()) }
 		innerCfg = &inner
 	}
 
 	trafficSpec := sc.resolvedTrafficSpec()
-	buildSource, ok := lookupTraffic(trafficSpec.Kind)
-	if !ok {
-		return nil, fmt.Errorf("sim: traffic.kind: unknown traffic kind %q (registered: %v)", trafficSpec.Kind, TrafficKinds())
-	}
-
 	s := &Sim{
-		Scenario:  sc,
-		Sched:     sched,
-		Channel:   ch,
-		Topology:  topo,
-		Nodes:     make([]*mac.Node, ch.NumRadios()),
-		Tables:    tables,
-		Recorder:  recorder,
-		Telemetry: telBuf,
-		delayRes:  delayRes,
-		tel:       tel,
+		Scenario: sc,
+		Sched:    sched,
+		Channel:  ch,
+		Topology: topo,
+		Nodes:    make([]*mac.Node, ch.NumRadios()),
+		Tables:   tables,
+		Recorder: recorder,
+		delayRes: delayRes,
+		tel:      tel,
 	}
 	// Per-node assembly is allocation-lean (DESIGN.md §15): MAC nodes
 	// come from one backing array and share their config, the built-in
@@ -303,8 +271,8 @@ func Build(sc Scenario, opts Options) (*Sim, error) {
 		id := phy.NodeID(i)
 		var src mac.Source = traffic.Empty{}
 		if nbs := ch.InRange(id); len(nbs) > 0 {
-			src, err = buildSource(TrafficEnv{
-				Sched: sched, Rand: sched.Rand(), ID: id, Neighbors: nbs, Spec: trafficSpec,
+			src, err = newSource(trafficEnv{
+				sched: sched, rand: sched.Rand(), id: id, neighbors: nbs, spec: trafficSpec,
 				sources: sources,
 			})
 			if err != nil {
@@ -319,10 +287,10 @@ func Build(sc Scenario, opts Options) (*Sim, error) {
 		if err := mac.NewInto(s.Nodes[i], sched, ch.Radio(id), tables[i], src, nodeCfg); err != nil {
 			return nil, err
 		}
-		if sd, ok := src.(SelfDriven); ok {
+		if sd, ok := src.(selfDriven); ok {
 			sd.SetKick(s.Nodes[i])
 			if s.starters == nil {
-				s.starters = make([]SelfDriven, 0, ch.NumRadios()-i)
+				s.starters = make([]selfDriven, 0, ch.NumRadios()-i)
 			}
 			s.starters = append(s.starters, sd)
 		}

@@ -38,6 +38,39 @@ func TestRunScenarioDeterministic(t *testing.T) {
 	}
 }
 
+// TestSampleDelaysLeavesRunUnchanged: sampling delays only observes the
+// run. With 100-byte packets, 8 s of DRTS-DCTS at N=8, θ=30° offers the
+// reservoir over 5 000 deliveries, more than its 4 096 slots, so every
+// later delivery draws a replacement index; those draws must not come
+// from the protocol stream.
+func TestSampleDelaysLeavesRunUnchanged(t *testing.T) {
+	sc := Scenario{
+		Scheme: "DRTS-DCTS", BeamwidthDeg: 30, Seed: 3, Duration: Duration(8 * des.Second),
+		Topology: TopologySpec{N: 8}, Traffic: TrafficSpec{PacketBytes: 100},
+	}
+	plain, err := RunScenario(sc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.SampleDelays = true
+	sampled, err := RunScenario(sc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var offered int64
+	for _, st := range sampled.NodeStats[:sc.Topology.N] {
+		offered += st.DelayCount
+	}
+	if offered <= 4096 || len(sampled.DelaySamplesSec) != 4096 {
+		t.Fatalf("%d deliveries, %d samples: the reservoir never overflowed", offered, len(sampled.DelaySamplesSec))
+	}
+	sampled.DelaySamplesSec = nil
+	if !reflect.DeepEqual(sampled, plain) {
+		t.Errorf("sampling delays changed the run: mean throughput %v b/s, %v b/s without sampling",
+			sampled.MeanThroughputBps(), plain.MeanThroughputBps())
+	}
+}
+
 func TestBuildRecorderFromScenario(t *testing.T) {
 	sc := quickScenario()
 	sc.Trace = TraceSpec{Kind: "recorder", Capacity: 256}
@@ -219,13 +252,13 @@ func TestBuildAllocBudget(t *testing.T) {
 		budget float64
 		bytes  uint64 // 0: not pinned
 	}{
-		{"scale/uniform-10k.json", false, 82, 13_000_000},
-		{"paper-drts-dcts.json", false, 31, 0},
+		{"scale/uniform-10k.json", false, 61, 13_000_000},
+		{"paper-drts-dcts.json", false, 30, 0},
 		// CBR sources come from one backing too and wake their node
 		// through an interface, so they cost what saturated ones do plus
 		// the list of sources Run starts.
-		{"scale/uniform-10k.json", true, 82 + 2, 0},
-		{"paper-drts-dcts.json", true, 31 + 2, 0},
+		{"scale/uniform-10k.json", true, 61 + 1, 0},
+		{"paper-drts-dcts.json", true, 30 + 1, 0},
 	} {
 		sc, err := LoadScenario(filepath.Join("testdata", tc.file))
 		if err != nil {

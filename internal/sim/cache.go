@@ -3,9 +3,10 @@ package sim
 // Result caching. Determinism is the enabler: a Scenario's canonical
 // bytes plus the engine fingerprint fully determine the Result (the
 // kernel-determinism goldens pin this), so a content-addressed lookup
-// can replace a simulation run bit-for-bit. Runs with a tracer or
-// telemetry attached are NOT cached: replaying a cached result would
-// silently drop their side effects.
+// can replace a simulation run bit-for-bit. Runs with a tracer or a
+// telemetry sink attached are NOT cached: replaying a cached result
+// would silently drop their side effects. A scenario's telemetry section
+// alone does not change its Result, so it does not keep a run out.
 
 import "repro/internal/cache"
 
@@ -31,11 +32,16 @@ import "repro/internal/cache"
 // v5: stats.JainIndex clamps its ratio to 1. Equal shares whose rounded
 // sums put the ratio a few ulps above 1 now read exactly 1, and v4
 // caches may hold the unclamped Jain bytes.
-const EngineFingerprint = "repro-sim/v5"
+//
+// v6: the sampleDelays reservoir draws from its own stream. It drew from
+// the protocol stream, so a run that offered it more than 4 096
+// deliveries moved every later backoff; v5 caches hold those results.
+const EngineFingerprint = "repro-sim/v6"
 
 // optionsFingerprint describes the cacheable Options state. Runs are
-// only cached without a tracer, so today this is a single canonical
-// value; it becomes a real encoding if cacheable options ever appear.
+// only cached without a tracer or telemetry sink, so today this is a
+// single canonical value; it becomes a real encoding if cacheable
+// options ever appear.
 const optionsFingerprint = "default"
 
 // ScenarioKey computes the content address of a scenario's result:
@@ -57,16 +63,10 @@ func ScenarioKey(sc Scenario) (cache.Key, error) {
 		Key(), nil
 }
 
-// Cacheable reports whether a run of sc may be served from or stored to
-// a result cache, here and in internal/server. Telemetry-enabled
-// scenarios bypass the cache entirely: the streaming export is a side
-// effect a cached Result cannot replay, exactly like a Tracer.
-func (sc Scenario) Cacheable() bool { return !sc.Telemetry.Enabled() }
-
-// cacheable reports whether a run of sc under opts may use opts.Cache:
-// the scenario must be cacheable and no Tracer attached.
-func cacheable(sc Scenario, opts Options) bool {
-	return opts.Cache != nil && opts.Tracer == nil && sc.Cacheable()
+// cacheable reports whether a run under opts may use opts.Cache: no
+// Tracer and no telemetry sink attached.
+func cacheable(opts Options) bool {
+	return opts.Cache != nil && opts.Tracer == nil && opts.Telemetry == nil
 }
 
 // runCached serves sc from the cache when possible, otherwise runs it

@@ -20,7 +20,7 @@ import (
 // (and no runtime overrides attached) the result is served from the
 // content-addressed store when present, bit-identical to a fresh run.
 func RunScenario(sc Scenario, opts Options) (*Result, error) {
-	if cacheable(sc, opts) {
+	if cacheable(opts) {
 		return runCached(sc, opts)
 	}
 	s, err := Build(sc, opts)
@@ -50,6 +50,10 @@ type Runner struct {
 	// Options is passed to every shard's Build. Callers attaching a
 	// Tracer must make it safe for concurrent use.
 	Options Options
+
+	// run executes one shard; nil means RunScenario. Tests set it to
+	// inject shard failures.
+	run func(Scenario, Options) (*Result, error)
 }
 
 // Run executes shards 0..shards-1 of base and returns their results in
@@ -68,6 +72,10 @@ func (r Runner) Run(base Scenario, shards int) ([]*Result, error) {
 	}
 	if workers > shards {
 		workers = shards
+	}
+	run := r.run
+	if run == nil {
+		run = RunScenario
 	}
 	results := make([]*Result, shards)
 	// When the caller attached a telemetry sink, each shard streams into
@@ -109,7 +117,7 @@ func (r Runner) Run(base Scenario, shards int) ([]*Result, error) {
 				if telBufs != nil {
 					opts.Telemetry = telBufs[i]
 				}
-				res, err := RunScenario(Shard(base, i), opts)
+				res, err := run(Shard(base, i), opts)
 				if err != nil {
 					mu.Lock()
 					if i < failIdx {

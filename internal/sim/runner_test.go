@@ -2,24 +2,18 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/topology"
 )
 
-// failEverySeedDivisibleBy3 is an injected topology generator: shards
-// whose derived seed is divisible by 3 fail, everything else builds the
-// normal ring placement. Registered once for the whole test binary.
-func init() {
-	RegisterTopology("failing-test", func(rng *rand.Rand, sc Scenario) (*topology.Topology, error) {
-		if sc.Seed%3 == 0 {
-			return nil, fmt.Errorf("injected failure for seed %d", sc.Seed)
-		}
-		return buildRings(rng, sc)
-	})
+// failEverySeedDivisibleBy3 runs shards whose derived seed is divisible
+// by 3 into an injected failure, and every other shard normally.
+func failEverySeedDivisibleBy3(sc Scenario, opts Options) (*Result, error) {
+	if sc.Seed%3 == 0 {
+		return nil, fmt.Errorf("injected failure for seed %d", sc.Seed)
+	}
+	return RunScenario(sc, opts)
 }
 
 func quickScenario() Scenario {
@@ -73,13 +67,12 @@ func TestRunnerMatchesSequentialRuns(t *testing.T) {
 // be shard 2's.
 func TestRunnerLowestShardErrorWins(t *testing.T) {
 	base := quickScenario()
-	base.Topology.Kind = "failing-test"
 	const shards = 8
 	var first string
 	for trial := 0; trial < 20; trial++ {
-		_, err := Runner{Workers: 4}.Run(base, shards)
+		_, err := Runner{Workers: 4, run: failEverySeedDivisibleBy3}.Run(base, shards)
 		if err == nil {
-			t.Fatal("want error from injected failing topology")
+			t.Fatal("want error from injected shard failures")
 		}
 		msg := err.Error()
 		if !strings.Contains(msg, "shard 2 (seed 3)") {

@@ -1,19 +1,18 @@
 // Package sim owns simulation assembly: a declarative, JSON-serializable
 // Scenario spec describing one complete run (scheme, beamwidth, topology,
 // traffic, mobility, PHY parameters, ablation toggles, seeds, duration and
-// trace sinks), registries for the composable parts (topology generators,
-// traffic sources, antenna/beam modes), a Build step that wires the spec
-// into a live scheduler + channel + MAC nodes, and a sharded Runner that
-// fans a scenario out over independent seeds with a bounded worker pool.
+// trace sinks), the closed set of parts a scenario can name (topology and
+// traffic kinds), a Build step that wires the spec into a live scheduler
+// + channel + MAC nodes, and a sharded Runner that fans a scenario out
+// over independent seeds with a bounded worker pool.
 //
 // A Scenario plus Options is the only description of a run, and Build is
 // the only assembly path outside the MAC test fixtures (sim/simtest):
 // the CLIs, the experiment studies, the daemon and the dirca facade all
-// build a Scenario. New workloads are added by registering a component,
-// not by editing assembly code, and whole experiment grids are files,
-// not flag soup. Determinism is the contract — building and running the
-// same Scenario twice produces bit-identical results (pinned by the
-// kernel-determinism goldens and the countdown corpus).
+// build a Scenario, and whole experiment grids are files, not flag soup.
+// Determinism is the contract — building and running the same Scenario
+// twice produces bit-identical results (pinned by the kernel-determinism
+// goldens and the countdown corpus).
 package sim
 
 import (
@@ -59,8 +58,8 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 
 // TopologySpec selects and parameterizes a node-placement generator.
 type TopologySpec struct {
-	// Kind names a registered topology generator; empty means "rings"
-	// (the paper's constrained concentric-ring placement).
+	// Kind names a topology generator (TopologyKinds); empty means
+	// "rings" (the paper's constrained concentric-ring placement).
 	Kind string `json:"kind,omitempty"`
 	// N is the density parameter: the number of measured inner nodes.
 	N int `json:"n"`
@@ -77,10 +76,10 @@ type TopologySpec struct {
 
 // TrafficSpec selects and parameterizes the per-node traffic source.
 type TrafficSpec struct {
-	// Kind names a registered traffic source; empty means "saturated"
-	// (the paper's always-backlogged CBR). "cbr" paces arrivals at
-	// OfferedLoadBps; "flows" saturates the explicit Flows; "none"
-	// generates nothing.
+	// Kind names a traffic source (TrafficKinds); empty means
+	// "saturated" (the paper's always-backlogged CBR). "cbr" paces
+	// arrivals at OfferedLoadBps; "flows" saturates the explicit Flows;
+	// "none" generates nothing.
 	Kind string `json:"kind,omitempty"`
 	// PacketBytes is the data payload size (0 means 1460, Table 1).
 	PacketBytes int `json:"packetBytes,omitempty"`
@@ -174,8 +173,8 @@ type Scenario struct {
 	// Name optionally labels the scenario in reports.
 	Name string `json:"name,omitempty"`
 	// Scheme names the collision-avoidance variant (any spelling
-	// core.ParseScheme accepts, or a registered beam-mode alias such as
-	// "omni").
+	// core.ParseScheme accepts, aliases "omni" and "directional"
+	// included).
 	Scheme string `json:"scheme"`
 	// BeamwidthDeg is the transmission beamwidth in degrees (ignored by
 	// ORTS-OCTS).
@@ -209,22 +208,20 @@ type Scenario struct {
 	Partition string `json:"partition,omitempty"`
 }
 
-// ResolvedScheme parses the scenario's scheme name through the beam-mode
-// registry (which includes every core scheme spelling plus registered
-// aliases).
+// ResolvedScheme parses the scenario's scheme name with core.ParseScheme.
 func (sc Scenario) ResolvedScheme() (core.Scheme, error) {
-	return ResolveScheme(sc.Scheme)
+	return core.ParseScheme(sc.Scheme)
 }
 
-// Validate checks the scenario against the registries and parameter
-// ranges. It is called by Build, but cheap enough to run up front when
-// loading user-supplied files. Error messages name the offending field
-// by its JSON path ("sim: topology.n: must be at least 2, ..."), so a
-// bad hand-written file points straight at the line to fix.
+// Validate checks the scenario's part kinds and parameter ranges. It is
+// called by Build, but cheap enough to run up front when loading
+// user-supplied files. Error messages name the offending field by its
+// JSON path ("sim: topology.n: must be at least 2, ..."), so a bad
+// hand-written file points straight at the line to fix.
 func (sc Scenario) Validate() error {
 	scheme, err := sc.ResolvedScheme()
 	if err != nil {
-		// ResolveScheme reports in core's vocabulary ("core: unknown
+		// core.ParseScheme reports in core's vocabulary ("core: unknown
 		// scheme ..."); rewrap so the message names the JSON path like
 		// every other validation error here.
 		return fmt.Errorf("sim: scheme: %w", err)
@@ -271,12 +268,9 @@ func (sc Scenario) Validate() error {
 }
 
 func (sc Scenario) validateTopology() error {
-	kind := sc.Topology.Kind
-	if kind == "" {
-		kind = "rings"
-	}
-	if _, ok := lookupTopology(kind); !ok {
-		return fmt.Errorf("sim: topology.kind: unknown topology kind %q (registered: %v)", kind, TopologyKinds())
+	kind, _ := sc.kinds()
+	if !slices.Contains(TopologyKinds(), kind) {
+		return fmt.Errorf("sim: topology.kind: unknown topology kind %q (known: %v)", kind, TopologyKinds())
 	}
 	if sc.Topology.N < 2 {
 		return fmt.Errorf("sim: topology.n: must be at least 2, got %d", sc.Topology.N)
@@ -302,12 +296,9 @@ func (sc Scenario) validateTopology() error {
 }
 
 func (sc Scenario) validateTraffic() error {
-	kind := sc.Traffic.Kind
-	if kind == "" {
-		kind = "saturated"
-	}
-	if _, ok := lookupTraffic(kind); !ok {
-		return fmt.Errorf("sim: traffic.kind: unknown traffic kind %q (registered: %v)", kind, TrafficKinds())
+	topo, kind := sc.kinds()
+	if !slices.Contains(TrafficKinds(), kind) {
+		return fmt.Errorf("sim: traffic.kind: unknown traffic kind %q (known: %v)", kind, TrafficKinds())
 	}
 	if sc.Traffic.PacketBytes < 0 {
 		return fmt.Errorf("sim: traffic.packetBytes: must be non-negative, got %d", sc.Traffic.PacketBytes)
@@ -330,10 +321,7 @@ func (sc Scenario) validateTraffic() error {
 	if len(sc.Traffic.Flows) == 0 {
 		return fmt.Errorf("sim: traffic.flows: kind \"flows\" needs at least one flow")
 	}
-	if topo := sc.Topology.Kind; topo != "explicit" {
-		if topo == "" {
-			topo = "rings"
-		}
+	if topo != "explicit" {
 		return fmt.Errorf("sim: traffic.flows: flows index topology.positions, so topology.kind must be \"explicit\", got %q", topo)
 	}
 	nodes := len(sc.Topology.Positions)

@@ -127,19 +127,17 @@ func TestTelemetryFinalAggMatchesResult(t *testing.T) {
 // per inner node per tick plus one aggregate per tick, interval-aligned.
 func TestTelemetrySampleCount(t *testing.T) {
 	sc := telemetryScenario(t)
-	s, err := Build(sc, Options{})
+	buf := telemetry.NewBuffer()
+	s, err := Build(sc, Options{Telemetry: buf})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if s.Telemetry == nil {
-		t.Fatal("Build did not expose a telemetry buffer for a sink-less run")
 	}
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	ticks := int64(sc.Duration) / int64(sc.Telemetry.Interval)
 	var aggs, nodes int64
-	for _, r := range s.Telemetry.Records() {
+	for _, r := range buf.Records() {
 		switch r.Kind {
 		case telemetry.KindAgg:
 			aggs++
@@ -153,7 +151,7 @@ func TestTelemetrySampleCount(t *testing.T) {
 	if want := ticks * int64(s.Topology.InnerCount()); nodes != want {
 		t.Errorf("got %d node samples, want %d", nodes, want)
 	}
-	h := s.Telemetry.Header()
+	h := buf.Header()
 	if h.IntervalNs != int64(sc.Telemetry.Interval) || h.DurationNs != int64(sc.Duration) {
 		t.Errorf("header timing = %+v", h)
 	}
@@ -206,7 +204,8 @@ func TestTelemetryFinalSample(t *testing.T) {
 func TestTelemetryCountsExcludeBootstrap(t *testing.T) {
 	sc := telemetryScenario(t)
 	sc.Ablations.HelloBootstrap = true
-	s, err := Build(sc, Options{})
+	buf := telemetry.NewBuffer()
+	s, err := Build(sc, Options{Telemetry: buf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +219,7 @@ func TestTelemetryCountsExcludeBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := make(map[string]int64)
-	for _, r := range s.Telemetry.Records() {
+	for _, r := range buf.Records() {
 		if r.Kind == telemetry.KindCounter {
 			counts[r.Name] = r.Count
 		}
@@ -334,19 +333,22 @@ func TestTelemetryMaxNodesBounded(t *testing.T) {
 	}
 }
 
-// TestTelemetryBypassesCache: a telemetry-enabled scenario must never be
+// TestTelemetryBypassesCache: a run with a telemetry sink must never be
 // served from the result cache — the export is a side effect a cached
-// Result cannot replay.
+// Result cannot replay. Without a sink the telemetry section leaves the
+// Result unchanged, so the same scenario is cached like any other.
 func TestTelemetryBypassesCache(t *testing.T) {
 	store, err := cache.NewStore(t.TempDir(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := telemetryScenario(t)
-	if sc.Cacheable() || cacheable(sc, Options{Cache: store}) {
-		t.Error("telemetry-enabled scenario reported cacheable")
+	want, err := RunScenario(sc, Options{Cache: store})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Behavior check: two runs with the same cache both stream records.
+	// Two runs with a sink both stream records, though the cache holds
+	// the scenario's result by now.
 	for i := 0; i < 2; i++ {
 		buf := telemetry.NewBuffer()
 		if _, err := RunScenario(sc, Options{Cache: store, Telemetry: buf}); err != nil {
@@ -355,6 +357,16 @@ func TestTelemetryBypassesCache(t *testing.T) {
 		if len(buf.Records()) == 0 {
 			t.Fatalf("run %d produced no telemetry records (served from cache?)", i)
 		}
+	}
+	got, err := RunScenario(sc, Options{Cache: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := store.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("cache stats = %+v, want the sink-less repeat to be the one hit", st)
+	}
+	if !bytes.Equal(resultJSON(t, got), resultJSON(t, want)) {
+		t.Error("cached result differs from the fresh run")
 	}
 }
 

@@ -1,12 +1,11 @@
 // Package trace records structured protocol events from a simulation
 // run: transmissions, receptions, timeouts, backoff draws, successes and
-// drops. A Recorder keeps a bounded ring of events that can be filtered
-// and rendered as a timeline — the debugging view GloMoSim users get
+// drops. A Recorder keeps a bounded ring of events that renders as a
+// text timeline (netsim -trace) — the debugging view GloMoSim users get
 // from its trace files.
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -73,79 +72,6 @@ func (e Event) String() string {
 	return s
 }
 
-// kindByName is the inverse of kindNames, for JSON decoding.
-var kindByName = func() map[string]Kind {
-	m := make(map[string]Kind, len(kindNames))
-	for k, n := range kindNames {
-		m[n] = k
-	}
-	return m
-}()
-
-// frameByName maps the conventional frame-type names back to values.
-var frameByName = map[string]phy.FrameType{
-	"RTS": phy.RTS, "CTS": phy.CTS, "DATA": phy.Data,
-	"ACK": phy.ACK, "HELLO": phy.Hello,
-}
-
-// jsonEvent is the wire form of Event: sim-time nanoseconds plus the
-// human-readable kind and frame names, so trace JSONL is greppable and
-// feeds cmd/simtrace without a schema lookup. Peer is always present
-// (-1 means "not applicable") because omitting it would make peer 0
-// indistinguishable from no peer.
-type jsonEvent struct {
-	T     int64  `json:"t"`
-	Node  int    `json:"node"`
-	Kind  string `json:"kind"`
-	Frame string `json:"frame,omitempty"`
-	Peer  int    `json:"peer"`
-	Note  string `json:"note,omitempty"`
-}
-
-// MarshalJSON renders the event as one JSONL-ready object.
-func (e Event) MarshalJSON() ([]byte, error) {
-	je := jsonEvent{
-		T:    int64(e.At),
-		Node: int(e.Node),
-		Kind: e.Kind.String(),
-		Peer: int(e.Peer),
-		Note: e.Note,
-	}
-	if e.Frame != 0 {
-		je.Frame = e.Frame.String()
-	}
-	return json.Marshal(je)
-}
-
-// UnmarshalJSON parses the wire form back into an Event. Unknown kind or
-// frame names are rejected so corrupted traces fail loudly.
-func (e *Event) UnmarshalJSON(b []byte) error {
-	var je jsonEvent
-	if err := json.Unmarshal(b, &je); err != nil {
-		return fmt.Errorf("trace: parse event: %w", err)
-	}
-	kind, ok := kindByName[je.Kind]
-	if !ok {
-		return fmt.Errorf("trace: unknown event kind %q", je.Kind)
-	}
-	var frame phy.FrameType
-	if je.Frame != "" {
-		frame, ok = frameByName[je.Frame]
-		if !ok {
-			return fmt.Errorf("trace: unknown frame type %q", je.Frame)
-		}
-	}
-	*e = Event{
-		At:    des.Time(je.T),
-		Node:  phy.NodeID(je.Node),
-		Kind:  kind,
-		Frame: frame,
-		Peer:  phy.NodeID(je.Peer),
-		Note:  je.Note,
-	}
-	return nil
-}
-
 // Tracer accepts protocol events. Record must be cheap; it runs on the
 // simulation's hot path.
 type Tracer interface {
@@ -199,22 +125,6 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// Filter returns the retained events that pass keep, in order.
-func (r *Recorder) Filter(keep func(Event) bool) []Event {
-	var out []Event
-	for _, ev := range r.Events() {
-		if keep(ev) {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// ByNode returns the retained events of one node.
-func (r *Recorder) ByNode(id phy.NodeID) []Event {
-	return r.Filter(func(ev Event) bool { return ev.Node == id })
-}
-
 // WriteText renders the retained events one per line.
 func (r *Recorder) WriteText(w io.Writer) error {
 	for _, ev := range r.Events() {
@@ -224,24 +134,3 @@ func (r *Recorder) WriteText(w io.Writer) error {
 	}
 	return nil
 }
-
-// WriteJSONL renders the retained events one JSON object per line,
-// oldest first — the machine-readable sibling of WriteText, and the
-// format cmd/simtrace consumes.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, ev := range r.Events() {
-		if err := enc.Encode(ev); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Discard is a Tracer that drops everything (useful as a default).
-type Discard struct{}
-
-var _ Tracer = Discard{}
-
-// Record drops the event.
-func (Discard) Record(Event) {}

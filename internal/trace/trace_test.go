@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -97,21 +95,6 @@ func TestRecorderMinimumCapacity(t *testing.T) {
 	}
 }
 
-func TestFilterAndByNode(t *testing.T) {
-	r := NewRecorder(10)
-	r.Record(ev(1, 0, TxStart))
-	r.Record(ev(2, 1, Timeout))
-	r.Record(ev(3, 0, Success))
-	byNode := r.ByNode(0)
-	if len(byNode) != 2 {
-		t.Errorf("ByNode(0) = %v, want 2 events", byNode)
-	}
-	timeouts := r.Filter(func(e Event) bool { return e.Kind == Timeout })
-	if len(timeouts) != 1 || timeouts[0].Node != 1 {
-		t.Errorf("Filter(timeout) = %v", timeouts)
-	}
-}
-
 func TestWriteText(t *testing.T) {
 	r := NewRecorder(4)
 	r.Record(ev(1, 0, TxStart))
@@ -156,88 +139,4 @@ func TestRecorderWrapOrdering(t *testing.T) {
 			t.Fatalf("exactly-full ring out of order at %d: got %v want %v", i, e.At, want)
 		}
 	}
-}
-
-func TestEventJSONRoundTrip(t *testing.T) {
-	orig := Event{
-		At: 1500 * des.Microsecond, Node: 3, Kind: Timeout,
-		Frame: phy.CTS, Peer: 7, Note: "retry 2",
-	}
-	b, err := json.Marshal(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"t":1500000`, `"node":3`, `"kind":"timeout"`, `"frame":"CTS"`, `"peer":7`, `"note":"retry 2"`} {
-		if !strings.Contains(string(b), want) {
-			t.Errorf("JSON %s missing %s", b, want)
-		}
-	}
-	var back Event
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back != orig {
-		t.Errorf("round trip: got %+v, want %+v", back, orig)
-	}
-
-	// Frameless events omit the frame field and still round-trip.
-	bare := ev(2, 1, Backoff)
-	b, err = json.Marshal(bare)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(b), "frame") {
-		t.Errorf("frameless event JSON %s should omit the frame field", b)
-	}
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back != bare {
-		t.Errorf("frameless round trip: got %+v, want %+v", back, bare)
-	}
-}
-
-func TestEventJSONRejectsUnknownNames(t *testing.T) {
-	var e Event
-	if err := json.Unmarshal([]byte(`{"t":1,"node":0,"kind":"warp","peer":-1}`), &e); err == nil {
-		t.Error("unknown kind accepted")
-	}
-	if err := json.Unmarshal([]byte(`{"t":1,"node":0,"kind":"tx","frame":"PING","peer":-1}`), &e); err == nil {
-		t.Error("unknown frame accepted")
-	}
-}
-
-// TestWriteJSONL: one parseable object per line, oldest first, also
-// after the ring wraps.
-func TestWriteJSONL(t *testing.T) {
-	r := NewRecorder(3)
-	for i := 0; i < 5; i++ {
-		r.Record(Event{At: des.Time(i), Node: phy.NodeID(i), Kind: Success, Frame: phy.ACK, Peer: -1})
-	}
-	var sb strings.Builder
-	if err := r.WriteJSONL(&sb); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(strings.NewReader(sb.String()))
-	var got []Event
-	for sc.Scan() {
-		var e Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("line %q: %v", sc.Text(), err)
-		}
-		got = append(got, e)
-	}
-	if len(got) != 3 {
-		t.Fatalf("lines = %d, want 3", len(got))
-	}
-	for i, e := range got {
-		if e.At != des.Time(i+2) {
-			t.Errorf("line %d has At=%v, want %v", i, e.At, des.Time(i+2))
-		}
-	}
-}
-
-func TestDiscard(t *testing.T) {
-	var d Discard
-	d.Record(ev(1, 0, TxStart)) // must not panic; nothing observable
 }
