@@ -319,15 +319,21 @@ func BenchmarkAblationOptimizer(b *testing.B) {
 // BenchmarkScheduler measures raw event-kernel throughput.
 func BenchmarkScheduler(b *testing.B) {
 	s := des.New(1)
+	var ev nopEvent
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Schedule(des.Time(i%1000), func() {})
+		s.ScheduleEvent(des.Time(i%1000), &ev)
 		if i%1024 == 1023 {
 			s.RunAll()
 		}
 	}
 	s.RunAll()
 }
+
+// nopEvent is a pointer-shaped event that does nothing.
+type nopEvent struct{}
+
+func (*nopEvent) Fire() {}
 
 // BenchmarkSchedulerSpread measures the event kernel under the MAC's
 // spread of delays, where BenchmarkScheduler schedules under 1 µs ahead

@@ -105,6 +105,24 @@ func TestRunBadFlags(t *testing.T) {
 	}
 }
 
+// TestRunExplicitWithoutPositions: no flag supplies positions, so an
+// explicit topology from flags fails with the topology.positions error,
+// with and without -stats, and prints nothing.
+func TestRunExplicitWithoutPositions(t *testing.T) {
+	for _, args := range [][]string{
+		{"-kind", "explicit", "-n", "3", "-stats"},
+		{"-kind", "explicit", "-n", "3"},
+	} {
+		out, err := capture(t, func() error { return run(args) })
+		if err == nil || !strings.Contains(err.Error(), "topology.positions") {
+			t.Errorf("%v: error = %v, want the topology.positions error", args, err)
+		}
+		if out != "" {
+			t.Errorf("%v: printed %q", args, out)
+		}
+	}
+}
+
 func TestRunGridKind(t *testing.T) {
 	out, err := capture(t, func() error {
 		return run([]string{"-kind", "grid", "-n", "6"})

@@ -56,7 +56,7 @@ func (w *cdWorld) start(c *cd, b int) {
 	}
 	c.running = true
 	if !w.perSlot {
-		c.timer = w.s.Countdown(b, tSlot, funcEvent(done))
+		c.timer = w.s.Countdown(b, tSlot, call(done))
 		return
 	}
 	c.left = b
@@ -66,9 +66,9 @@ func (w *cdWorld) start(c *cd, b int) {
 			done()
 			return
 		}
-		c.timer = w.s.Schedule(tSlot, tick)
+		c.timer = w.s.ScheduleEvent(tSlot, call(tick))
 	}
-	c.timer = w.s.Schedule(tSlot, tick)
+	c.timer = w.s.ScheduleEvent(tSlot, call(tick))
 }
 
 // interrupt stops c's countdown and reports the slots it had left.
@@ -95,10 +95,10 @@ func (w *cdWorld) difs(c *cd, b int) {
 		return
 	}
 	c.waiting = true
-	w.s.Schedule(tDIFS, func() {
+	w.s.ScheduleEvent(tDIFS, call(func() {
 		c.waiting = false
 		w.start(c, b)
-	})
+	}))
 }
 
 // both runs setup under each form and returns the two logs.
@@ -133,7 +133,7 @@ func TestCountdownTieLaterStartFirst(t *testing.T) {
 	// a starts at 50 with 5 slots, b at 90 with 3: both due at 150.
 	expectLog(t, func(w *cdWorld) {
 		w.difs(a, 5)
-		w.s.At(40, func() { w.difs(b, 3) })
+		w.s.AtEvent(40, call(func() { w.difs(b, 3) }))
 	}, 1000, []string{"150 b fires", "150 a fires"})
 }
 
@@ -146,8 +146,8 @@ func TestCountdownTieEqualStartsFollowStartingEvents(t *testing.T) {
 		}
 		// Both waits expire at 60; the one scheduled first starts first.
 		expectLog(t, func(w *cdWorld) {
-			w.s.At(5, func() { w.s.At(60, func() { w.start(order[0], 4) }) })
-			w.s.At(10, func() { w.s.At(60, func() { w.start(order[1], 4) }) })
+			w.s.AtEvent(5, call(func() { w.s.AtEvent(60, call(func() { w.start(order[0], 4) })) }))
+			w.s.AtEvent(10, call(func() { w.s.AtEvent(60, call(func() { w.start(order[1], 4) })) }))
 		}, 1000, []string{"140 " + order[0].name + " fires", "140 " + order[1].name + " fires"})
 	}
 }
@@ -160,16 +160,16 @@ func TestCountdownTieWithOrdinaryEvents(t *testing.T) {
 	expectLog(t, func(w *cdWorld) {
 		w.difs(a, 5)
 		// Scheduled before the last tick: fires first.
-		w.s.At(3, func() { w.s.At(150, mark(w, "before")) })
+		w.s.AtEvent(3, call(func() { w.s.AtEvent(150, call(mark(w, "before"))) }))
 		// Scheduled after it: fires after.
-		w.s.At(140, func() { w.s.At(150, mark(w, "after")) })
+		w.s.AtEvent(140, call(func() { w.s.AtEvent(150, call(mark(w, "after"))) }))
 		// Exactly one slot ahead, by an event scheduled more than a slot
 		// earlier: that event runs before the tick at 130, so its child
 		// goes first.
-		w.s.At(7, func() { w.s.At(130, func() { w.s.Schedule(tSlot, mark(w, "slot-early")) }) })
+		w.s.AtEvent(7, call(func() { w.s.AtEvent(130, call(func() { w.s.ScheduleEvent(tSlot, call(mark(w, "slot-early"))) })) }))
 		// Exactly one slot ahead, by an event scheduled less than a slot
 		// earlier: it runs after the tick at 130, so the final goes first.
-		w.s.At(125, func() { w.s.At(130, func() { w.s.Schedule(tSlot, mark(w, "slot-late")) }) })
+		w.s.AtEvent(125, call(func() { w.s.AtEvent(130, call(func() { w.s.ScheduleEvent(tSlot, call(mark(w, "slot-late"))) })) }))
 	}, 1000, []string{"150 before", "150 slot-early", "150 a fires", "150 slot-late", "150 after"})
 }
 
@@ -183,13 +183,13 @@ func TestCountdownTieWithSlotPeriodicChain(t *testing.T) {
 		var tick func()
 		tick = func() {
 			if n++; n < 10 {
-				w.s.Schedule(tSlot, tick)
+				w.s.ScheduleEvent(tSlot, call(tick))
 			}
 			if w.s.Now() == 150 {
 				w.logf("periodic")
 			}
 		}
-		w.s.At(30, tick) // on the countdown's slot grid
+		w.s.AtEvent(30, call(tick)) // on the countdown's slot grid
 		w.difs(a, 5)
 	}, 1000, []string{"150 a fires", "150 periodic"})
 }
@@ -210,7 +210,7 @@ func TestCountdownBusyEdgeOnBoundary(t *testing.T) {
 		a := &cd{name: "a"}
 		expectLog(t, func(w *cdWorld) {
 			w.difs(a, 5)
-			w.s.At(tc.at-tProp, func() { w.s.Schedule(tProp, func() { w.interrupt(a, "busy") }) })
+			w.s.AtEvent(tc.at-tProp, call(func() { w.s.ScheduleEvent(tProp, call(func() { w.interrupt(a, "busy") })) }))
 		}, 1000, tc.want)
 	}
 }
@@ -229,7 +229,7 @@ func TestCountdownHintOnBoundary(t *testing.T) {
 		a := &cd{name: "a"}
 		expectLog(t, func(w *cdWorld) {
 			w.difs(a, 5)
-			w.s.At(tc.at, func() { w.interrupt(a, "hint") })
+			w.s.AtEvent(tc.at, call(func() { w.interrupt(a, "hint") }))
 		}, 1000, tc.want)
 	}
 }
@@ -240,14 +240,14 @@ func TestCountdownInterruptAtStart(t *testing.T) {
 	a := &cd{name: "a"}
 	expectLog(t, func(w *cdWorld) {
 		w.difs(a, 5)
-		w.s.At(49, func() { w.s.Schedule(tProp, func() { w.interrupt(a, "busy") }) })
+		w.s.AtEvent(49, call(func() { w.s.ScheduleEvent(tProp, call(func() { w.interrupt(a, "busy") })) }))
 	}, 1000, []string{"50 busy a: 5 left"})
 }
 
 func TestCountdownHandle(t *testing.T) {
 	s := New(1)
 	fired := 0
-	tm := s.Countdown(3, tSlot, funcEvent(func() { fired++ }))
+	tm := s.Countdown(3, tSlot, call(func() { fired++ }))
 	if !tm.Active() || tm.When() != 3*tSlot {
 		t.Fatalf("fresh countdown: active=%v when=%v, want true, %v", tm.Active(), tm.When(), 3*tSlot)
 	}
@@ -262,7 +262,7 @@ func TestCountdownHandle(t *testing.T) {
 	}
 	// The recycled entry serves a new countdown; the stale handle must
 	// neither see nor cancel it.
-	next := s.Countdown(2, tSlot, funcEvent(func() { fired++ }))
+	next := s.Countdown(2, tSlot, call(func() { fired++ }))
 	if next.tm != tm.tm {
 		t.Fatal("expected the free list to recycle the canceled entry")
 	}
@@ -288,37 +288,37 @@ func TestCountdownDifferential(t *testing.T) {
 			for i := range agents {
 				c := &cd{name: fmt.Sprintf("n%d", i)}
 				agents[i] = c
-				c.onDone = func() { w.s.Schedule(Time(rng.Intn(4))*10, func() { w.difs(c, rng.Intn(8)) }) }
-				w.s.At(Time(rng.Intn(40)), func() { w.difs(c, rng.Intn(8)) })
+				c.onDone = func() { w.s.ScheduleEvent(Time(rng.Intn(4))*10, call(func() { w.difs(c, rng.Intn(8)) })) }
+				w.s.AtEvent(Time(rng.Intn(40)), call(func() { w.difs(c, rng.Intn(8)) }))
 			}
 			var busy func()
 			busy = func() {
 				c := agents[rng.Intn(len(agents))]
 				switch rng.Intn(3) {
 				case 0:
-					w.s.Schedule(tProp, func() {
+					w.s.ScheduleEvent(tProp, call(func() {
 						if left := w.interrupt(c, "busy"); left >= 0 {
-							w.s.Schedule(Time(100+rng.Intn(5)*tSlot), func() { w.difs(c, left) })
+							w.s.ScheduleEvent(Time(100+rng.Intn(5)*tSlot), call(func() { w.difs(c, left) }))
 						}
-					})
+					}))
 				case 1:
-					w.s.Schedule(200+tProp, func() {
+					w.s.ScheduleEvent(200+tProp, call(func() {
 						if left := w.interrupt(c, "hint"); left >= 0 {
 							w.difs(c, left)
 						}
-					})
+					}))
 				default:
-					w.s.Schedule(tSlot, func() { w.logf("ordinary") })
+					w.s.ScheduleEvent(tSlot, call(func() { w.logf("ordinary") }))
 				}
-				w.s.Schedule(Time(1+rng.Intn(3))*10, busy)
+				w.s.ScheduleEvent(Time(1+rng.Intn(3))*10, call(busy))
 			}
-			w.s.At(Time(rng.Intn(20)), busy)
+			w.s.AtEvent(Time(rng.Intn(20)), call(busy))
 			var periodic func()
 			periodic = func() {
 				w.logf("periodic")
-				w.s.Schedule(tSlot, periodic)
+				w.s.ScheduleEvent(tSlot, call(periodic))
 			}
-			w.s.Schedule(tSlot, periodic)
+			w.s.ScheduleEvent(tSlot, call(periodic))
 		}
 		ref, got := both(t, setup, 20_000)
 		if !reflect.DeepEqual(got, ref) {

@@ -54,22 +54,15 @@ func (t Time) String() string {
 	return time.Duration(t).String()
 }
 
-// Event is a scheduled action dispatched without a closure. Hot callers
-// schedule pointer-shaped Event implementations via AtEvent,
-// ScheduleEvent and Countdown: the PHY's delivery edges are views of a
-// pooled record and the MAC's timers views of its node, so neither
-// delivering a frame nor arming a timer allocates.
+// Event is a scheduled action; AtEvent, ScheduleEvent and Countdown are
+// the only ways to schedule one. Callers pass pointer-shaped
+// implementations: the PHY's delivery edges are views of a pooled
+// record and the MAC's timers views of its node, so neither delivering
+// a frame nor arming a timer allocates.
 type Event interface {
 	// Fire runs the event at its due time, on the scheduler goroutine.
 	Fire()
 }
-
-// funcEvent adapts a plain callback to Event. A func value is
-// pointer-shaped, so the conversion stores it in the interface word
-// without allocating.
-type funcEvent func()
-
-func (f funcEvent) Fire() { f() }
 
 // The queue orders events by (at, sched, root): due time, then the
 // instant the event was scheduled, then — only for events scheduled
@@ -282,29 +275,10 @@ func (s *Scheduler) newRoot(step Time) (Time, uint64) {
 	return s.now, key
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past (t
-// before Now) clamps to Now, preserving causality. Events scheduled for
-// the same instant fire in scheduling order.
-//
-//desalint:hotpath
-func (s *Scheduler) At(t Time, fn func()) Timer {
-	return s.schedule(funcEvent(fn), t)
-}
-
-// Schedule schedules fn to run after delay d from now. Negative delays
-// clamp to zero.
-//
-//desalint:hotpath
-func (s *Scheduler) Schedule(d Time, fn func()) Timer {
-	if d < 0 {
-		d = 0
-	}
-	return s.At(s.now+d, fn)
-}
-
-// AtEvent schedules ev to fire at absolute time t, with the same clamping
-// and FIFO guarantees as At. Passing a pooled pointer implementation
-// performs no allocation.
+// AtEvent schedules ev to fire at absolute time t. Scheduling in the
+// past (t before Now) clamps to Now, preserving causality. Events
+// scheduled for the same instant fire in scheduling order. Passing a
+// pointer-shaped implementation performs no allocation.
 //
 //desalint:hotpath
 func (s *Scheduler) AtEvent(t Time, ev Event) Timer {

@@ -8,6 +8,12 @@ import (
 	"unsafe"
 )
 
+// call adapts a closure to Event for the tests that schedule closures;
+// the kernel itself schedules typed events only.
+type call func()
+
+func (f call) Fire() { f() }
+
 func TestTimeConversions(t *testing.T) {
 	if got := (2 * Second).Seconds(); got != 2 {
 		t.Errorf("Seconds = %v, want 2", got)
@@ -23,9 +29,9 @@ func TestTimeConversions(t *testing.T) {
 func TestScheduleAndRunOrder(t *testing.T) {
 	s := New(1)
 	var order []int
-	s.Schedule(30, func() { order = append(order, 3) })
-	s.Schedule(10, func() { order = append(order, 1) })
-	s.Schedule(20, func() { order = append(order, 2) })
+	s.ScheduleEvent(30, call(func() { order = append(order, 3) }))
+	s.ScheduleEvent(10, call(func() { order = append(order, 1) }))
+	s.ScheduleEvent(20, call(func() { order = append(order, 2) }))
 	if n := s.RunAll(); n != 3 {
 		t.Fatalf("RunAll executed %d events, want 3", n)
 	}
@@ -44,7 +50,7 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 100; i++ {
 		i := i
-		s.At(50, func() { order = append(order, i) })
+		s.AtEvent(50, call(func() { order = append(order, i) }))
 	}
 	s.RunAll()
 	if !sort.IntsAreSorted(order) {
@@ -62,10 +68,10 @@ func TestNestedScheduling(t *testing.T) {
 	tick = func() {
 		ticks = append(ticks, s.Now())
 		if len(ticks) < 5 {
-			s.Schedule(10, tick)
+			s.ScheduleEvent(10, call(tick))
 		}
 	}
-	s.Schedule(0, tick)
+	s.ScheduleEvent(0, call(tick))
 	s.RunAll()
 	want := []Time{0, 10, 20, 30, 40}
 	if len(ticks) != len(want) {
@@ -81,7 +87,7 @@ func TestNestedScheduling(t *testing.T) {
 func TestCancel(t *testing.T) {
 	s := New(1)
 	fired := false
-	tm := s.Schedule(10, func() { fired = true })
+	tm := s.ScheduleEvent(10, call(func() { fired = true }))
 	if !tm.Active() {
 		t.Error("timer should be active before firing")
 	}
@@ -105,7 +111,7 @@ func TestCancel(t *testing.T) {
 
 func TestCancelAfterFire(t *testing.T) {
 	s := New(1)
-	tm := s.Schedule(5, func() {})
+	tm := s.ScheduleEvent(5, call(func() {}))
 	s.RunAll()
 	if s.Cancel(tm) {
 		t.Error("Cancel after firing should report false")
@@ -138,14 +144,14 @@ func TestWhenOnlyWhilePending(t *testing.T) {
 		t.Errorf("Timer is %d bytes, want 16", size)
 	}
 	s := New(1)
-	fired := s.Schedule(30, func() {})
-	canceled := s.Schedule(40, func() {})
+	fired := s.ScheduleEvent(30, call(func() {}))
+	canceled := s.ScheduleEvent(40, call(func() {}))
 	if fired.When() != 30 || canceled.When() != 40 {
 		t.Fatalf("pending When = %v and %v, want 30 and 40", fired.When(), canceled.When())
 	}
 	s.Cancel(canceled)
 	s.Run(35)
-	later := s.Schedule(1000, func() {}) // reuses a recycled entry
+	later := s.ScheduleEvent(1000, call(func() {})) // reuses a recycled entry
 	if fired.When() != 0 || canceled.When() != 0 {
 		t.Errorf("done When = %v and %v, want 0", fired.When(), canceled.When())
 	}
@@ -159,10 +165,10 @@ func TestWhenOnlyWhilePending(t *testing.T) {
 // event. This is the contract that makes the timer free list safe.
 func TestStaleHandleSafety(t *testing.T) {
 	s := New(1)
-	stale := s.Schedule(1, func() {})
+	stale := s.ScheduleEvent(1, call(func() {}))
 	s.RunAll()
 	// The free list now holds the fired entry; the next schedule reuses it.
-	fresh := s.Schedule(10, func() {})
+	fresh := s.ScheduleEvent(10, call(func() {}))
 	if stale.Active() {
 		t.Error("stale handle reports active after its timer fired")
 	}
@@ -176,7 +182,7 @@ func TestStaleHandleSafety(t *testing.T) {
 		t.Error("fresh handle failed to cancel its own timer")
 	}
 	// Same protection after cancellation recycles the entry.
-	reused := s.Schedule(20, func() {})
+	reused := s.ScheduleEvent(20, call(func() {}))
 	if fresh.Active() || s.Cancel(fresh) {
 		t.Error("canceled handle affects the reused entry")
 	}
@@ -194,11 +200,11 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	fn := func() {}
 	round := func() {
 		for i := 0; i < 32; i++ {
-			s.Schedule(Time(i%7), fn)
+			s.ScheduleEvent(Time(i%7), call(fn))
 		}
 		for _, d := range []Time{50 * Microsecond, 5 * Millisecond, 100 * Millisecond} {
-			s.Cancel(s.Schedule(d, fn))
-			s.Schedule(d, fn)
+			s.Cancel(s.ScheduleEvent(d, call(fn)))
+			s.ScheduleEvent(d, call(fn))
 		}
 		s.RunAll()
 	}
@@ -250,15 +256,15 @@ func TestScheduleEvent(t *testing.T) {
 	}
 }
 
-// TestEventClosureInterleaving: closure timers and typed events share one
+// TestEventClosureInterleaving: func-typed and pointer events share one
 // queue and one FIFO ordering.
 func TestEventClosureInterleaving(t *testing.T) {
 	s := New(1)
 	var order []string
 	ev := orderEvent{log: &order, tag: "event"}
-	s.At(10, func() { order = append(order, "fn1") })
+	s.AtEvent(10, call(func() { order = append(order, "fn1") }))
 	s.AtEvent(10, &ev)
-	s.At(10, func() { order = append(order, "fn2") })
+	s.AtEvent(10, call(func() { order = append(order, "fn2") }))
 	s.RunAll()
 	want := []string{"fn1", "event", "fn2"}
 	for i := range want {
@@ -280,7 +286,7 @@ func TestRunUntil(t *testing.T) {
 	var ran []Time
 	for _, at := range []Time{5, 10, 15, 20, 25} {
 		at := at
-		s.At(at, func() { ran = append(ran, at) })
+		s.AtEvent(at, call(func() { ran = append(ran, at) }))
 	}
 	n := s.Run(15)
 	if n != 3 {
@@ -311,13 +317,13 @@ func TestRunAdvancesClockWithEmptyQueue(t *testing.T) {
 
 func TestPastSchedulingClamps(t *testing.T) {
 	s := New(1)
-	s.Schedule(100, func() {})
+	s.ScheduleEvent(100, call(func() {}))
 	s.RunAll()
 	if s.Now() != 100 {
 		t.Fatalf("Now = %v", s.Now())
 	}
 	var at Time
-	tm := s.At(50, func() { at = s.Now() }) // in the past
+	tm := s.AtEvent(50, call(func() { at = s.Now() })) // in the past
 	if tm.When() != 100 {
 		t.Errorf("When = %v, want clamped to 100", tm.When())
 	}
@@ -330,7 +336,7 @@ func TestPastSchedulingClamps(t *testing.T) {
 func TestNegativeDelayClamps(t *testing.T) {
 	s := New(1)
 	ran := false
-	s.Schedule(-5, func() { ran = true })
+	s.ScheduleEvent(-5, call(func() { ran = true }))
 	s.RunAll()
 	if !ran || s.Now() != 0 {
 		t.Errorf("negative delay: ran=%v now=%v, want true/0", ran, s.Now())
@@ -345,10 +351,10 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		step = func() {
 			log = append(log, s.Now())
 			if len(log) < 200 {
-				s.Schedule(Time(s.Rand().Intn(100)+1), step)
+				s.ScheduleEvent(Time(s.Rand().Intn(100)+1), call(step))
 			}
 		}
-		s.Schedule(0, step)
+		s.ScheduleEvent(0, call(step))
 		s.RunAll()
 		return log
 	}
@@ -384,7 +390,7 @@ func TestClockMonotonicity(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		var times []Time
 		for i := 0; i < 100; i++ {
-			s.At(Time(rng.Intn(1000)), func() { times = append(times, s.Now()) })
+			s.AtEvent(Time(rng.Intn(1000)), call(func() { times = append(times, s.Now()) }))
 		}
 		s.RunAll()
 		for i := 1; i < len(times); i++ {
@@ -407,7 +413,7 @@ func TestCancelStorm(t *testing.T) {
 	var live, canceled int
 	var timers []Timer
 	for i := 0; i < 10000; i++ {
-		tm := s.At(Time(rng.Intn(5000)), func() { live++ })
+		tm := s.AtEvent(Time(rng.Intn(5000)), call(func() { live++ }))
 		timers = append(timers, tm)
 	}
 	for _, tm := range timers {
@@ -431,7 +437,7 @@ func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 	if s.Step() {
 		t.Error("Step on empty queue should return false")
 	}
-	tm := s.Schedule(1, func() {})
+	tm := s.ScheduleEvent(1, call(func() {}))
 	s.Cancel(tm)
 	if s.Step() {
 		t.Error("Step with only canceled events should return false")
@@ -460,7 +466,7 @@ func TestSchedulerAgainstReferenceModel(t *testing.T) {
 			r := &ref{at: at, seq: i, alive: true}
 			model = append(model, r)
 			i := i
-			timers = append(timers, s.At(at, func() { fired = append(fired, i) }))
+			timers = append(timers, s.AtEvent(at, call(func() { fired = append(fired, i) })))
 		}
 		for i, tm := range timers {
 			if rng.Intn(3) == 0 {

@@ -162,7 +162,7 @@ func TestTypedHeapMatchesContainerHeap(t *testing.T) {
 		insert := func(at Time) {
 			id := nextID
 			nextID++
-			handles[id] = s.At(at, func() { fired = append(fired, id) })
+			handles[id] = s.AtEvent(at, call(func() { fired = append(fired, id) }))
 			// The scheduler clamps to Now; mirror that.
 			if at < s.Now() {
 				at = s.Now()
@@ -318,7 +318,7 @@ func TestCalendarMatchesOneHeap(t *testing.T) {
 		schedule = func() {
 			id := nextID
 			nextID++
-			ev := funcEvent(func() {
+			ev := call(func() {
 				e := heap.Pop(ref).(*keyEntry)
 				if e.id != id {
 					t.Fatalf("trial %d event %d at %v: calendar fired %d, one heap %d", trial, fired, s.Now(), id, e.id)
@@ -338,6 +338,7 @@ func TestCalendarMatchesOneHeap(t *testing.T) {
 					ids = ids[:len(ids)-1]
 				}
 			})
+
 			var h Timer
 			switch r := rng.Intn(10); {
 			case r == 0:

@@ -32,11 +32,7 @@ type ModelVsSimRow struct {
 // l_rts = 272 µs/20 µs ≈ 14, l_cts = l_ack = 248 µs/20 µs ≈ 12,
 // l_data = 6032 µs/20 µs ≈ 302.
 func SimLengths() core.Lengths {
-	var (
-		p    = phy.DefaultParams()
-		m    = mac.DefaultConfig(core.ORTSOCTS, 0)
-		slot = float64(m.Slot)
-	)
+	const slot = float64(mac.Slot)
 	round := func(t des.Time) int {
 		v := int(math.Round(float64(t) / slot))
 		if v < 1 {
@@ -45,10 +41,10 @@ func SimLengths() core.Lengths {
 		return v
 	}
 	return core.Lengths{
-		RTS:  round(p.Airtime(m.RTSBytes)),
-		CTS:  round(p.Airtime(m.CTSBytes)),
-		Data: round(p.Airtime(1460)),
-		ACK:  round(p.Airtime(m.ACKBytes)),
+		RTS:  round(phy.Airtime(mac.RTSBytes)),
+		CTS:  round(phy.Airtime(mac.CTSBytes)),
+		Data: round(phy.Airtime(1460)),
+		ACK:  round(phy.Airtime(mac.ACKBytes)),
 	}
 }
 
@@ -59,7 +55,7 @@ func SimLengths() core.Lengths {
 // in the analytical model" — made quantitative.
 func ModelVsSim(cells []GridCell) ([]ModelVsSimRow, error) {
 	lengths := SimLengths()
-	dataAir := phy.DefaultParams().Airtime(1460)
+	dataAir := phy.Airtime(1460)
 	rows := make([]ModelVsSimRow, 0, len(cells))
 	for _, c := range cells {
 		pr := core.Params{N: float64(c.N), Beamwidth: c.BeamwidthDeg * math.Pi / 180, Lengths: lengths}

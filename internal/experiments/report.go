@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mac"
+	"repro/internal/phy"
 )
 
 // WriteFig5 renders the analytical Fig. 5 table to w, one block per N.
@@ -161,10 +162,9 @@ func WriteGridCSV(w io.Writer, cells []GridCell) error {
 // WriteTable1 prints the IEEE 802.11 configuration constants used by the
 // simulator (the paper's Table 1), for verification against the paper.
 func WriteTable1(w io.Writer) {
-	cfg := mac.DefaultConfig(core.ORTSOCTS, 0)
 	fmt.Fprintln(w, "Table 1 — IEEE 802.11 protocol configuration parameters")
-	fmt.Fprintf(w, "  RTS %dB  CTS %dB  data %dB  ACK %dB\n", cfg.RTSBytes, cfg.CTSBytes, 1460, cfg.ACKBytes)
-	fmt.Fprintf(w, "  DIFS %v  SIFS %v  slot %v\n", cfg.DIFS, cfg.SIFS, cfg.Slot)
-	fmt.Fprintf(w, "  contention window %d-%d\n", cfg.CWMin, cfg.CWMax)
-	fmt.Fprintln(w, "  sync time 192µs  propagation delay 1µs  bit rate 2 Mb/s")
+	fmt.Fprintf(w, "  RTS %dB  CTS %dB  data %dB  ACK %dB\n", mac.RTSBytes, mac.CTSBytes, 1460, mac.ACKBytes)
+	fmt.Fprintf(w, "  DIFS %v  SIFS %v  slot %v\n", mac.DIFS, mac.SIFS, mac.Slot)
+	fmt.Fprintf(w, "  contention window %d-%d\n", mac.CWMin, mac.CWMax)
+	fmt.Fprintf(w, "  sync time %v  propagation delay %v  bit rate %d Mb/s\n", phy.SyncTime, phy.PropDelay, phy.BitRate/1_000_000)
 }

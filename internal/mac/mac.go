@@ -63,27 +63,49 @@ type Source interface {
 	Dequeue(now des.Time) (p Packet, ok bool)
 }
 
-// Config holds the MAC parameters. DefaultConfig matches Table 1 of the
-// paper (IEEE 802.11 DSSS).
+// The MAC timing of Table 1 of the paper (IEEE 802.11 DSSS). The paper
+// evaluates this one configuration, so no scenario or flag can change
+// it. The countdown kernel needs PropDelay < Slot <= SyncTime and
+// DIFS > Slot (DESIGN.md §12); a unit test checks that these values
+// satisfy it.
+const (
+	// Frame sizes in bytes (data size comes from each Packet).
+	RTSBytes = 20
+	CTSBytes = 14
+	ACKBytes = 14
+
+	// Interframe spaces and the slot time.
+	DIFS = 50 * des.Microsecond
+	SIFS = 10 * des.Microsecond
+	Slot = 20 * des.Microsecond
+
+	// Contention window bounds (number of slots, inclusive).
+	CWMin = 31
+	CWMax = 1023
+
+	// Retry limits: short governs RTS attempts (CTS timeouts), long
+	// governs data attempts (ACK timeouts).
+	ShortRetryLimit = 7
+	LongRetryLimit  = 4
+)
+
+// Timings derived from Table 1: the CTS and ACK airtimes (phy.Airtime
+// of their sizes) and EIFS, the deference after a garbled frame: SIFS,
+// an ACK and DIFS.
+const (
+	ctsAir = phy.SyncTime + des.Time(CTSBytes*8*int64(des.Second)/phy.BitRate)
+	ackAir = phy.SyncTime + des.Time(ACKBytes*8*int64(des.Second)/phy.BitRate)
+	eifs   = SIFS + ackAir + DIFS
+)
+
+// Config holds the MAC's settable parameters: the scheme, the beam and
+// the ablations.
 type Config struct {
 	// Scheme selects the collision-avoidance variant.
 	Scheme core.Scheme
 	// Beamwidth is the directional transmission beamwidth in radians.
 	// Unused by ORTS-OCTS.
 	Beamwidth float64
-
-	// Frame sizes in bytes (data size comes from each Packet).
-	RTSBytes, CTSBytes, ACKBytes int
-
-	// Interframe spaces and the slot time.
-	DIFS, SIFS, Slot des.Time
-
-	// Contention window bounds (number of slots, inclusive).
-	CWMin, CWMax int
-
-	// Retry limits: short governs RTS attempts (CTS timeouts), long
-	// governs data attempts (ACK timeouts).
-	ShortRetryLimit, LongRetryLimit int
 
 	// DisableEIFS turns off extended-IFS deference after frame errors
 	// (ablation; the standard behaviour is on).
@@ -121,23 +143,10 @@ type Config struct {
 	Metrics Metrics
 }
 
-// DefaultConfig returns the Table 1 configuration for the given scheme
-// and beamwidth.
+// DefaultConfig returns the configuration for the given scheme and
+// beamwidth with every ablation off.
 func DefaultConfig(scheme core.Scheme, beamwidth float64) Config {
-	return Config{
-		Scheme:          scheme,
-		Beamwidth:       beamwidth,
-		RTSBytes:        20,
-		CTSBytes:        14,
-		ACKBytes:        14,
-		DIFS:            50 * des.Microsecond,
-		SIFS:            10 * des.Microsecond,
-		Slot:            20 * des.Microsecond,
-		CWMin:           31,
-		CWMax:           1023,
-		ShortRetryLimit: 7,
-		LongRetryLimit:  4,
-	}
+	return Config{Scheme: scheme, Beamwidth: beamwidth}
 }
 
 // Validate checks parameter sanity.
@@ -149,18 +158,6 @@ func (c Config) Validate() error {
 	}
 	if c.Scheme != core.ORTSOCTS && (c.Beamwidth <= 0 || c.Beamwidth > 2*math.Pi+1e-9) {
 		return fmt.Errorf("mac: beamwidth must be in (0, 2π] for directional schemes, got %v", c.Beamwidth)
-	}
-	if c.RTSBytes <= 0 || c.CTSBytes <= 0 || c.ACKBytes <= 0 {
-		return fmt.Errorf("mac: control frame sizes must be positive")
-	}
-	if c.DIFS <= 0 || c.SIFS <= 0 || c.Slot <= 0 {
-		return fmt.Errorf("mac: DIFS, SIFS and slot time must be positive")
-	}
-	if c.CWMin < 1 || c.CWMax < c.CWMin {
-		return fmt.Errorf("mac: need 1 <= CWMin <= CWMax, got %d, %d", c.CWMin, c.CWMax)
-	}
-	if c.ShortRetryLimit < 1 || c.LongRetryLimit < 1 {
-		return fmt.Errorf("mac: retry limits must be at least 1")
 	}
 	return nil
 }
@@ -275,10 +272,6 @@ type Node struct {
 	ctsTo     des.Timer
 	ackTo     des.Timer
 
-	// Channel timing read once at construction: the propagation delay,
-	// the CTS and ACK airtimes, and EIFS.
-	prop, ctsAir, ackAir, eifs des.Time
-
 	// respPending is set while a SIFS-separated transmission (CTS, DATA
 	// after CTS, ACK) is scheduled or on the air; contention stays frozen.
 	respPending bool
@@ -333,24 +326,13 @@ func NewInto(n *Node, sched *des.Scheduler, radio *phy.Radio, table *neighbor.Ta
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	// The timing envelope of the one-timer backoff countdown (DESIGN.md
-	// §12). DIFS > Slot roots each countdown's tick chain at its DIFS/EIFS
-	// expiry, as the exact ordering assumes; PropDelay < Slot <= SyncTime
-	// is the range the equivalence tests cover. Table 1 lies inside it.
-	p := radio.ChannelParams()
-	if !(p.PropDelay < cfg.Slot && cfg.Slot <= p.SyncTime && cfg.DIFS > cfg.Slot) {
-		return fmt.Errorf("mac: timing outside the countdown envelope PropDelay < Slot <= SyncTime, DIFS > Slot (PropDelay %v, Slot %v, SyncTime %v, DIFS %v)",
-			p.PropDelay, cfg.Slot, p.SyncTime, cfg.DIFS)
-	}
 	// Clearing the node and setting fields in place spares a copy of the
 	// whole struct through a temporary. lastData stays nil until the first
 	// data delivery: most nodes in a large topology receive from a handful
 	// of senders, many from none at all.
 	*n = Node{}
 	n.sched, n.radio, n.table, n.src, n.cfg = sched, radio, table, src, cfg
-	n.st, n.cw = stIdle, cfg.CWMin
-	n.prop, n.ctsAir, n.ackAir = p.PropDelay, p.Airtime(cfg.CTSBytes), p.Airtime(cfg.ACKBytes)
-	n.eifs = cfg.SIFS + n.ackAir + cfg.DIFS
+	n.st, n.cw = stIdle, CWMin
 	n.respQueue = n.respBuf[:0]
 	radio.SetHandler(n)
 	return nil
@@ -448,7 +430,7 @@ func (n *Node) emit(kind trace.Kind, ft phy.FrameType, peer phy.NodeID, note str
 // nextPacket dequeues the next packet and enters contention, or goes
 // idle. The contention window and retry counters reset per packet.
 func (n *Node) nextPacket() {
-	n.cw = n.cfg.CWMin
+	n.cw = CWMin
 	n.shortRetries, n.longRetries = 0, 0
 	p, ok := n.src.Dequeue(n.sched.Now())
 	if !ok {
@@ -516,9 +498,9 @@ func (n *Node) resumeDeference() {
 		n.navTimer = n.sched.AtEvent(wait, (*navExpiry)(n))
 		return
 	}
-	d := n.cfg.DIFS
+	d := DIFS
 	if n.needEIFS && !n.cfg.DisableEIFS {
-		d = n.eifs
+		d = eifs
 	}
 	n.difsTimer = n.sched.ScheduleEvent(d, (*difsExpiry)(n))
 }
@@ -538,7 +520,7 @@ func (n *Node) difsElapsed() {
 		n.transmitAttempt()
 		return
 	}
-	n.countdown = n.sched.Countdown(n.backoff, n.cfg.Slot, (*backoffDone)(n))
+	n.countdown = n.sched.Countdown(n.backoff, Slot, (*backoffDone)(n))
 }
 
 // countdownDone runs when every backoff slot elapsed on an idle medium.
@@ -586,7 +568,7 @@ func (n *Node) transmitAttempt() {
 // sendDataDirect transmits the data frame without a handshake (basic
 // access). The receiver still acknowledges after SIFS.
 func (n *Node) sendDataDirect() {
-	nav := n.cfg.SIFS + n.ackAir + n.prop
+	nav := SIFS + ackAir + phy.PropDelay
 	mode, err := n.mode(phy.Data, n.cur.Dst)
 	if err != nil {
 		n.stats.Drops++
@@ -610,7 +592,7 @@ func (n *Node) sendDataDirect() {
 // sendRTS transmits the RTS opening the four-way handshake.
 func (n *Node) sendRTS() {
 	// Duration field: remaining exchange after the RTS.
-	nav := 3*n.cfg.SIFS + n.ctsAir + n.radio.ChannelParams().Airtime(n.cur.Bytes) + n.ackAir + 3*n.prop
+	nav := 3*SIFS + ctsAir + phy.Airtime(n.cur.Bytes) + ackAir + 3*phy.PropDelay
 	mode, err := n.mode(phy.RTS, n.cur.Dst)
 	if err != nil {
 		// No bearing for the destination: the packet is undeliverable.
@@ -619,7 +601,7 @@ func (n *Node) sendRTS() {
 		return
 	}
 	n.seq++
-	f := phy.Frame{Type: phy.RTS, Src: n.ID(), Dst: n.cur.Dst, Bytes: n.cfg.RTSBytes, NAV: nav, Seq: n.seq}
+	f := phy.Frame{Type: phy.RTS, Src: n.ID(), Dst: n.cur.Dst, Bytes: RTSBytes, NAV: nav, Seq: n.seq}
 	if n.cfg.AdaptiveRTSStaleness > 0 {
 		f.Payload = n.radio.Pos()
 	}
@@ -658,7 +640,7 @@ func (n *Node) scheduleResponse(p respParams) {
 	n.cancelContention()
 	n.respPending = true
 	n.respQueue = append(n.respQueue, p)
-	n.sched.ScheduleEvent(n.cfg.SIFS, (*responseDue)(n))
+	n.sched.ScheduleEvent(SIFS, (*responseDue)(n))
 }
 
 // fireResponse pops and transmits the oldest queued response.
@@ -668,12 +650,12 @@ func (n *Node) fireResponse() {
 	switch p.kind {
 	case respCTS:
 		n.seq++
-		cts := phy.Frame{Type: phy.CTS, Src: n.ID(), Dst: p.dst, Bytes: n.cfg.CTSBytes, NAV: p.nav, Seq: n.seq}
+		cts := phy.Frame{Type: phy.CTS, Src: n.ID(), Dst: p.dst, Bytes: CTSBytes, NAV: p.nav, Seq: n.seq}
 		if n.respond(cts, phy.CTS, p.dst) {
 			n.stats.CTSSent++
 			n.emit(trace.TxStart, phy.CTS, p.dst, "")
 			// Hold our own contention through the expected exchange.
-			if until := n.sched.Now() + n.ctsAir + p.nav; until > n.holdUntil {
+			if until := n.sched.Now() + ctsAir + p.nav; until > n.holdUntil {
 				n.holdUntil = until
 			}
 		}
@@ -689,7 +671,7 @@ func (n *Node) fireResponse() {
 		}
 	case respACK:
 		n.seq++
-		ack := phy.Frame{Type: phy.ACK, Src: n.ID(), Dst: p.dst, Bytes: n.cfg.ACKBytes, NAV: 0, Seq: n.seq}
+		ack := phy.Frame{Type: phy.ACK, Src: n.ID(), Dst: p.dst, Bytes: ACKBytes, NAV: 0, Seq: n.seq}
 		if n.respond(ack, phy.ACK, p.dst) {
 			n.stats.ACKSent++
 			n.emit(trace.TxStart, phy.ACK, p.dst, "")
@@ -760,7 +742,7 @@ func (n *Node) onRTS(f phy.Frame, now des.Time) {
 	if !available {
 		return
 	}
-	ctsNAV := f.NAV - n.ctsAir - n.cfg.SIFS - n.prop
+	ctsNAV := f.NAV - ctsAir - SIFS - phy.PropDelay
 	if ctsNAV < 0 {
 		ctsNAV = 0
 	}
@@ -775,7 +757,7 @@ func (n *Node) onCTS(f phy.Frame) {
 	n.sched.Cancel(n.ctsTo)
 	n.ctsTo = des.Timer{}
 	n.shortRetries = 0 // RTS phase succeeded
-	dataNAV := n.cfg.SIFS + n.ackAir + n.prop
+	dataNAV := SIFS + ackAir + phy.PropDelay
 	n.st = stTxData
 	n.scheduleResponse(respParams{kind: respData, nav: dataNAV})
 }
@@ -867,11 +849,11 @@ func (n *Node) OnTxDone() {
 	switch n.txType {
 	case phy.RTS:
 		n.st = stWaitCTS
-		to := n.cfg.SIFS + n.ctsAir + 2*n.prop + n.cfg.Slot
+		to := SIFS + ctsAir + 2*phy.PropDelay + Slot
 		n.ctsTo = n.sched.ScheduleEvent(to, (*ctsTimeout)(n))
 	case phy.Data:
 		n.st = stWaitACK
-		to := n.cfg.SIFS + n.ackAir + 2*n.prop + n.cfg.Slot
+		to := SIFS + ackAir + 2*phy.PropDelay + Slot
 		n.ackTo = n.sched.ScheduleEvent(to, (*ackTimeout)(n))
 	case phy.CTS, phy.ACK:
 		n.resumeDeference()
@@ -891,7 +873,7 @@ func (n *Node) onCTSTimeout() {
 	if n.cfg.Tracer != nil {
 		n.emit(trace.Timeout, phy.CTS, n.cur.Dst, fmt.Sprintf("retry %d", n.shortRetries))
 	}
-	if n.shortRetries > n.cfg.ShortRetryLimit {
+	if n.shortRetries > ShortRetryLimit {
 		n.stats.Drops++
 		n.emit(trace.Drop, phy.RTS, n.cur.Dst, "short retry limit")
 		n.nextPacket()
@@ -916,7 +898,7 @@ func (n *Node) onACKTimeout() {
 func (n *Node) retryLong() {
 	n.longRetries++
 	n.growCW()
-	if n.longRetries > n.cfg.LongRetryLimit {
+	if n.longRetries > LongRetryLimit {
 		n.stats.Drops++
 		n.emit(trace.Drop, phy.Data, n.cur.Dst, "long retry limit")
 		n.nextPacket()
@@ -928,7 +910,7 @@ func (n *Node) retryLong() {
 // growCW doubles the contention window: CW ← min(2(CW+1)−1, CWMax).
 func (n *Node) growCW() {
 	n.cw = 2*(n.cw+1) - 1
-	if n.cw > n.cfg.CWMax {
-		n.cw = n.cfg.CWMax
+	if n.cw > CWMax {
+		n.cw = CWMax
 	}
 }

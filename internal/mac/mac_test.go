@@ -17,17 +17,19 @@ import (
 )
 
 func TestDefaultConfigMatchesTable1(t *testing.T) {
-	c := mac.DefaultConfig(core.ORTSOCTS, 0)
-	if c.RTSBytes != 20 || c.CTSBytes != 14 || c.ACKBytes != 14 {
-		t.Errorf("frame sizes = %d/%d/%d, want 20/14/14", c.RTSBytes, c.CTSBytes, c.ACKBytes)
+	if mac.RTSBytes != 20 || mac.CTSBytes != 14 || mac.ACKBytes != 14 {
+		t.Errorf("frame sizes = %d/%d/%d, want 20/14/14", mac.RTSBytes, mac.CTSBytes, mac.ACKBytes)
 	}
-	if c.DIFS != 50*des.Microsecond || c.SIFS != 10*des.Microsecond || c.Slot != 20*des.Microsecond {
-		t.Errorf("IFS = %v/%v/%v, want 50µs/10µs/20µs", c.DIFS, c.SIFS, c.Slot)
+	if mac.DIFS != 50*des.Microsecond || mac.SIFS != 10*des.Microsecond || mac.Slot != 20*des.Microsecond {
+		t.Errorf("IFS = %v/%v/%v, want 50µs/10µs/20µs", mac.DIFS, mac.SIFS, mac.Slot)
 	}
-	if c.CWMin != 31 || c.CWMax != 1023 {
-		t.Errorf("CW = %d–%d, want 31–1023", c.CWMin, c.CWMax)
+	if mac.CWMin != 31 || mac.CWMax != 1023 {
+		t.Errorf("CW = %d–%d, want 31–1023", mac.CWMin, mac.CWMax)
 	}
-	if err := c.Validate(); err != nil {
+	if phy.SyncTime != 192*des.Microsecond || phy.PropDelay != des.Microsecond || phy.BitRate != 2_000_000 {
+		t.Errorf("sync/propagation/rate = %v/%v/%d, want 192µs/1µs/2000000", phy.SyncTime, phy.PropDelay, phy.BitRate)
+	}
+	if err := mac.DefaultConfig(core.ORTSOCTS, 0).Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
 	}
 }
@@ -44,11 +46,6 @@ func TestConfigValidate(t *testing.T) {
 		{"unknown scheme", func(c *mac.Config) { c.Scheme = 0 }},
 		{"zero beamwidth directional", func(c *mac.Config) { c.Beamwidth = 0 }},
 		{"beamwidth too wide", func(c *mac.Config) { c.Beamwidth = 7 }},
-		{"zero RTS bytes", func(c *mac.Config) { c.RTSBytes = 0 }},
-		{"zero DIFS", func(c *mac.Config) { c.DIFS = 0 }},
-		{"CWMax below CWMin", func(c *mac.Config) { c.CWMax = 3 }},
-		{"zero CWMin", func(c *mac.Config) { c.CWMin = 0 }},
-		{"zero retry limit", func(c *mac.Config) { c.ShortRetryLimit = 0 }},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
@@ -121,7 +118,7 @@ func TestDeadDestinationBEBAndDrop(t *testing.T) {
 	nw.Run(5 * des.Second)
 
 	st := nw.Stats(0)
-	wantAttempts := int64(cfg.ShortRetryLimit + 1)
+	wantAttempts := int64(mac.ShortRetryLimit + 1)
 	if st.RTSSent != wantAttempts {
 		t.Errorf("RTS attempts = %d, want %d (short retry limit + 1)", st.RTSSent, wantAttempts)
 	}
@@ -577,40 +574,6 @@ func TestRetransmissionKeepsSequence(t *testing.T) {
 	if b.DataDelivered < a.Successes+c.Successes {
 		t.Errorf("deliveries %d < successes %d (dup suppression broke accounting)",
 			b.DataDelivered, a.Successes+c.Successes)
-	}
-}
-
-// TestNewRejectsTimingOutsideCountdownEnvelope pins the one-timer
-// countdown's preconditions: construction fails loudly, never silently
-// changes behaviour, when PropDelay < Slot <= SyncTime with DIFS > Slot
-// does not hold.
-func TestNewRejectsTimingOutsideCountdownEnvelope(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		edit func(p *phy.Params, c *mac.Config)
-		ok   bool
-	}{
-		{"table1", func(*phy.Params, *mac.Config) {}, true},
-		{"prop-equals-slot", func(p *phy.Params, c *mac.Config) { p.PropDelay = c.Slot }, false},
-		{"sync-below-slot", func(p *phy.Params, c *mac.Config) { p.SyncTime = c.Slot - 1 }, false},
-		{"sync-equals-slot", func(p *phy.Params, c *mac.Config) { p.SyncTime = c.Slot }, true},
-		{"difs-equals-slot", func(p *phy.Params, c *mac.Config) { c.DIFS = c.Slot }, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			params := phy.DefaultParams()
-			cfg := mac.DefaultConfig(core.ORTSOCTS, 0)
-			tc.edit(&params, &cfg)
-			sched := des.New(1)
-			ch, err := phy.NewChannel(sched, params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			radio := ch.AddRadio(geom.Point{}, nil)
-			_, err = mac.New(sched, radio, neighbor.NewTable(0, geom.Point{}), nil, cfg)
-			if (err == nil) != tc.ok {
-				t.Fatalf("mac.New error = %v, want ok=%v", err, tc.ok)
-			}
-		})
 	}
 }
 

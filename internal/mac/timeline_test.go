@@ -17,8 +17,14 @@ import (
 	"repro/internal/trace"
 )
 
-// tracedPair builds a 2-node network with a recorder and one packet.
-func tracedPair(t *testing.T) (*simtest.Net, *trace.Recorder, mac.Config) {
+// call adapts a closure to des.Event for the tests that schedule one.
+type call func()
+
+func (f call) Fire() { f() }
+
+// tracedPair runs a 2-node network with one packet and returns its
+// trace.
+func tracedPair(t *testing.T) *trace.Recorder {
 	t.Helper()
 	cfg := mac.DefaultConfig(core.ORTSOCTS, 0)
 	rec := trace.NewRecorder(64)
@@ -29,7 +35,7 @@ func tracedPair(t *testing.T) (*simtest.Net, *trace.Recorder, mac.Config) {
 	})
 	nw.Start(0)
 	nw.Run(des.Second)
-	return nw, rec, cfg
+	return rec
 }
 
 // eventAt finds the first event of the given node/kind/frame.
@@ -45,8 +51,7 @@ func eventAt(t *testing.T, rec *trace.Recorder, node phy.NodeID, kind trace.Kind
 }
 
 func TestHandshakeTimingExact(t *testing.T) {
-	_, rec, cfg := tracedPair(t)
-	params := phy.DefaultParams()
+	rec := tracedPair(t)
 	var (
 		rtsTx  = eventAt(t, rec, 0, trace.TxStart, phy.RTS)
 		rtsRx  = eventAt(t, rec, 1, trace.RxFrame, phy.RTS)
@@ -58,33 +63,33 @@ func TestHandshakeTimingExact(t *testing.T) {
 		ackRx  = eventAt(t, rec, 0, trace.RxFrame, phy.ACK)
 	)
 	// RTS arrives exactly airtime + propagation after it starts.
-	if got, want := rtsRx.At-rtsTx.At, params.Airtime(cfg.RTSBytes)+params.PropDelay; got != want {
+	if got, want := rtsRx.At-rtsTx.At, phy.Airtime(mac.RTSBytes)+phy.PropDelay; got != want {
 		t.Errorf("RTS flight time = %v, want %v", got, want)
 	}
 	// SIFS turnarounds are exact (no carrier sensing).
-	if got := ctsTx.At - rtsRx.At; got != cfg.SIFS {
-		t.Errorf("RTS→CTS turnaround = %v, want SIFS %v", got, cfg.SIFS)
+	if got := ctsTx.At - rtsRx.At; got != mac.SIFS {
+		t.Errorf("RTS→CTS turnaround = %v, want SIFS %v", got, mac.SIFS)
 	}
-	if got := dataTx.At - ctsRx.At; got != cfg.SIFS {
-		t.Errorf("CTS→DATA turnaround = %v, want SIFS %v", got, cfg.SIFS)
+	if got := dataTx.At - ctsRx.At; got != mac.SIFS {
+		t.Errorf("CTS→DATA turnaround = %v, want SIFS %v", got, mac.SIFS)
 	}
-	if got := ackTx.At - dataRx.At; got != cfg.SIFS {
-		t.Errorf("DATA→ACK turnaround = %v, want SIFS %v", got, cfg.SIFS)
+	if got := ackTx.At - dataRx.At; got != mac.SIFS {
+		t.Errorf("DATA→ACK turnaround = %v, want SIFS %v", got, mac.SIFS)
 	}
 	// Flight times for the remaining frames.
-	if got, want := ctsRx.At-ctsTx.At, params.Airtime(cfg.CTSBytes)+params.PropDelay; got != want {
+	if got, want := ctsRx.At-ctsTx.At, phy.Airtime(mac.CTSBytes)+phy.PropDelay; got != want {
 		t.Errorf("CTS flight time = %v, want %v", got, want)
 	}
-	if got, want := dataRx.At-dataTx.At, params.Airtime(1460)+params.PropDelay; got != want {
+	if got, want := dataRx.At-dataTx.At, phy.Airtime(1460)+phy.PropDelay; got != want {
 		t.Errorf("DATA flight time = %v, want %v", got, want)
 	}
-	if got, want := ackRx.At-ackTx.At, params.Airtime(cfg.ACKBytes)+params.PropDelay; got != want {
+	if got, want := ackRx.At-ackTx.At, phy.Airtime(mac.ACKBytes)+phy.PropDelay; got != want {
 		t.Errorf("ACK flight time = %v, want %v", got, want)
 	}
 	// The whole exchange starts after DIFS plus a whole number of slots
 	// (the drawn backoff).
-	afterDIFS := rtsTx.At - cfg.DIFS
-	if afterDIFS < 0 || des.Time(afterDIFS)%cfg.Slot != 0 {
+	afterDIFS := rtsTx.At - mac.DIFS
+	if afterDIFS < 0 || des.Time(afterDIFS)%mac.Slot != 0 {
 		t.Errorf("RTS at %v is not DIFS + k·slot", rtsTx.At)
 	}
 	// Success exactly when the ACK is decoded.
@@ -112,7 +117,7 @@ func TestNAVDeferenceWindow(t *testing.T) {
 	a, c := nw.Nodes[0], nw.Nodes[2]
 	a.Start()
 	// Hold C until just after A's RTS is on the air, then let it contend.
-	nw.Sched.Schedule(time400, func() { c.Start() })
+	nw.Sched.ScheduleEvent(time400, call(c.Start))
 	nw.Run(des.Second)
 
 	rtsA := eventAt(t, rec, 0, trace.TxStart, phy.RTS)
@@ -211,7 +216,6 @@ func TestBackoffFreezeResume(t *testing.T) {
 	// and frame sizes; every RTS start must fall outside every other
 	// node's transmission interval (carrier sensing forbids overlap among
 	// mutually-in-range nodes, modulo the 1 µs propagation ambiguity).
-	params := phy.DefaultParams()
 	sizeOf := map[phy.FrameType]int{phy.RTS: 20, phy.CTS: 14, phy.Data: 1460, phy.ACK: 14}
 	type span struct {
 		node     phy.NodeID
@@ -220,7 +224,7 @@ func TestBackoffFreezeResume(t *testing.T) {
 	var spans []span
 	for _, ev := range rec.Events() {
 		if ev.Kind == trace.TxStart {
-			spans = append(spans, span{ev.Node, ev.At, ev.At + params.Airtime(sizeOf[ev.Frame])})
+			spans = append(spans, span{ev.Node, ev.At, ev.At + phy.Airtime(sizeOf[ev.Frame])})
 		}
 	}
 	for _, ev := range rec.Events() {
@@ -233,7 +237,7 @@ func TestBackoffFreezeResume(t *testing.T) {
 			}
 			// Allow the propagation delay: a node may legitimately start
 			// within PropDelay of another's start (it cannot know yet).
-			if ev.At > sp.from+params.PropDelay && ev.At < sp.to {
+			if ev.At > sp.from+phy.PropDelay && ev.At < sp.to {
 				t.Fatalf("node %d sent RTS at %v inside node %d's transmission [%v, %v]",
 					ev.Node, ev.At, sp.node, sp.from, sp.to)
 			}

@@ -15,30 +15,23 @@ import (
 	"repro/internal/phy"
 )
 
+// The walk: one-second pauses at each waypoint, 100 ms update
+// granularity, and speeds drawn uniformly from a tenth of the top speed
+// up to the top speed.
+const (
+	pause      = des.Second
+	tick       = 100 * des.Millisecond
+	speedRatio = 10 // the top speed over the slowest draw
+)
+
 // Config parameterizes the random-waypoint model.
 type Config struct {
 	// Bound keeps nodes inside a disk of this radius centered at the
-	// origin (the paper's 3R network disk).
+	// origin (the network's field disk, 3R in the paper).
 	Bound float64
-	// SpeedMin/SpeedMax bound the uniform speed draw, in distance units
-	// per second. SpeedMax = 0 disables movement entirely.
-	SpeedMin, SpeedMax float64
-	// Pause is the dwell time at each waypoint.
-	Pause des.Time
-	// Tick is the position-update interval (granularity of motion).
-	Tick des.Time
-}
-
-// DefaultConfig returns a gentle walk inside the paper's 3R disk:
-// speeds up to maxSpeed, one-second pauses, 100 ms update granularity.
-func DefaultConfig(maxSpeed float64) Config {
-	return Config{
-		Bound:    3,
-		SpeedMin: maxSpeed / 10,
-		SpeedMax: maxSpeed,
-		Pause:    des.Second,
-		Tick:     100 * des.Millisecond,
-	}
+	// MaxSpeed is the top speed, in distance units per second.
+	// MaxSpeed = 0 disables movement entirely.
+	MaxSpeed float64
 }
 
 // Validate checks the configuration.
@@ -46,14 +39,8 @@ func (c Config) Validate() error {
 	if c.Bound <= 0 {
 		return fmt.Errorf("mobility: bound must be positive, got %v", c.Bound)
 	}
-	if c.SpeedMin < 0 || c.SpeedMax < c.SpeedMin {
-		return fmt.Errorf("mobility: need 0 <= SpeedMin <= SpeedMax, got %v, %v", c.SpeedMin, c.SpeedMax)
-	}
-	if c.SpeedMax > 0 && c.Tick <= 0 {
-		return fmt.Errorf("mobility: tick must be positive, got %v", c.Tick)
-	}
-	if c.Pause < 0 {
-		return fmt.Errorf("mobility: pause must be non-negative, got %v", c.Pause)
+	if c.MaxSpeed < 0 {
+		return fmt.Errorf("mobility: top speed must be non-negative, got %v", c.MaxSpeed)
 	}
 	return nil
 }
@@ -66,12 +53,12 @@ type walker struct {
 	pausal des.Time
 }
 
-// Model drives the walkers from the scheduler.
+// Model drives the walkers from the scheduler. It is its own tick
+// event.
 type Model struct {
 	sched   *des.Scheduler
 	cfg     Config
 	walkers []*walker
-	stopped bool
 }
 
 // New attaches a random-waypoint model to every radio of the channel.
@@ -86,19 +73,17 @@ func New(sched *des.Scheduler, ch *phy.Channel, cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// Start begins the walk. Idempotent per model; Stop ends it.
+// Start begins the walk, which goes on for as long as the scheduler
+// runs. Call it once.
 func (m *Model) Start() {
-	if m.cfg.SpeedMax <= 0 {
+	if m.cfg.MaxSpeed <= 0 {
 		return // static network
 	}
 	for _, w := range m.walkers {
 		m.retarget(w)
 	}
-	m.sched.Schedule(m.cfg.Tick, m.tick)
+	m.sched.ScheduleEvent(tick, m)
 }
-
-// Stop freezes all nodes at their current positions.
-func (m *Model) Stop() { m.stopped = true }
 
 // retarget draws a fresh waypoint and speed for w.
 func (m *Model) retarget(w *walker) {
@@ -107,19 +92,17 @@ func (m *Model) retarget(w *walker) {
 	r := m.cfg.Bound * math.Sqrt(rng.Float64())
 	theta := rng.Float64() * 2 * math.Pi
 	w.target = geom.Polar(geom.Point{}, r, theta)
-	w.speed = m.cfg.SpeedMin + rng.Float64()*(m.cfg.SpeedMax-m.cfg.SpeedMin)
+	lo := m.cfg.MaxSpeed / speedRatio
+	w.speed = lo + rng.Float64()*(m.cfg.MaxSpeed-lo)
 	w.pausal = 0
 }
 
-// tick advances every walker by one interval.
-func (m *Model) tick() {
-	if m.stopped {
-		return
-	}
-	dt := m.cfg.Tick.Seconds()
+// Fire advances every walker by one tick and schedules the next.
+func (m *Model) Fire() {
+	dt := tick.Seconds()
 	for _, w := range m.walkers {
 		if w.pausal > 0 {
-			w.pausal -= m.cfg.Tick
+			w.pausal -= tick
 			if w.pausal <= 0 {
 				m.retarget(w)
 			}
@@ -131,13 +114,10 @@ func (m *Model) tick() {
 		step := w.speed * dt
 		if dist <= step {
 			w.radio.SetPos(w.target)
-			w.pausal = m.cfg.Pause
-			if w.pausal <= 0 {
-				m.retarget(w)
-			}
+			w.pausal = pause
 			continue
 		}
 		w.radio.SetPos(pos.Add(to.Scale(step / dist)))
 	}
-	m.sched.Schedule(m.cfg.Tick, m.tick)
+	m.sched.ScheduleEvent(tick, m)
 }

@@ -30,15 +30,14 @@ func channelWith(t *testing.T, n int) (*des.Scheduler, *phy.Channel) {
 }
 
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig(1.0).Validate(); err != nil {
-		t.Errorf("default config invalid: %v", err)
+	for _, cfg := range []Config{{Bound: 3, MaxSpeed: 1}, {Bound: 3}} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("config %+v invalid: %v", cfg, err)
+		}
 	}
 	bad := []Config{
-		{Bound: 0, SpeedMax: 1, Tick: des.Second},
-		{Bound: 3, SpeedMin: -1, SpeedMax: 1, Tick: des.Second},
-		{Bound: 3, SpeedMin: 2, SpeedMax: 1, Tick: des.Second},
-		{Bound: 3, SpeedMax: 1, Tick: 0},
-		{Bound: 3, SpeedMax: 1, Tick: des.Second, Pause: -1},
+		{Bound: 0, MaxSpeed: 1},
+		{Bound: 3, MaxSpeed: -1},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -49,7 +48,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestNodesMoveAndStayBounded(t *testing.T) {
 	sched, ch := channelWith(t, 5)
-	cfg := Config{Bound: 2, SpeedMin: 0.5, SpeedMax: 1.5, Pause: 100 * des.Millisecond, Tick: 50 * des.Millisecond}
+	cfg := Config{Bound: 2, MaxSpeed: 1.5}
 	m, err := New(sched, ch, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +78,7 @@ func TestNodesMoveAndStayBounded(t *testing.T) {
 
 func TestSpeedIsRespected(t *testing.T) {
 	sched, ch := channelWith(t, 1)
-	cfg := Config{Bound: 5, SpeedMin: 1, SpeedMax: 1, Pause: 0, Tick: 100 * des.Millisecond}
+	cfg := Config{Bound: 5, MaxSpeed: 1}
 	m, err := New(sched, ch, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +88,7 @@ func TestSpeedIsRespected(t *testing.T) {
 	for step := 0; step < 100; step++ {
 		sched.Run(sched.Now() + 100*des.Millisecond)
 		cur := ch.Radio(0).Pos()
-		// At speed 1.0 and 100 ms ticks, each step moves at most 0.1 (+ε).
+		// At top speed 1.0 and 100 ms ticks, each step moves at most 0.1 (+ε).
 		if d := cur.Dist(prev); d > 0.1+1e-9 {
 			t.Fatalf("step %d moved %v, want <= 0.1", step, d)
 		}
@@ -99,7 +98,7 @@ func TestSpeedIsRespected(t *testing.T) {
 
 func TestZeroSpeedIsStatic(t *testing.T) {
 	sched, ch := channelWith(t, 3)
-	m, err := New(sched, ch, DefaultConfig(0))
+	m, err := New(sched, ch, Config{Bound: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,26 +113,10 @@ func TestZeroSpeedIsStatic(t *testing.T) {
 	}
 }
 
-func TestStopFreezes(t *testing.T) {
-	sched, ch := channelWith(t, 2)
-	m, err := New(sched, ch, Config{Bound: 3, SpeedMin: 1, SpeedMax: 1, Tick: 10 * des.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Start()
-	sched.Run(des.Second)
-	m.Stop()
-	frozen := ch.Radio(0).Pos()
-	sched.Run(5 * des.Second)
-	if ch.Radio(0).Pos() != frozen {
-		t.Error("node moved after Stop")
-	}
-}
-
 func TestDeterministic(t *testing.T) {
 	run := func() geom.Point {
 		sched, ch := channelWith(t, 4)
-		m, err := New(sched, ch, DefaultConfig(2))
+		m, err := New(sched, ch, Config{Bound: 3, MaxSpeed: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -270,28 +270,39 @@ func GroundTruth(ch *phy.Channel) []*Table {
 	return tables
 }
 
-// HelloConfig tunes the over-the-air bootstrap protocol.
-type HelloConfig struct {
-	// Rounds is the number of beacon rounds. Each node broadcasts once
-	// per round at a uniformly random offset; more rounds recover from
-	// beacon collisions.
-	Rounds int
-	// RoundLen is the duration of one round.
-	RoundLen des.Time
+// The over-the-air bootstrap protocol: it completes quickly and
+// survives beacon collisions in the paper's densest topologies. A unit
+// test checks that a round leaves room for a beacon.
+const (
+	// HelloRounds is the number of beacon rounds. Each node broadcasts
+	// once per round at a uniformly random offset; more rounds recover
+	// from beacon collisions.
+	HelloRounds = 12
+	// HelloRoundLen is the duration of one round.
+	HelloRoundLen = 50 * des.Millisecond
 	// HelloBytes is the on-air size of a beacon.
-	HelloBytes int
-}
+	HelloBytes = 30
+)
 
-// DefaultHelloConfig returns a bootstrap configuration that completes
-// quickly and survives collisions in the paper's densest topologies.
-func DefaultHelloConfig() HelloConfig {
-	return HelloConfig{Rounds: 12, RoundLen: 50 * des.Millisecond, HelloBytes: 30}
-}
-
-// helloNode is the per-radio handler used during bootstrap.
+// helloNode is the per-radio handler used during bootstrap, and the
+// event that sends the radio's beacon.
 type helloNode struct {
 	radio *phy.Radio
 	table *Table
+}
+
+// Fire broadcasts the radio's position. It is best effort: a radio that
+// happens to be transmitting (impossible with one beacon per round)
+// skips the round.
+func (h *helloNode) Fire() {
+	f := phy.Frame{
+		Type:    phy.Hello,
+		Src:     h.radio.ID(),
+		Dst:     phy.Broadcast,
+		Bytes:   HelloBytes,
+		Payload: h.radio.Pos(),
+	}
+	_, _ = h.radio.Transmit(f, phy.Omni)
 }
 
 func (h *helloNode) OnCarrierBusy() {}
@@ -309,15 +320,12 @@ func (h *helloNode) OnFrame(f phy.Frame) {
 }
 
 // Bootstrap runs the HELLO protocol on the channel: every radio
-// broadcasts its position at random offsets for cfg.Rounds rounds, and
+// broadcasts its position at random offsets for HelloRounds rounds, and
 // every radio learns the positions it hears. It returns the resulting
 // tables (indexed by node ID) and restores no handlers — callers attach
 // their MAC handlers afterwards. The scheduler is advanced by
-// Rounds × RoundLen.
-func Bootstrap(sched *des.Scheduler, ch *phy.Channel, cfg HelloConfig) ([]*Table, error) {
-	if cfg.Rounds <= 0 || cfg.RoundLen <= 0 || cfg.HelloBytes <= 0 {
-		return nil, fmt.Errorf("neighbor: invalid hello config %+v", cfg)
-	}
+// HelloRounds × HelloRoundLen.
+func Bootstrap(sched *des.Scheduler, ch *phy.Channel) []*Table {
 	n := ch.NumRadios()
 	tables := make([]*Table, n)
 	nodes := make([]*helloNode, n)
@@ -328,68 +336,60 @@ func Bootstrap(sched *des.Scheduler, ch *phy.Channel, cfg HelloConfig) ([]*Table
 		nodes[i] = &helloNode{radio: radio, table: tables[i]}
 		radio.SetHandler(nodes[i])
 	}
+	// Leave headroom at the end of the round for the beacon itself.
+	head := HelloRoundLen - phy.Airtime(HelloBytes) - phy.PropDelay
 	end := sched.Now()
-	for round := 0; round < cfg.Rounds; round++ {
-		start := sched.Now() + des.Time(round)*cfg.RoundLen
+	for round := 0; round < HelloRounds; round++ {
+		start := sched.Now() + des.Time(round)*HelloRoundLen
 		for i := 0; i < n; i++ {
-			node := nodes[i]
-			// Leave headroom at the end of the round for the beacon itself.
-			head := cfg.RoundLen - ch.Params().Airtime(cfg.HelloBytes) - ch.Params().PropDelay
-			if head < 1 {
-				return nil, fmt.Errorf("neighbor: round length %v too short for a beacon", cfg.RoundLen)
-			}
 			offset := des.Time(sched.Rand().Int63n(int64(head)))
-			sched.At(start+offset, func() {
-				// Best effort: if the radio happens to be transmitting
-				// (impossible with one beacon per round) skip this round.
-				f := phy.Frame{
-					Type:    phy.Hello,
-					Src:     node.radio.ID(),
-					Dst:     phy.Broadcast,
-					Bytes:   cfg.HelloBytes,
-					Payload: node.radio.Pos(),
-				}
-				_, _ = node.radio.Transmit(f, phy.Omni)
-			})
+			sched.AtEvent(start+offset, nodes[i])
 		}
-		end = start + cfg.RoundLen
+		end = start + HelloRoundLen
 	}
 	sched.Run(end)
-	return tables, nil
+	return tables
 }
 
 // PeriodicRefresh re-learns ground-truth neighbor positions (and own
 // position) for every table at the given interval, modeling a location
 // service with bounded staleness under mobility. Between refreshes,
 // directional transmissions aim at snapshots up to one interval old.
-// The returned stop function halts future refreshes.
-func PeriodicRefresh(sched *des.Scheduler, ch *phy.Channel, tables []*Table, interval des.Time) (stop func(), err error) {
+// Refreshes go on for as long as the scheduler runs.
+func PeriodicRefresh(sched *des.Scheduler, ch *phy.Channel, tables []*Table, interval des.Time) error {
 	if interval <= 0 {
-		return nil, fmt.Errorf("neighbor: refresh interval must be positive, got %v", interval)
+		return fmt.Errorf("neighbor: refresh interval must be positive, got %v", interval)
 	}
 	if len(tables) != ch.NumRadios() {
-		return nil, fmt.Errorf("neighbor: %d tables for %d radios", len(tables), ch.NumRadios())
+		return fmt.Errorf("neighbor: %d tables for %d radios", len(tables), ch.NumRadios())
 	}
-	stopped := false
-	var scratch []phy.NodeID
-	var refresh func()
-	refresh = func() {
-		if stopped {
-			return
+	r := &refresher{sched: sched, ch: ch, tables: tables, interval: interval}
+	sched.ScheduleEvent(interval, r)
+	return nil
+}
+
+// refresher is PeriodicRefresh's event: each firing refreshes every
+// table and schedules the next.
+type refresher struct {
+	sched    *des.Scheduler
+	ch       *phy.Channel
+	tables   []*Table
+	interval des.Time
+	scratch  []phy.NodeID
+}
+
+// Fire refreshes every table from the channel's geometry.
+func (r *refresher) Fire() {
+	for i, t := range r.tables {
+		id := phy.NodeID(i)
+		t.SetSelfPos(r.ch.Radio(id).Pos())
+		t.Clear()
+		r.scratch = r.ch.NeighborsAppend(id, r.scratch[:0])
+		for _, nb := range r.scratch {
+			t.LearnAt(nb, r.ch.Radio(nb).Pos(), r.sched.Now())
 		}
-		for i, t := range tables {
-			id := phy.NodeID(i)
-			t.SetSelfPos(ch.Radio(id).Pos())
-			t.Clear()
-			scratch = ch.NeighborsAppend(id, scratch[:0])
-			for _, nb := range scratch {
-				t.LearnAt(nb, ch.Radio(nb).Pos(), sched.Now())
-			}
-		}
-		sched.Schedule(interval, refresh)
 	}
-	sched.Schedule(interval, refresh)
-	return func() { stopped = true }, nil
+	r.sched.ScheduleEvent(r.interval, r)
 }
 
 // Complete reports whether every table knows every true neighbor of its

@@ -112,10 +112,7 @@ func TestBootstrapLearnsAllNeighbors(t *testing.T) {
 		{X: 3, Y: 3}, {X: 3.4, Y: 3},
 	}
 	sched, ch := newChannel(t, positions...)
-	tables, err := Bootstrap(sched, ch, DefaultHelloConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := Bootstrap(sched, ch)
 	if !Complete(ch, tables) {
 		for i, tab := range tables {
 			t.Logf("node %d knows %v, true neighbors %v", i, tab.IDs(), ch.Neighbors(phy.NodeID(i)))
@@ -133,28 +130,10 @@ func TestBootstrapLearnsAllNeighbors(t *testing.T) {
 	}
 }
 
-func TestBootstrapRejectsBadConfig(t *testing.T) {
-	sched, ch := newChannel(t, geom.Point{})
-	bad := []HelloConfig{
-		{Rounds: 0, RoundLen: des.Millisecond, HelloBytes: 30},
-		{Rounds: 3, RoundLen: 0, HelloBytes: 30},
-		{Rounds: 3, RoundLen: des.Millisecond, HelloBytes: 0},
-		{Rounds: 3, RoundLen: 10 * des.Microsecond, HelloBytes: 30}, // too short for a beacon
-	}
-	for i, cfg := range bad {
-		if _, err := Bootstrap(sched, ch, cfg); err == nil {
-			t.Errorf("config %d should be rejected", i)
-		}
-	}
-}
-
 func TestBootstrapAdvancesClock(t *testing.T) {
 	sched, ch := newChannel(t, geom.Point{}, geom.Point{X: 0.2})
-	cfg := HelloConfig{Rounds: 4, RoundLen: 10 * des.Millisecond, HelloBytes: 30}
-	if _, err := Bootstrap(sched, ch, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if want := des.Time(4) * 10 * des.Millisecond; sched.Now() != want {
+	Bootstrap(sched, ch)
+	if want := HelloRounds * HelloRoundLen; sched.Now() != want {
 		t.Errorf("clock after bootstrap = %v, want %v", sched.Now(), want)
 	}
 }
@@ -220,8 +199,7 @@ func TestPeriodicRefresh(t *testing.T) {
 		geom.Point{X: 5, Y: 5},
 	)
 	tables := GroundTruth(ch)
-	stop, err := PeriodicRefresh(sched, ch, tables, 100*des.Millisecond)
-	if err != nil {
+	if err := PeriodicRefresh(sched, ch, tables, 100*des.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	// Move node 1 out of range and node 2 into range of node 0.
@@ -238,22 +216,15 @@ func TestPeriodicRefresh(t *testing.T) {
 	if pos, ok := tables[0].Position(2); !ok || pos != (geom.Point{X: 0.4, Y: 0}) {
 		t.Errorf("refresh missed the new neighbor: %v %v", pos, ok)
 	}
-	// Stop halts further refreshes.
-	stop()
-	ch.Radio(2).SetPos(geom.Point{X: 9, Y: 9})
-	sched.Run(sched.Now() + des.Second)
-	if _, ok := tables[0].Position(2); !ok {
-		t.Error("stopped refresh should leave tables frozen")
-	}
 }
 
 func TestPeriodicRefreshValidation(t *testing.T) {
 	sched, ch := newChannel(t, geom.Point{})
 	tables := GroundTruth(ch)
-	if _, err := PeriodicRefresh(sched, ch, tables, 0); err == nil {
+	if err := PeriodicRefresh(sched, ch, tables, 0); err == nil {
 		t.Error("zero interval should be rejected")
 	}
-	if _, err := PeriodicRefresh(sched, ch, nil, des.Second); err == nil {
+	if err := PeriodicRefresh(sched, ch, nil, des.Second); err == nil {
 		t.Error("table/radio count mismatch should be rejected")
 	}
 }

@@ -242,7 +242,7 @@ func TestBearingMemoFollowsRefreshAndMovement(t *testing.T) {
 	sched, ch := randomField(t, rng, 40, 2.5)
 	lists, copies := snapshotLists(ch)
 	tables := GroundTruth(ch)
-	if _, err := PeriodicRefresh(sched, ch, tables, 100*des.Millisecond); err != nil {
+	if err := PeriodicRefresh(sched, ch, tables, 100*des.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	check := func(stage string) {

@@ -140,7 +140,6 @@ var orderVariants = []orderVariant{
 	{name: "sinr", params: func(p *Params) { p.SINRThreshold, p.PathLoss, p.NoiseFloor = 2, 3, 1e-3 }},
 	{name: "oracle", params: func(p *Params) { p.NAVOracle = true }},
 	{name: "reentrant-oracle", params: func(p *Params) { p.NAVOracle = true }, reentrant: true},
-	{name: "reentrant-zero-delay", params: func(p *Params) { p.PropDelay = 0 }, reentrant: true},
 }
 
 // runOrder places 24 radios in a 2R × 2R square, schedules the script
@@ -165,11 +164,11 @@ func runOrder(t *testing.T, v orderVariant) []traceRec {
 	for i, s := range orderScript(7, n, 300) {
 		f := Frame{Type: Data, Src: s.src, Dst: Broadcast, Bytes: s.bytes, Seq: int64(i + 1)}
 		radio, mode := ch.Radio(s.src), s.mode
-		sched.At(s.at, func() {
+		sched.AtEvent(s.at, call(func() {
 			if _, err := radio.Transmit(f, mode); err != nil && !errors.Is(err, ErrTxBusy) {
 				t.Fatal(err)
 			}
-		})
+		}))
 	}
 	sched.RunAll()
 	return run.log

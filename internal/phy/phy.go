@@ -101,15 +101,19 @@ func (m Mode) Covers(dir float64) bool {
 	return geom.WithinBeam(m.Bearing, m.Beamwidth, dir)
 }
 
-// Params configures the channel. DefaultParams matches Table 1 of the
-// paper (DSSS at 2 Mb/s).
-type Params struct {
+// The channel timing of Table 1 of the paper (DSSS at 2 Mb/s). The
+// paper evaluates this one radio, so no scenario or flag can change it.
+const (
 	// BitRate is the raw channel rate in bits per second.
-	BitRate int64
+	BitRate int64 = 2_000_000
 	// SyncTime is the PLCP preamble+header time prepended to every frame.
-	SyncTime des.Time
+	SyncTime = 192 * des.Microsecond
 	// PropDelay is the fixed propagation delay between any pair in range.
-	PropDelay des.Time
+	PropDelay = 1 * des.Microsecond
+)
+
+// Params configures the channel: its range and the receiver ablations.
+type Params struct {
 	// Range is the transmission/reception radius R (same length unit as
 	// node positions).
 	Range float64
@@ -142,25 +146,14 @@ type Params struct {
 	NAVOracle bool
 }
 
-// DefaultParams returns the paper's Table 1 channel configuration with a
-// transmission range of 1.0 distance unit.
+// DefaultParams returns the paper's channel: a transmission range of
+// 1.0 distance unit and no ablation.
 func DefaultParams() Params {
-	return Params{
-		BitRate:   2_000_000,
-		SyncTime:  192 * des.Microsecond,
-		PropDelay: 1 * des.Microsecond,
-		Range:     1.0,
-	}
+	return Params{Range: 1.0}
 }
 
 // Validate checks the parameter ranges.
 func (p Params) Validate() error {
-	if p.BitRate <= 0 {
-		return fmt.Errorf("phy: bit rate must be positive, got %d", p.BitRate)
-	}
-	if p.SyncTime < 0 || p.PropDelay < 0 {
-		return fmt.Errorf("phy: sync time and propagation delay must be non-negative")
-	}
 	if p.Range <= 0 {
 		return fmt.Errorf("phy: range must be positive, got %v", p.Range)
 	}
@@ -189,9 +182,9 @@ func (m Mode) Gain() float64 {
 
 // Airtime returns the on-air duration of a frame of the given byte size:
 // sync preamble plus serialization at the channel bit rate.
-func (p Params) Airtime(bytes int) des.Time {
+func Airtime(bytes int) des.Time {
 	bits := int64(bytes) * 8
-	return p.SyncTime + des.Time(bits*int64(des.Second)/p.BitRate)
+	return SyncTime + des.Time(bits*int64(des.Second)/BitRate)
 }
 
 // Handler receives PHY indications. All callbacks run on the scheduler
@@ -262,10 +255,6 @@ type Radio struct {
 // ID returns the radio's node ID.
 func (r *Radio) ID() NodeID { return r.id }
 
-// ChannelParams returns the configuration of the channel this radio is
-// attached to.
-func (r *Radio) ChannelParams() Params { return r.ch.params }
-
 // Pos returns the radio's current position.
 func (r *Radio) Pos() geom.Point { return r.pos }
 
@@ -326,7 +315,7 @@ func (r *Radio) Transmit(f Frame, m Mode) (des.Time, error) {
 		sig.missed = true
 	}
 	c := r.ch
-	airtime := c.params.Airtime(f.Bytes)
+	airtime := Airtime(f.Bytes)
 	c.txTime[f.Type] += airtime
 	c.txCount[f.Type]++
 	c.propagate(r, f, m, airtime)
@@ -1005,9 +994,9 @@ func (c *Channel) propagate(src *Radio, f Frame, m Mode, airtime des.Time) {
 		return
 	}
 	if inBeam {
-		c.sched.ScheduleEvent(c.params.PropDelay, (*startEdge)(d))
+		c.sched.ScheduleEvent(PropDelay, (*startEdge)(d))
 	}
-	c.sched.ScheduleEvent(c.params.PropDelay+airtime, (*endEdge)(d))
+	c.sched.ScheduleEvent(PropDelay+airtime, (*endEdge)(d))
 }
 
 // beamTest decides beam coverage for one directional frame without a

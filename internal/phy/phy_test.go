@@ -26,6 +26,11 @@ func (r *recorder) OnFrame(f Frame) {
 func (r *recorder) OnFrameError() { r.errs++; r.events = append(r.events, "err") }
 func (r *recorder) OnTxDone()     { r.txdone++; r.events = append(r.events, "txdone") }
 
+// call adapts a closure to des.Event for the tests that schedule one.
+type call func()
+
+func (f call) Fire() { f() }
+
 // rig builds a channel with one radio per position and a recorder each.
 func rig(t *testing.T, params Params, positions ...geom.Point) (*des.Scheduler, *Channel, []*Radio, []*recorder) {
 	t.Helper()
@@ -44,7 +49,6 @@ func rig(t *testing.T, params Params, positions ...geom.Point) (*des.Scheduler, 
 }
 
 func TestAirtime(t *testing.T) {
-	p := DefaultParams()
 	tests := []struct {
 		bytes int
 		want  des.Time
@@ -55,7 +59,7 @@ func TestAirtime(t *testing.T) {
 		{0, 192 * des.Microsecond},
 	}
 	for _, tt := range tests {
-		if got := p.Airtime(tt.bytes); got != tt.want {
+		if got := Airtime(tt.bytes); got != tt.want {
 			t.Errorf("Airtime(%d) = %v, want %v", tt.bytes, got, tt.want)
 		}
 	}
@@ -82,10 +86,8 @@ func TestParamsValidate(t *testing.T) {
 		t.Errorf("DefaultParams invalid: %v", err)
 	}
 	bad := []Params{
-		{BitRate: 0, Range: 1},
-		{BitRate: 2e6, Range: 0},
-		{BitRate: 2e6, Range: 1, SyncTime: -1},
-		{BitRate: 2e6, Range: 1, PropDelay: -1},
+		{Range: 0},
+		{Range: -1},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -108,7 +110,7 @@ func TestOmniDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := DefaultParams().Airtime(20); air != want {
+	if want := Airtime(20); air != want {
 		t.Errorf("airtime = %v, want %v", air, want)
 	}
 	sched.RunAll()
@@ -169,11 +171,12 @@ func TestCollisionNoCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Start the second transmission mid-way through the first.
-	sched.Schedule(200*des.Microsecond, func() {
+	sched.ScheduleEvent(200*des.Microsecond, call(func() {
 		if _, err := radios[1].Transmit(f2, Omni); err != nil {
 			t.Error(err)
 		}
-	})
+	}))
+
 	sched.RunAll()
 	if len(recs[2].frames) != 0 {
 		t.Errorf("receiver decoded %d frames from a collision, want 0", len(recs[2].frames))
@@ -199,11 +202,12 @@ func TestCollisionWithCapture(t *testing.T) {
 	if _, err := radios[0].Transmit(f1, Omni); err != nil {
 		t.Fatal(err)
 	}
-	sched.Schedule(200*des.Microsecond, func() {
+	sched.ScheduleEvent(200*des.Microsecond, call(func() {
 		if _, err := radios[1].Transmit(f2, Omni); err != nil {
 			t.Error(err)
 		}
-	})
+	}))
+
 	sched.RunAll()
 	if len(recs[2].frames) != 1 || recs[2].frames[0].Seq != 1 {
 		t.Errorf("capture receiver frames = %+v, want only Seq 1", recs[2].frames)
@@ -222,11 +226,12 @@ func TestDeafWhileTransmitting(t *testing.T) {
 	if _, err := radios[1].Transmit(Frame{Type: Data, Src: 1, Dst: 0, Bytes: 1460}, Omni); err != nil {
 		t.Fatal(err)
 	}
-	sched.Schedule(100*des.Microsecond, func() {
+	sched.ScheduleEvent(100*des.Microsecond, call(func() {
 		if _, err := radios[0].Transmit(Frame{Type: RTS, Src: 0, Dst: 1, Bytes: 20}, Omni); err != nil {
 			t.Error(err)
 		}
-	})
+	}))
+
 	sched.RunAll()
 	if len(recs[1].frames) != 0 {
 		t.Error("transmitting radio must not decode arriving frames")
@@ -282,7 +287,7 @@ func TestPropagationDelayTiming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := air + params.PropDelay
+	want := air + PropDelay
 	for sched.Step() {
 		if len(recs[1].frames) == 1 && deliveredAt < 0 {
 			deliveredAt = sched.Now()
@@ -354,8 +359,8 @@ func TestRadioAccessors(t *testing.T) {
 	if ch.NumRadios() != 1 {
 		t.Errorf("NumRadios = %d, want 1", ch.NumRadios())
 	}
-	if ch.Params().BitRate != 2_000_000 {
-		t.Errorf("Params.BitRate = %d", ch.Params().BitRate)
+	if ch.Params() != DefaultParams() {
+		t.Errorf("Params = %+v, want %+v", ch.Params(), DefaultParams())
 	}
 }
 
@@ -369,11 +374,12 @@ func TestBackToBackTransmissionsNoFalseCollision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched.Schedule(air+10*des.Microsecond, func() {
+	sched.ScheduleEvent(air+10*des.Microsecond, call(func() {
 		if _, err := radios[0].Transmit(Frame{Type: RTS, Src: 0, Dst: 1, Bytes: 20, Seq: 2}, Omni); err != nil {
 			t.Error(err)
 		}
-	})
+	}))
+
 	sched.RunAll()
 	if len(recs[1].frames) != 2 {
 		t.Errorf("receiver decoded %d frames, want 2", len(recs[1].frames))
@@ -395,11 +401,11 @@ func TestThreeWayOverlapAllCorrupted(t *testing.T) {
 	)
 	for i := 0; i < 3; i++ {
 		i := i
-		sched.Schedule(des.Time(i*100)*des.Microsecond, func() {
+		sched.ScheduleEvent(des.Time(i*100)*des.Microsecond, call(func() {
 			if _, err := radios[i].Transmit(Frame{Type: Data, Src: NodeID(i), Dst: 3, Bytes: 500}, Omni); err != nil {
 				t.Error(err)
 			}
-		})
+		}))
 	}
 	sched.RunAll()
 	if len(recs[3].frames) != 0 {
@@ -536,11 +542,12 @@ func TestSINRCaptureByStrength(t *testing.T) {
 	if _, err := radios[0].Transmit(Frame{Type: Data, Src: 0, Dst: 2, Bytes: 500, Seq: 1}, Omni); err != nil {
 		t.Fatal(err)
 	}
-	sched.Schedule(200*des.Microsecond, func() {
+	sched.ScheduleEvent(200*des.Microsecond, call(func() {
 		if _, err := radios[1].Transmit(Frame{Type: Data, Src: 1, Dst: 2, Bytes: 500, Seq: 2}, Omni); err != nil {
 			t.Error(err)
 		}
-	})
+	}))
+
 	sched.RunAll()
 	// Strong: power 1/0.05² = 400; weak: 1. SINR = 400/(1+0.001) ≫ 10 →
 	// the strong frame decodes; the weak one is hopeless.
@@ -563,11 +570,12 @@ func TestSINRMutualKill(t *testing.T) {
 	if _, err := radios[0].Transmit(Frame{Type: Data, Src: 0, Dst: 2, Bytes: 500}, Omni); err != nil {
 		t.Fatal(err)
 	}
-	sched.Schedule(100*des.Microsecond, func() {
+	sched.ScheduleEvent(100*des.Microsecond, call(func() {
 		if _, err := radios[1].Transmit(Frame{Type: Data, Src: 1, Dst: 2, Bytes: 500}, Omni); err != nil {
 			t.Error(err)
 		}
-	})
+	}))
+
 	sched.RunAll()
 	if len(recs[2].frames) != 0 || recs[2].errs != 2 {
 		t.Errorf("equal-power overlap: frames=%d errs=%d, want 0/2", len(recs[2].frames), recs[2].errs)
@@ -618,11 +626,12 @@ func TestSINRDisabledMatchesOverlapModel(t *testing.T) {
 	if _, err := radios[0].Transmit(Frame{Type: Data, Src: 0, Dst: 2, Bytes: 500, Seq: 1}, Omni); err != nil {
 		t.Fatal(err)
 	}
-	sched.Schedule(200*des.Microsecond, func() {
+	sched.ScheduleEvent(200*des.Microsecond, call(func() {
 		if _, err := radios[1].Transmit(Frame{Type: Data, Src: 1, Dst: 2, Bytes: 500, Seq: 2}, Omni); err != nil {
 			t.Error(err)
 		}
-	})
+	}))
+
 	sched.RunAll()
 	// No capture without SINR: even the overwhelmingly stronger frame dies.
 	if len(recs[2].frames) != 0 || recs[2].errs != 2 {

@@ -48,6 +48,9 @@ import (
 // count, and 8 MiB comfortably covers a 10⁵-node placement.
 const maxBodyBytes = 8 << 20
 
+// retryAfter is the Retry-After hint of a 429 response, in seconds.
+const retryAfter = "1"
+
 // defaultTelemetryInterval matches netsim's -telemetry-interval default
 // and is applied when a streaming request's scenario does not set one.
 const defaultTelemetryInterval = 10 * time.Millisecond
@@ -70,9 +73,6 @@ type Config struct {
 	// Concurrency is the number of simultaneous simulation executions;
 	// non-positive selects GOMAXPROCS (one run per core).
 	Concurrency int
-	// RetryAfter is the hint returned with 429 responses, in seconds;
-	// non-positive selects 1.
-	RetryAfter int
 }
 
 // Stats is the counters snapshot served at /v1/stats.
@@ -104,10 +104,9 @@ type Stats struct {
 // Server is the daemon: an http.Handler plus the execution pool behind
 // it. Construct with New; call Close after the HTTP server has drained.
 type Server struct {
-	cfg        Config
-	queue      *queue
-	sf         group
-	retryAfter string
+	cfg   Config
+	queue *queue
+	sf    group
 
 	// runFn executes one scenario; tests substitute failures and
 	// barriers here without touching the HTTP surface.
@@ -125,18 +124,14 @@ func New(cfg Config) *Server {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 64
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = 1
-	}
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = runtime.GOMAXPROCS(0)
 	}
 	s := &Server{
-		cfg:        cfg,
-		queue:      newQueue(cfg.Concurrency, cfg.QueueCap),
-		retryAfter: fmt.Sprint(cfg.RetryAfter),
-		runFn:      sim.RunScenario,
-		mux:        http.NewServeMux(),
+		cfg:   cfg,
+		queue: newQueue(cfg.Concurrency, cfg.QueueCap),
+		runFn: sim.RunScenario,
+		mux:   http.NewServeMux(),
 	}
 	s.sf.onShare = func() { s.counters.coalesced.add(1) }
 	s.mux.HandleFunc("POST /v1/runs", s.handlePostRun)
@@ -292,7 +287,7 @@ func (s *Server) writeResult(w http.ResponseWriter, key cache.Key, source string
 // Retry-After hint, everything else is 500.
 func (s *Server) writeRunError(w http.ResponseWriter, err error) {
 	if err == errBusy {
-		w.Header().Set("Retry-After", s.retryAfter)
+		w.Header().Set("Retry-After", retryAfter)
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
 		return
 	}

@@ -342,7 +342,7 @@ func TestFailedRunDoesNotPoisonCacheOrWedgeWaiters(t *testing.T) {
 // contract: a full queue answers 429 with a Retry-After hint and counts
 // the rejection; distinct scenarios do not coalesce around it.
 func TestBackpressure429(t *testing.T) {
-	s, ts := newTestServer(t, Config{Concurrency: 1, QueueCap: 1, RetryAfter: 3})
+	s, ts := newTestServer(t, Config{Concurrency: 1, QueueCap: 1})
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
 	s.runFn = func(sc sim.Scenario, opts sim.Options) (*sim.Result, error) {
@@ -376,8 +376,8 @@ func TestBackpressure429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-capacity POST status = %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "3" {
-		t.Errorf("Retry-After = %q, want \"3\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", ra)
 	}
 	if st := s.Stats(); st.Rejected != 1 {
 		t.Errorf("rejected = %d, want 1", st.Rejected)

@@ -198,10 +198,7 @@ func Build(sc Scenario, opts Options) (*Sim, error) {
 
 	var tables []*neighbor.Table
 	if sc.Ablations.HelloBootstrap {
-		tables, err = neighbor.Bootstrap(sched, ch, neighbor.DefaultHelloConfig())
-		if err != nil {
-			return nil, err
-		}
+		tables = neighbor.Bootstrap(sched, ch)
 	} else {
 		tables = neighbor.GroundTruth(ch)
 	}
@@ -310,7 +307,11 @@ func (s *Sim) Run() (*Result, error) {
 		st.Start()
 	}
 	if sc.Mobility.Kind == "waypoint" {
-		mob, err := mobility.New(s.Sched, s.Channel, mobility.DefaultConfig(sc.Mobility.MaxSpeed))
+		// The nodes walk the field the topology filled: the Rings·R disk.
+		mob, err := mobility.New(s.Sched, s.Channel, mobility.Config{
+			Bound:    float64(s.Topology.Rings) * s.Topology.Radius,
+			MaxSpeed: sc.Mobility.MaxSpeed,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -319,7 +320,7 @@ func (s *Sim) Run() (*Result, error) {
 		if refresh <= 0 {
 			refresh = des.Second
 		}
-		if _, err := neighbor.PeriodicRefresh(s.Sched, s.Channel, s.Tables, refresh); err != nil {
+		if err := neighbor.PeriodicRefresh(s.Sched, s.Channel, s.Tables, refresh); err != nil {
 			return nil, err
 		}
 	}

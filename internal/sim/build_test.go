@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/geom"
+	"repro/internal/phy"
 	"repro/internal/trace"
 )
 
@@ -134,6 +135,40 @@ func TestBuildMobilityScenario(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Error("mobility scenario is not deterministic")
+	}
+}
+
+// TestWaypointWalksTheScenarioField: waypoint mobility keeps the nodes
+// of a wider field on that field, the Rings·R disk, instead of herding
+// them into the paper's 3R disk.
+func TestWaypointWalksTheScenarioField(t *testing.T) {
+	sc := Scenario{
+		Scheme:   "orts-octs",
+		Seed:     3,
+		Duration: Duration(120 * des.Second),
+		Topology: TopologySpec{Kind: "uniform", N: 4, Rings: 8},
+		Traffic:  TrafficSpec{Kind: "none"},
+		Mobility: MobilitySpec{Kind: "waypoint", MaxSpeed: 2},
+	}
+	s, err := Build(sc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	beyond3R := 0
+	for i := range s.Nodes {
+		d := s.Channel.Radio(phy.NodeID(i)).Pos().Dist(geom.Point{})
+		if d > 8+1e-9 {
+			t.Fatalf("node %d walked off the 8R field to %v", i, d)
+		}
+		if d > 3 {
+			beyond3R++
+		}
+	}
+	if beyond3R == 0 {
+		t.Errorf("after %v of walking, all %d nodes are inside 3R", sc.Duration, len(s.Nodes))
 	}
 }
 

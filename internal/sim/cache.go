@@ -36,7 +36,12 @@ import "repro/internal/cache"
 // v6: the sampleDelays reservoir draws from its own stream. It drew from
 // the protocol stream, so a run that offered it more than 4 096
 // deliveries moved every later backoff; v5 caches hold those results.
-const EngineFingerprint = "repro-sim/v6"
+//
+// v7: waypoint mobility walks the scenario's own field, the Rings·R
+// disk. It walked a fixed 3-unit disk, so on any other field every node
+// drifted into the 3R disk; v6 caches hold those results. Scenarios on a
+// 3-unit field, the paper's, give the bytes they gave.
+const EngineFingerprint = "repro-sim/v7"
 
 // optionsFingerprint describes the cacheable Options state. Runs are
 // only cached without a tracer or telemetry sink, so today this is a

@@ -55,8 +55,12 @@ func (sc Scenario) resolvedTopologyConfig() topology.Config {
 // GenerateTopology places the nodes of the scenario's topology section.
 // The generator named by Kind draws from rng, which is dedicated to
 // topology generation (seed it from Scenario.Seed for the canonical
-// placement), so a generator never perturbs protocol randomness.
+// placement), so a generator never perturbs protocol randomness. A
+// section Validate rejects is rejected here with the same error.
 func GenerateTopology(rng *rand.Rand, sc Scenario) (*topology.Topology, error) {
+	if err := sc.validateTopology(); err != nil {
+		return nil, err
+	}
 	cfg := sc.resolvedTopologyConfig()
 	var topo *topology.Topology
 	var err error

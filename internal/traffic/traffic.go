@@ -95,7 +95,6 @@ type CBR struct {
 	seq     int64
 	dropped int64
 	kick    Kicker
-	stopped bool
 }
 
 // Kicker is woken when a packet arrives at an empty queue: the owning
@@ -159,19 +158,14 @@ func (e *arrival) Fire() { (*CBR)(e).arrive() }
 // bound Kick method, costs no allocation.
 func (c *CBR) SetKick(k Kicker) { c.kick = k }
 
-// Start schedules the first arrival one interval from now.
+// Start schedules the first arrival one interval from now. Arrivals go
+// on for as long as the scheduler runs.
 func (c *CBR) Start() {
 	c.sched.ScheduleEvent(c.interval, (*arrival)(c))
 }
 
-// Stop halts future arrivals (already-queued packets still drain).
-func (c *CBR) Stop() { c.stopped = true }
-
 //desalint:hotpath
 func (c *CBR) arrive() {
-	if c.stopped {
-		return
-	}
 	if c.Backlog() >= c.queueCap {
 		c.dropped++
 	} else {

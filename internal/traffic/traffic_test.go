@@ -122,26 +122,6 @@ func TestCBRQueueCapDrops(t *testing.T) {
 	}
 }
 
-func TestCBRStop(t *testing.T) {
-	sched := des.New(2)
-	c, err := NewCBR(sched, sched.Rand(), []int32{1}, CBRConfig{
-		Interval: des.Millisecond,
-		Bytes:    100,
-		QueueCap: 100,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	sched.Run(5 * des.Millisecond)
-	c.Stop()
-	before := c.Backlog()
-	sched.Run(50 * des.Millisecond)
-	if c.Backlog() != before {
-		t.Errorf("arrivals continued after Stop: %d → %d", before, c.Backlog())
-	}
-}
-
 func TestCBRValidation(t *testing.T) {
 	sched := des.New(2)
 	good := CBRConfig{Interval: des.Millisecond, Bytes: 100, QueueCap: 10}
