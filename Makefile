@@ -53,10 +53,10 @@ bench:
 # under 1 µs, and the MAC's spread of delays at 40 and 9000 pending) and
 # channel micro-benches (omni, and directional under the NAV oracle),
 # one simulated second dense, sparse and mobile, the
-# analytical Fig. 5 sweep, the result cache cold/warm, telemetry off/on,
-# the 10⁴-node scale trio, the paper-cell Build and the served scenario
-# cold/warm.
-HOTPATH = ^(BenchmarkScheduler|BenchmarkSchedulerSpread|BenchmarkChannelBroadcast|BenchmarkChannelDirectional|BenchmarkSimulationSecond|BenchmarkSimulationSecondSparse|BenchmarkSimulationSecondMobile|BenchmarkFig5|BenchmarkScenarioCache|BenchmarkTelemetryOff|BenchmarkTelemetryOn|BenchmarkBuildLargeN|BenchmarkBuildPaper|BenchmarkMobilityChurn|BenchmarkScaleSimulationSecond|BenchmarkServedScenario)$$
+# analytical Fig. 5 sweep, the result cache cold/warm and a first Put,
+# telemetry off/on, the 10⁴-node scale trio, the paper-cell Build and
+# the served scenario cold/warm.
+HOTPATH = ^(BenchmarkScheduler|BenchmarkSchedulerSpread|BenchmarkChannelBroadcast|BenchmarkChannelDirectional|BenchmarkSimulationSecond|BenchmarkSimulationSecondSparse|BenchmarkSimulationSecondMobile|BenchmarkFig5|BenchmarkScenarioCache|BenchmarkCachePut|BenchmarkTelemetryOff|BenchmarkTelemetryOn|BenchmarkBuildLargeN|BenchmarkBuildPaper|BenchmarkMobilityChurn|BenchmarkScaleSimulationSecond|BenchmarkServedScenario)$$
 
 # Paired regression gate: `make bench-compare BASE=<git revision>`.
 # Builds the root package's test binary at BASE (in a temporary git
@@ -169,7 +169,9 @@ scale-smoke:
 # counters to prove it, also for a scenario with a telemetry section
 # posted without ?telemetry=1 (no sink, so its result is cached like any
 # other), a telemetry stream must pipe straight into
-# `simtrace summarize -`, and SIGTERM must drain and exit 0.
+# `simtrace summarize -`, and SIGTERM must drain and exit 0. A second
+# simd on the same cache directory must then serve the repeat POST from
+# disk (X-Simd-Source: hit) without executing anything.
 simd-smoke:
 	@set -e; \
 	rm -rf .simd-smoke; mkdir -p .simd-smoke; \
@@ -200,6 +202,20 @@ simd-smoke:
 	grep -q '"cacheHits":2' .simd-smoke/stats.json || { echo "stats lack the two repeat-POST hits:"; cat .simd-smoke/stats.json; exit 1; }; \
 	grep -q '"executed":2' .simd-smoke/stats.json || { echo "stats show re-execution on a repeat POST:"; cat .simd-smoke/stats.json; exit 1; }; \
 	curl -sf -X POST --data-binary @internal/sim/testdata/telemetry-trajectory.json "http://$$addr/v1/runs?telemetry=1" | .simd-smoke/simtrace summarize -; \
+	kill -TERM $$pid; wait $$pid; \
+	echo "graceful shutdown exited 0"; \
+	.simd-smoke/simd -addr 127.0.0.1:0 -cache .simd-smoke/cache > .simd-smoke/log2 2>&1 & pid=$$!; \
+	i=0; until grep -q 'listening on' .simd-smoke/log2 2>/dev/null; do \
+		i=$$((i + 1)); [ $$i -le 100 ] || { echo "restarted simd never became ready:"; cat .simd-smoke/log2; exit 1; }; \
+		sleep 0.1; \
+	done; \
+	addr=$$(sed -n 's/^simd: listening on //p' .simd-smoke/log2); \
+	curl -sf -D .simd-smoke/headers3 -X POST --data-binary @internal/sim/testdata/paper-drts-dcts.json "http://$$addr/v1/runs" > .simd-smoke/served3.json; \
+	cmp .simd-smoke/local.json .simd-smoke/served3.json; \
+	grep -qi '^X-Simd-Source: hit' .simd-smoke/headers3 || { echo "restarted simd did not serve the repeat POST from its cache:"; cat .simd-smoke/headers3; exit 1; }; \
+	curl -sf "http://$$addr/v1/stats" > .simd-smoke/stats2.json; \
+	grep -q '"executed":0' .simd-smoke/stats2.json || { echo "restarted simd re-executed a cached scenario:"; cat .simd-smoke/stats2.json; exit 1; }; \
+	echo "restarted simd served the repeat POST from disk"; \
 	kill -TERM $$pid; wait $$pid; \
 	trap - EXIT; \
 	echo "simd-smoke passed (graceful shutdown exited 0)"; \

@@ -11,11 +11,15 @@ package repro
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
 	"testing"
 
 	"repro/internal/cache"
@@ -531,6 +535,39 @@ func BenchmarkScenarioCache(b *testing.B) {
 			b.Fatalf("warm loop missed the cache (%+v)", st)
 		}
 	})
+}
+
+// BenchmarkCachePut measures storing a result the cache has not seen:
+// each iteration Puts a fresh key with a 3 KB payload, about the size
+// of a served paper cell's encoded Result, so every Put reaches the
+// disk. Every 1 024 Puts the store is replaced, untimed, to bound the
+// disk the loop fills.
+func BenchmarkCachePut(b *testing.B) {
+	const perStore = 1024
+	payload := bytes.Repeat([]byte("0123456789abcdef"), 192)
+	root := b.TempDir()
+	var store *cache.Store
+	for i := 0; i < b.N; i++ {
+		if i%perStore == 0 {
+			b.StopTimer()
+			if store != nil {
+				store.Close()
+				os.RemoveAll(store.Dir())
+			}
+			var err error
+			if store, err = cache.NewStore(filepath.Join(root, strconv.Itoa(i)), 0); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		var k cache.Key
+		binary.BigEndian.PutUint64(k[:], uint64(i))
+		if err := store.Put(k, payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	store.Close()
 }
 
 // BenchmarkSimulationSecond measures the wall cost of one simulated

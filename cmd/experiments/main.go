@@ -100,13 +100,14 @@ func run(args []string) error {
 			return err
 		}
 		runner.Options.Cache = store
-		if *cacheStats {
-			defer func() {
+		defer func() {
+			if *cacheStats {
 				st := store.Stats()
 				fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses, %d evictions (%s)\n",
 					st.Hits, st.Misses, st.Evictions, store.Dir())
-			}()
-		}
+			}
+			store.Close() // best effort, as every Put is: a lost entry is a later miss
+		}()
 	}
 	if *dump {
 		return sim.WriteScenario(os.Stdout, base)

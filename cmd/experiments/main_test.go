@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/sim"
 )
 
@@ -90,12 +91,12 @@ func TestGridSimulatedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(dir)
+	store, err := cache.NewStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 21 {
-		t.Errorf("cache holds %d entries, want 21", len(entries))
+	if n := store.Stats().Entries; n != 21 {
+		t.Errorf("cache holds %d entries, want 21", n)
 	}
 }
 

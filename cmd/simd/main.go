@@ -89,6 +89,10 @@ func run(args []string, stdout io.Writer, sigs <-chan os.Signal) error {
 			ln.Close()
 			return err
 		}
+		// Deferred, so it runs after srv.Close() on either exit path. A
+		// Put from a handler the drain bound cut off fails after it and
+		// is dropped like every Put error: a lost entry is a later miss.
+		defer store.Close()
 	}
 	srv := server.New(server.Config{
 		Cache:       store,

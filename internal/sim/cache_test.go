@@ -202,18 +202,22 @@ func TestCorruptCacheEntryFallsThroughToRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Truncate the entry on disk, then read through a fresh store so the
-	// memory layer cannot mask the damage.
+	// Truncate the segment on disk, then read through a fresh store so
+	// the memory layer cannot mask the damage.
 	key, err := ScenarioKey(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, key.String()+".entry")
-	raw, err := os.ReadFile(path)
+	store.Close()
+	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segment files %v (%v), want one", segs, err)
+	}
+	raw, err := os.ReadFile(segs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
+	if err := os.WriteFile(segs[0], raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	store2, err := cache.NewStore(dir, 16)
@@ -227,8 +231,21 @@ func TestCorruptCacheEntryFallsThroughToRun(t *testing.T) {
 	if !reflect.DeepEqual(res, fresh) {
 		t.Error("recovered run differs from the original result")
 	}
-	// The damaged entry must have been repaired by the fresh run's Put.
+	// The damaged entry must have been repaired by the fresh run's Put,
+	// on disk: a third store, opened after it, serves the entry.
 	if _, ok := store2.Get(key); !ok {
 		t.Error("entry not rewritten after corruption fallback")
+	}
+	store2.Close()
+	store3, err := cache.NewStore(dir, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := EncodeResult(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := store3.Get(key); !ok || !bytes.Equal(got, want) {
+		t.Errorf("reopened store: Get hit = %v, want the repaired entry's bytes", ok)
 	}
 }
